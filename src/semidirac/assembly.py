@@ -309,9 +309,13 @@ def assemble_square_form(
     Df = forward_difference_y(grid.ny, grid.hy)
     Gy = (Df.T @ sp.diags(np.full(grid.ny, grid.hy)) @ Df).tocsr()
     Wx = sp.diags(grid.weights_x())
-    Sx = stiffness_x(grid.nx, grid.hx) + sp.diags(params.delta + vx)
+    # Sx Wx Sx as Bx^T Bx: each entry is then a sum of commuting products,
+    # so the x block is symmetric bit for bit
+    Bx = sp.diags(np.sqrt(grid.weights_x())) @ (
+        stiffness_x(grid.nx, grid.hx) + sp.diags(params.delta + vx)
+    )
     G = sp.kron(Gy, Wx, format="csr") + sp.kron(
-        sp.diags(omega), (Sx @ Wx @ Sx), format="csr"
+        sp.diags(omega), (Bx.T @ Bx), format="csr"
     )
     zero = sp.csr_matrix(G.shape)
     M, w_red = _reduce(grid, G, zero, zero, G)

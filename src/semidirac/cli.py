@@ -694,7 +694,7 @@ def cmd_spectrum(cfg: RunConfig, pool=None) -> ResultBundle:
         op = _build_operator(cfg, "square-form", grid)
         rep = lowest_of_square(
             op, k=solver["k"], tol=solver["tol"],
-            max_iter=max(solver["max_iter"], 800), seed=solver["seed"],
+            max_iter=solver["max_iter"], seed=solver["seed"],
         )
         bundle.checks["bottom_above_gap_square"] = bool(
             rep.eigenvalues[0] >= cfg.params.delta**2 - 0.05

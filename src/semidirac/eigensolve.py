@@ -1,28 +1,23 @@
 """Eigensolvers and localization diagnostics.
 
-Routes, kept deliberately independent of each other:
+Every sparse route factors a shifted matrix M - sigma I with SuperLU
+(scipy.sparse.linalg.splu) and nothing else:
 
 * ``dense_eigs``: full spectrum through LAPACK's Hermitian
   eigendecomposition.  This is the oracle route for cross-checking the
-  iterative solvers on small problems; every reported pair is re-verified
-  by an explicit matrix-vector product.
+  sparse routes on small problems; every reported pair is re-verified by
+  an explicit matrix-vector product.
+* ``count_within`` / ``count_below``: certified eigenvalue counts from the
+  pivot signs of a diagonal-pivoted sparse LU in a symmetric fill-reducing
+  order (Sylvester inertia).  Each certificate carries its evidence: the
+  symmetric pivot order, the smallest pivot, the growth max|L|, the fill
+  and the shift that was factored.  A singular factor or a broken
+  symmetric order raises ConvergenceError; the shift is never moved.
 * ``gap_eigs`` / ``nearest_eigenvalues``: in-repo shift-invert Lanczos
-  with full reorthogonalization and deflation restarts.  The default
-  backend factors the shifted matrix with LAPACK's banded LU after a
-  reverse Cuthill-McKee reordering; a matrix-free backend (inner MINRES
-  solves) covers operators whose reordered bandwidth is impractical.
-* ``count_within`` / ``count_below``: certified eigenvalue counts from
-  the pivot signs of an in-repo blocked band LDL^H (Sylvester inertia).
-  The first-order operator has zero diagonal blocks, on which an
-  unpivoted LDL^H breaks down structurally, so window counts |lambda| < r
-  are computed on its square M @ M, which is positive semidefinite with
-  strictly positive diagonal and factors stably; element growth is
-  monitored and reported inside the certificate.  ``count_below`` applies
-  the same factorization directly and is intended for the square-form
-  operators, whose diagonal is strictly positive.
-* ``lowest_of_square``: blocked inverse-free Rayleigh-quotient iteration
-  (LOBPCG style) with Jacobi preconditioning for the smallest eigenvalues
-  of the positive square-form operators.
+  with full reorthogonalization and deflation restarts, on the
+  partial-pivoting LU of the shifted matrix.
+* ``lowest_of_square``: shift-invert at zero for the positive square-form
+  operators, whose result is certified by ``count_below``.
 
 Determinism: all randomized starts come from a caller-seeded generator,
 matrix-vector products are sequential, and eigenvector phases are fixed so
@@ -31,20 +26,16 @@ the first significant component is real positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.linalg import splu
 
 from .assembly import HermitianOperator
 
 DENSE_CAP_DEFAULT = 4000
-BLOCK_SIZE = 4
-# refuse band storage beyond ~1.5 GB rather than thrash
-_BAND_BYTES_LIMIT = 1_500_000_000
-_LDL_PANEL = 64
 
 
 class ConvergenceError(RuntimeError):
@@ -53,10 +44,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, history=()):
         super().__init__(message)
         self.history = list(history)
-
-
-class _BandBreakdown(RuntimeError):
-    """Internal: a band factorization hit a zero or negligible pivot."""
 
 
 @dataclass(frozen=True)
@@ -205,272 +192,80 @@ def dense_eigs(op, cap: int = DENSE_CAP_DEFAULT) -> SpectrumReport:
 
 
 # ---------------------------------------------------------------------------
-# band storage, LAPACK LU solves, windowed LDL^H inertia
+# sparse LU of the shifted matrix: inertia counts and shift-invert solves
 
-def _rcm_perm(matrix: sp.csr_matrix) -> np.ndarray:
-    return np.asarray(
-        reverse_cuthill_mckee(matrix, symmetric_mode=True), dtype=np.int64
-    )
-
-
-def _band_from_csr(mcsr: sp.csr_matrix) -> tuple[np.ndarray, int]:
-    """Lower band storage ab[r - c, c] = M[r, c] for r >= c."""
-    coo = mcsr.tocoo()
-    keep = coo.row >= coo.col
-    r, c, v = coo.row[keep], coo.col[keep], coo.data[keep]
-    n = mcsr.shape[0]
-    bw = int((r - c).max()) if r.size else 0
-    if (bw + 1) * n * 16 > _BAND_BYTES_LIMIT:
-        raise ValueError(
-            f"reordered bandwidth {bw} too large for the banded backend; "
-            f"use method='matrixfree'"
-        )
-    ab = np.zeros((bw + 1, n), dtype=np.complex128)
-    ab[r - c, c] = v
-    return ab, bw
-
-
-def _window_ldl_count(ab: np.ndarray, bw: int, panel: int = _LDL_PANEL):
-    """Negative-pivot count of a Hermitian band matrix by blocked LDL^H.
-
-    Factors through a sliding dense window of size (bw + panel), updating
-    trailing columns with one rank-panel product per panel.  Only the pivot
-    signs are kept (Sylvester inertia), no solves.  Returns (neg, growth)
-    where growth is the largest window entry seen relative to the input
-    scale.  Raises _BandBreakdown on a negligible pivot.
-    """
-    n = ab.shape[1]
-    scale = np.abs(ab).max() if ab.size else 0.0
-    scale = max(scale, np.finfo(float).tiny)
-    piv_tol = 1e-14 * scale
-    m = bw + panel
-    W = np.zeros((m, m), dtype=np.complex128)
-
-    def load_column(c: int, origin: int):
-        # forward couplings A[gc+k, gc] plus the backward row A[gc, gc-k]
-        # straight from the band, so a freshly shifted-in column never
-        # depends on window state that was retired with the previous panel
-        gc = origin + c
-        if gc >= n:
-            W[c, c] = scale  # inert positive padding
-            return
-        kmax = min(bw, m - 1 - c)
-        W[c : c + kmax + 1, c] = ab[: kmax + 1, gc]
-        W[c, c : c + kmax + 1] = np.conj(ab[: kmax + 1, gc])
-        kb = min(bw, c, gc)
-        if kb:
-            offs = np.arange(1, kb + 1)
-            vals = ab[offs, gc - offs]
-            W[c, c - offs] = vals
-            W[c - offs, c] = np.conj(vals)
-
-    for c in range(m):
-        load_column(c, 0)
-    neg = 0
-    growth = scale
-    origin = 0
-    while origin < n:
-        cols = min(panel, n - origin)
-        d = np.empty(cols)
-        for t in range(cols):
-            dt = W[t, t].real
-            if abs(dt) <= piv_tol:
-                raise _BandBreakdown(f"pivot {dt:.3e} at column {origin + t}")
-            d[t] = dt
-            if dt < 0.0:
-                neg += 1
-            ell = W[t + 1 :, t] / dt
-            W[t + 1 :, t] = ell
-            if t + 1 < cols:
-                W[t + 1 :, t + 1 : cols] -= np.outer(ell, np.conj(ell[: cols - 1 - t])) * dt
-        growth = max(growth, float(np.abs(W).max()))
-        origin += cols
-        if origin >= n:
-            break
-        lt = W[cols:, :cols]
-        W[cols:, cols:] -= (lt * d[None, :]) @ lt.conj().T
-        keep = m - cols
-        W[:keep, :keep] = W[cols:, cols:]
-        W[:keep, keep:] = 0.0
-        W[keep:, :] = 0.0
-        for c in range(keep, m):
-            load_column(c, origin)
-    return neg, growth / scale
-
-
-def _permuted_shifted(matrix: sp.csr_matrix, perm: np.ndarray, shift: float):
+def _factor(matrix: sp.csr_matrix, shift: float, **options):
+    """SuperLU factors of matrix - shift I, which must be nonsingular."""
     n = matrix.shape[0]
-    shifted = matrix - shift * sp.identity(n, format="csr", dtype=matrix.dtype)
-    return shifted[perm][:, perm].tocsr()
+    shifted = (matrix - shift * sp.identity(n, format="csr", dtype=matrix.dtype)).tocsc()
+    try:
+        return splu(shifted, **options), shifted
+    except RuntimeError as exc:
+        raise ConvergenceError(
+            f"shifted matrix is singular at shift {shift}: {exc}"
+        ) from exc
 
 
-def _inertia_with_retry(matrix, perm, shift, jitter, tag, attempts=4):
-    """(neg, growth, shift actually factored) with breakdown retries."""
-    last = None
-    for t in range(attempts):
-        s = shift if t == 0 else shift + jitter * (10.0**t) * (1 if t % 2 else -1)
-        pm = _permuted_shifted(matrix, perm, s)
-        try:
-            ab, bw = _band_from_csr(pm)
-            neg, growth = _window_ldl_count(ab, bw)
-            return neg, growth, s, bw
-        except _BandBreakdown as exc:
-            last = exc
-    raise ConvergenceError(
-        f"band LDL^H kept breaking down near the {tag} shift {shift}: {last}"
+def _inertia(matrix: sp.csr_matrix, shift: float) -> dict:
+    """Number of eigenvalues of a Hermitian matrix below shift, with evidence.
+
+    Factors matrix - shift I with diagonal pivots in a symmetric fill-reducing
+    order, so P A P^T = L U with U = D L^H and, by Sylvester's law of
+    inertia, the count is the number of negative pivots in diag(U).  Any
+    off-diagonal pivot breaks the symmetric order and raises.
+    """
+    lu, shifted = _factor(
+        matrix, shift, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
     )
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise ConvergenceError(
+            f"pivoting left the symmetric order at shift {shift}; "
+            f"the pivot signs do not count eigenvalues"
+        )
+    pivots = lu.U.diagonal().real
+    return {
+        "count": int(np.count_nonzero(pivots < 0.0)),
+        "symmetric_order": True,
+        "min_pivot": float(np.abs(pivots).min()),
+        "growth": float(np.abs(lu.L.data).max()),
+        "fill": lu.nnz / shifted.nnz,
+    }
 
 
 def count_within(op, radius: float) -> dict:
     """Certified count of eigenvalues with |lambda| < radius.
 
-    Computed as the inertia of M @ M - radius^2 I through the windowed band
-    LDL^H; the square is positive semidefinite with strictly positive
-    diagonal, so the unpivoted factorization is stable, and its pivot signs
-    count the squared eigenvalues below radius^2.  The reported growth
-    factor bounds the element growth seen during elimination; values near 1
-    mean the count is trustworthy well beyond roundoff distance from the
-    window edge.
+    Computed as the inertia of M @ M - radius^2 I.  The first-order
+    operator has zero diagonal blocks, on which diagonal pivoting breaks
+    down structurally; its square is positive semidefinite with strictly
+    positive diagonal, and its pivot signs count the squared eigenvalues
+    below radius^2.  The certificate carries the factored shift
+    (shift_squared), symmetric_order, the smallest |pivot| (min_pivot),
+    the largest multiplier max|L| (growth) and nnz(L + U) / nnz(A) (fill).
     """
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be positive, got {radius}")
     matrix, _ = _as_matrix(op)
-    mm = (matrix @ matrix).tocsr()
-    perm = _rcm_perm(mm)
-    jit = 1e-9 * max(radius**2, 1.0)
-    neg, growth, s, bw = _inertia_with_retry(mm, perm, radius**2, jit, "window")
-    return {
-        "count": int(neg),
-        "radius": float(radius),
-        "shift_squared": float(s),
-        "growth": float(growth),
-        "bandwidth": int(bw),
-    }
+    shift = float(radius) ** 2
+    window = _inertia((matrix @ matrix).tocsr(), shift)
+    return {"radius": float(radius), "shift_squared": shift, **window}
 
 
 def count_below(op, threshold: float) -> dict:
     """Certified count of eigenvalues below a threshold by direct inertia.
 
-    Factors M - threshold*I with the windowed band LDL^H and counts
-    negative pivots.  Intended for operators with strictly positive
-    diagonal (the square-form assemblies); the first-order operator's
-    zero diagonal blocks defeat unpivoted elimination, so use
-    count_within for gap windows of the first-order operator instead.
+    Factors M - threshold I with diagonal pivots and counts negative ones.
+    Intended for operators with strictly positive diagonal (the square-form
+    assemblies); for gap windows of the first-order operator use
+    count_within.  The certificate carries the factored shift and the same
+    evidence as count_within.
     """
     if not np.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
     matrix, _ = _as_matrix(op)
-    perm = _rcm_perm(matrix)
-    normest = max(_inf_norm(matrix), np.finfo(float).tiny)
-    jit = 1e-12 * normest
-    neg, growth, s, bw = _inertia_with_retry(matrix, perm, threshold, jit, "threshold")
-    return {
-        "count": int(neg),
-        "threshold": float(threshold),
-        "shift": float(s),
-        "growth": float(growth),
-        "bandwidth": int(bw),
-    }
-
-
-class _BandLU:
-    """LAPACK banded LU of (M - shift I) in a fixed symmetric ordering."""
-
-    def __init__(self, matrix: sp.csr_matrix, perm: np.ndarray, shift: float):
-        self.permuted = _permuted_shifted(matrix, perm, shift)
-        self.shift = shift
-        n = self.permuted.shape[0]
-        coo = self.permuted.tocoo()
-        kl = int(np.abs(coo.row - coo.col).max()) if coo.nnz else 0
-        if (3 * kl + 1) * n * 16 > _BAND_BYTES_LIMIT:
-            raise ValueError(
-                f"reordered bandwidth {kl} too large for the banded backend; "
-                f"use method='matrixfree'"
-            )
-        ab = np.zeros((3 * kl + 1, n), dtype=np.complex128, order="F")
-        ab[2 * kl + coo.row - coo.col, coo.col] = coo.data
-        gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
-        lu, ipiv, info = gbtrf(ab, kl, kl, overwrite_ab=1)
-        if info > 0:
-            raise _BandBreakdown(f"singular U at {info - 1} for shift {shift}")
-        if info < 0:
-            raise RuntimeError(f"gbtrf illegal argument {-info}")
-        self._lu, self._ipiv, self._kl = lu, ipiv, kl
-        self._gbtrs = gbtrs
-
-    def solve(self, b: np.ndarray, refine: int = 1) -> np.ndarray:
-        x, info = self._gbtrs(self._lu, self._kl, self._kl, b.reshape(-1, 1), self._ipiv)
-        if info != 0:
-            raise RuntimeError(f"gbtrs failed with info {info}")
-        x = x.ravel()
-        for _ in range(refine):
-            r = b - self.permuted @ x
-            dx, info = self._gbtrs(self._lu, self._kl, self._kl, r.reshape(-1, 1), self._ipiv)
-            if info != 0:
-                raise RuntimeError(f"gbtrs failed with info {info}")
-            x = x + dx.ravel()
-        return x
-
-
-def _band_lu_with_retry(matrix, perm, shift, jitter, attempts=4) -> _BandLU:
-    last = None
-    for t in range(attempts):
-        s = shift if t == 0 else shift + jitter * (10.0**t) * (1 if t % 2 else -1)
-        try:
-            return _BandLU(matrix, perm, s)
-        except _BandBreakdown as exc:
-            last = exc
-    raise ConvergenceError(f"shifted factorization stayed singular near {shift}: {last}")
-
-
-# ---------------------------------------------------------------------------
-# full-memory MINRES (matrix-free inner solve)
-
-def _minres_solve(matvec, b: np.ndarray, rtol: float, max_iter: int) -> np.ndarray:
-    """Residual-minimizing Krylov solve for Hermitian indefinite systems.
-
-    Full-memory variant: runs reorthogonalized Lanczos on the system matrix
-    and solves the small least-squares problem, which is the MINRES
-    minimizer.  Intended for moderate problem sizes where the banded
-    factorization is unavailable.
-    """
-    n = b.shape[0]
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros_like(b)
-    m = min(max_iter, n)
-    V = np.zeros((n, m + 1), dtype=np.complex128)
-    V[:, 0] = b / bnorm
-    alphas, betas = [], []
-    for j in range(m):
-        w = matvec(V[:, j])
-        a = np.vdot(V[:, j], w).real
-        alphas.append(a)
-        w = w - a * V[:, j]
-        if j > 0:
-            w = w - betas[-1] * V[:, j - 1]
-        # full reorthogonalization keeps the small problem faithful
-        w -= V[:, : j + 1] @ (V[:, : j + 1].conj().T @ w)
-        beta = np.linalg.norm(w)
-        k = j + 1
-        T = np.zeros((k + 1, k))
-        T[np.arange(k), np.arange(k)] = alphas
-        if k > 1:
-            T[np.arange(1, k), np.arange(k - 1)] = betas
-            T[np.arange(k - 1), np.arange(1, k)] = betas
-        T[k, k - 1] = beta
-        rhs = np.zeros(k + 1)
-        rhs[0] = bnorm
-        y, *_ = np.linalg.lstsq(T, rhs, rcond=None)
-        resid = np.linalg.norm(T @ y - rhs)
-        if resid <= rtol * bnorm or beta <= 1e-14 * bnorm:
-            return V[:, :k] @ y
-        betas.append(beta)
-        V[:, k] = w / beta
-    raise ConvergenceError(
-        f"inner MINRES stalled at relative residual {resid / bnorm:.3e} "
-        f"after {m} iterations"
-    )
+    shift = float(threshold)
+    return {"threshold": shift, "shift": shift, **_inertia(matrix, shift)}
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +296,8 @@ def _lanczos_nearest(opsolve, matrix, n, sigma, want, tol, normest, max_iter,
         m_cap = min(max_iter - total, n - defl.shape[1])
         if m_cap < 1:
             break
-        V = np.zeros((n, m_cap), dtype=np.complex128)
+        # column-major, so only the columns actually written get touched
+        V = np.zeros((n, m_cap), dtype=np.complex128, order="F")
         v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v0 -= defl @ (defl.conj().T @ v0)
         nrm = np.linalg.norm(v0)
@@ -562,7 +358,7 @@ def _lanczos_nearest(opsolve, matrix, n, sigma, want, tol, normest, max_iter,
         if not accepted and total < max_iter:
             # fresh random restart; deflation unchanged
             continue
-    return found_vals, found_vecs
+    return found_vals, found_vecs, total
 
 
 def _symmetric_radius(lo: float, hi: float) -> float | None:
@@ -571,37 +367,18 @@ def _symmetric_radius(lo: float, hi: float) -> float | None:
     return None
 
 
-def _run_shift_invert(matrix, sigma, want, tol, max_iter, seed, method,
-                      certificate):
-    """Shared driver: factor (or go matrix-free), Lanczos, un-permute."""
+def _run_shift_invert(matrix, sigma, want, tol, max_iter, seed, certificate):
+    """Shared driver: factor M - sigma I once, then Lanczos on its inverse."""
     n = matrix.shape[0]
     normest = max(_inf_norm(matrix), np.finfo(float).tiny)
-    rng = np.random.default_rng(seed)
+    # the Lanczos vectors are complex, so the solve must be too
+    lu, _ = _factor(matrix.astype(np.complex128, copy=False), sigma)
     history: list[dict] = []
-    if method == "factorization":
-        perm = _rcm_perm(matrix)
-        jit = 1e-9 * max(abs(sigma), normest * 1e-3)
-        lu = _band_lu_with_retry(matrix, perm, sigma, jit)
-        certificate["shift_solve"] = float(lu.shift)
-        certificate["bandwidth"] = int(lu._kl)
-        iperm = np.empty_like(perm)
-        iperm[perm] = np.arange(n)
-        vals, vecs = _lanczos_nearest(
-            lu.solve, lu.permuted + lu.shift * sp.identity(n, format="csr"),
-            n, lu.shift, want, tol, normest, max_iter, rng, history,
-        )
-        vecs = [v[iperm] for v in vecs]
-    else:
-        shifted = (matrix - sigma * sp.identity(n, format="csr")).tocsr()
-
-        def opsolve(x):
-            return _minres_solve(
-                lambda y: shifted @ y, x, rtol=1e-12, max_iter=min(n, 1200)
-            )
-
-        vals, vecs = _lanczos_nearest(
-            opsolve, matrix, n, sigma, want, tol, normest, max_iter, rng, history
-        )
+    vals, vecs, solves = _lanczos_nearest(
+        lu.solve, matrix, n, sigma, want, tol, normest, max_iter,
+        np.random.default_rng(seed), history,
+    )
+    certificate["iterations"] = solves
     return vals, vecs, history
 
 
@@ -613,53 +390,41 @@ def gap_eigs(
     tol: float = 1e-8,
     max_iter: int = 600,
     seed: int = 0,
-    method: str = "factorization",
 ) -> SpectrumReport:
     """Up to k eigenpairs inside [lo, hi], nearest the midpoint first.
 
     For intervals symmetric about zero (the physically meaningful gap
-    windows) the factorization backend first certifies the interval count
-    through squared-operator inertia, so an empty window returns
-    immediately with a certified zero and a certified shortfall raises
-    ConvergenceError.  Asymmetric intervals and the matrix-free backend
-    search without a certificate and report count None.  tol is relative
-    to an infinity-norm estimate of the matrix.
+    windows) the interval count is first certified through squared-operator
+    inertia, so an empty window returns immediately with a certified zero
+    and a certified shortfall raises ConvergenceError.  Asymmetric
+    intervals search without a certificate and report count None.  tol is
+    relative to an infinity-norm estimate of the matrix.
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"bad interval [{lo}, {hi}]")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if method not in ("factorization", "matrixfree"):
-        raise ValueError(f"unknown method {method!r}")
     matrix, parent = _as_matrix(op)
     n = matrix.shape[0]
     sigma = 0.5 * (lo + hi)
-    certificate: dict = {"interval": [float(lo), float(hi)], "method": method,
+    certificate: dict = {"interval": [float(lo), float(hi)],
                          "certified": False, "count": None}
     radius = _symmetric_radius(lo, hi)
-    if method == "factorization" and radius is not None:
+    if radius is not None:
         window = count_within(matrix, radius)
-        certificate.update(
-            {
-                "certified": True,
-                "count": window["count"],
-                "growth": window["growth"],
-                "shift_squared": window["shift_squared"],
-            }
-        )
+        certificate.update(window, certified=True)
         if window["count"] == 0:
             return _build_report(
                 matrix, parent, np.zeros(0), np.zeros((n, 0)), "gap", certificate
             )
         want = min(k, window["count"])
     else:
-        if radius is None:
-            certificate["note"] = (
-                "count certification covers only windows symmetric about zero"
-            )
+        certificate["note"] = (
+            "count certification covers only windows symmetric about zero"
+        )
         want = k
     vals, vecs, history = _run_shift_invert(
-        matrix, sigma, want, tol, max_iter, seed, method, certificate
+        matrix, sigma, want, tol, max_iter, seed, certificate
     )
     inside = [(v, x) for v, x in zip(vals, vecs) if lo <= v <= hi]
     if certificate["certified"] and len(inside) < want:
@@ -688,7 +453,6 @@ def nearest_eigenvalues(
     tol: float = 1e-8,
     max_iter: int = 600,
     seed: int = 0,
-    method: str = "factorization",
 ) -> SpectrumReport:
     """k eigenpairs nearest a caller-chosen shift, uncertified.
 
@@ -701,13 +465,10 @@ def nearest_eigenvalues(
         raise ValueError(f"sigma must be finite, got {sigma}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if method not in ("factorization", "matrixfree"):
-        raise ValueError(f"unknown method {method!r}")
     matrix, parent = _as_matrix(op)
-    certificate: dict = {"shift": float(sigma), "method": method,
-                         "certified": False, "count": None}
+    certificate: dict = {"shift": float(sigma), "certified": False, "count": None}
     vals, vecs, history = _run_shift_invert(
-        matrix, sigma, k, tol, max_iter, seed, method, certificate
+        matrix, sigma, k, tol, max_iter, seed, certificate
     )
     if not vals:
         raise ConvergenceError(
@@ -720,17 +481,6 @@ def nearest_eigenvalues(
     )
 
 
-# ---------------------------------------------------------------------------
-# blocked Rayleigh-quotient descent for the square form
-
-def _orthonormal_columns(blocks, drop_tol=1e-10):
-    s = np.concatenate([b for b in blocks if b.shape[1]], axis=1)
-    q, r = np.linalg.qr(s)
-    diag = np.abs(np.diag(r))
-    keep = diag > drop_tol * max(diag.max(), np.finfo(float).tiny)
-    return q[:, keep]
-
-
 def lowest_of_square(
     op,
     k: int = 1,
@@ -738,54 +488,23 @@ def lowest_of_square(
     max_iter: int = 800,
     seed: int = 0,
 ) -> SpectrumReport:
-    """k smallest eigenpairs of a positive form by blocked LOBPCG-type
-    iteration with Jacobi preconditioning.
+    """k smallest eigenpairs of a positive form, with a certified count.
 
-    tol is relative to an infinity-norm estimate.  Raises ConvergenceError
-    with the residual history if the block does not settle.
+    Shift-invert at zero returns the eigenvalues nearest zero, which for a
+    positive form are the lowest ones.  count_below just above the k-th of
+    them then certifies that none was skipped; the certificate keeps that
+    inertia record under "below".  Raises ConvergenceError if fewer than k
+    pairs converge or the count disagrees.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    matrix, parent = _as_matrix(op)
-    n = matrix.shape[0]
-    block = min(max(BLOCK_SIZE, k), n)
-    normest = max(_inf_norm(matrix), np.finfo(float).tiny)
-    tol_resid = tol * normest
-    diag = matrix.diagonal().real
-    precond = 1.0 / np.where(np.abs(diag) > 1e-300, diag, 1.0)
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, block)) + 1j * rng.standard_normal((n, block))
-    X, _ = np.linalg.qr(X)
-    P = np.zeros((n, 0), dtype=np.complex128)
-    history: list[dict] = []
-    for it in range(max_iter):
-        AX = matrix @ X
-        small = X.conj().T @ AX
-        theta, rot = np.linalg.eigh(0.5 * (small + small.conj().T))
-        X = X @ rot
-        AX = AX @ rot
-        R = AX - X * theta[None, :]
-        rnorms = np.linalg.norm(R, axis=0)
-        history.append({"iter": it, "residuals": rnorms[:k].tolist(),
-                        "values": theta[:k].tolist()})
-        if np.all(rnorms[:k] <= tol_resid):
-            return _build_report(
-                matrix, parent, theta[:k], X[:, :k], "square_lowest",
-                {"iterations": it + 1},
-            )
-        W = precond[:, None] * R
-        S = _orthonormal_columns([X, W, P])
-        AS = matrix @ S
-        small = S.conj().T @ AS
-        theta_s, rot_s = np.linalg.eigh(0.5 * (small + small.conj().T))
-        Y = rot_s[:, :block]
-        Xn = S @ Y
-        # next search direction: the part of the update outside span(X)
-        P = Xn - X @ (X.conj().T @ Xn)
-        pn = np.linalg.norm(P, axis=0)
-        P = P[:, pn > 1e-12]
-        X = Xn
-    raise ConvergenceError(
-        f"square-form block iteration did not reach tolerance "
-        f"{tol_resid:.3e} in {max_iter} iterations", history
-    )
+    rep = nearest_eigenvalues(op, 0.0, k=k, tol=tol, max_iter=max_iter, seed=seed)
+    top = float(rep.eigenvalues[-1])
+    below = count_below(op, top * (1.0 + 1e-9))
+    if rep.k != k or below["count"] != k:
+        raise ConvergenceError(
+            f"shift-invert at 0 returned {rep.k} of {k} pairs up to {top}, "
+            f"but {below['count']} eigenvalues lie below {below['threshold']}"
+        )
+    certificate = {**rep.certificate, "certified": True, "count": k, "below": below}
+    return replace(rep, method="square_lowest", certificate=certificate)

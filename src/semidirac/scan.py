@@ -363,7 +363,7 @@ def convergence_study(
         else:
             # the free form's bottom sits in the wall-quantized edge ladder,
             # where a shift just below delta^2 separates it far better than
-            # descent iteration does
+            # lowest_of_square's shift at zero does
             op = assemble_square_form(grid, params, None)
             sigma = (GAP_WINDOW_FRACTION * params.delta) ** 2
             rep = nearest_eigenvalues(

@@ -53,7 +53,9 @@ def operators_under_test():
 
 def test_hermiticity_is_exact_not_approximate():
     # the weight rescaling must make M and M^H identical bit for bit
-    for op in operators_under_test():
+    g = Grid2D(-20.0, 20.0, 20.0, 101, 51)
+    gaussian = XOnlyPotential.from_callable(g, lambda x: np.exp(-x * x))
+    for op in operators_under_test() + [assemble_square_form(g, P1, gaussian)]:
         assert op.sym_defect == 0.0
         d = abs(op.matrix - op.matrix.getH())
         assert d.nnz == 0 or d.max() == 0.0

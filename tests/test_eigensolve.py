@@ -113,6 +113,10 @@ def test_lowest_of_square_matches_dense_oracle():
     rep = lowest_of_square(S, k=2, tol=1e-9, seed=0)
     assert np.max(np.abs(rep.eigenvalues[:2] - ref.eigenvalues[:2])) < 1e-7
     assert count_below(S, float(ref.eigenvalues[2]) * 0.999999)["count"] == 2
+    assert rep.certificate["certified"] and rep.certificate["below"]["count"] == 2
+    # a short result is refused, not returned with fewer than k pairs
+    with pytest.raises(ConvergenceError, match="returned 1 of 3 pairs"):
+        lowest_of_square(S, k=3, tol=1e-9, max_iter=20, seed=0)
 
 
 def test_starved_solver_raises_with_history():
@@ -130,8 +134,18 @@ def test_gap_eigs_rejects_bad_requests():
         gap_eigs(T, 1.0, -1.0)
     with pytest.raises(ValueError):
         gap_eigs(T, -1.0, 1.0, k=0)
-    with pytest.raises(ValueError):
-        gap_eigs(T, -1.0, 1.0, method="banded")
+
+
+def test_broken_factorizations_raise_naming_the_shift():
+    # the shift is never moved: no diagonal pivot, or a singular factor, fails
+    g = Grid2D(-3.0, 3.0, 3.0, 13, 9)
+    with pytest.raises(ConvergenceError, match="symmetric order at shift 0.0"):
+        count_below(assemble_T(g, P1), 0.0)
+    D = sp.diags([1.0, 2.0, 3.0]).tocsr()
+    with pytest.raises(ConvergenceError, match="singular at shift 2.0"):
+        count_below(D, 2.0)
+    with pytest.raises(ConvergenceError, match="singular at shift 2.0"):
+        nearest_eigenvalues(D, 2.0)
 
 
 def test_participation_ratio_limits():
