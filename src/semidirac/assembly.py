@@ -70,8 +70,19 @@ class YGrid:
     def hy(self) -> float:
         return self.y_max / (self.ny - 1)
 
+    @property
+    def nx(self) -> int:
+        """One node per row, so the fiber shares the 2-d edge fold."""
+        return 1
+
     def y(self) -> np.ndarray:
         return self.hy * np.arange(self.ny)
+
+    def node_weights(self) -> np.ndarray:
+        """(ny, 1) array of per-node weights, halved on the edge."""
+        w = np.full((self.ny, 1), self.hy)
+        w[0] = 0.5 * self.hy
+        return w
 
 
 def first_derivative_y(ny: int, hy: float) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -117,15 +128,17 @@ def forward_difference_y(ny: int, hy: float) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(ny, ny))
 
 
-def edge_embedding(grid: Grid2D) -> tuple[sp.csr_matrix, np.ndarray]:
+def edge_embedding(grid: Grid2D | YGrid) -> tuple[sp.csr_matrix, np.ndarray]:
     """Embedding E of reduced unknowns into the full 2-component layout.
 
     Columns are unit vectors except for the nx merged edge unknowns, whose
     columns carry a 1 in both the u1 and the u2 edge slot.  Also returns
     the reduced weight diagonal E^T W E (the merged unknowns accumulate the
-    weight of both slots).
+    weight of both slots).  A YGrid is the one-column case (the fibers).
     """
-    nx, ny, n = grid.nx, grid.ny, grid.n_nodes
+    nx = grid.nx
+    w_node = grid.node_weights().ravel()
+    n = w_node.size
     full = np.arange(2 * n)
     red = np.empty(2 * n, dtype=np.int64)
     red[:n] = np.arange(n)
@@ -133,9 +146,8 @@ def edge_embedding(grid: Grid2D) -> tuple[sp.csr_matrix, np.ndarray]:
     red[n : n + nx] = np.arange(nx)
     red[n + nx :] = n + np.arange(n - nx)
     E = sp.csr_matrix(
-        (np.ones(2 * n), (full, red)), shape=(2 * n, grid.reduced_dim)
+        (np.ones(2 * n), (full, red)), shape=(2 * n, 2 * n - nx)
     )
-    w_node = grid.node_weights().ravel()
     w_red = E.T @ np.concatenate([w_node, w_node])
     return E, w_red
 
@@ -229,6 +241,8 @@ def _first_order_blocks(grid: Grid2D, params: Params):
 
 
 def _reduce(grid, A11, A12, A21, A22):
+    """Fold the weighted 2x2 block form onto the edge-identified unknowns
+    and rescale symmetrically: W^(-1/2) E^T A E W^(-1/2)."""
     A = sp.bmat([[A11, A12], [A21, A22]], format="csr")
     E, w_red = edge_embedding(grid)
     Ahat = (E.T @ A @ E).tocsr()

@@ -13,9 +13,11 @@ Every sparse route factors a shifted matrix M - sigma I with SuperLU
   symmetric pivot order, the smallest pivot, the growth max|L|, the fill
   and the shift that was factored.  A singular factor or a broken
   symmetric order raises ConvergenceError; the shift is never moved.
-* ``gap_eigs`` / ``nearest_eigenvalues``: in-repo shift-invert Lanczos
-  with full reorthogonalization and deflation restarts, on the
-  partial-pivoting LU of the shifted matrix.
+* ``gap_eigs`` / ``nearest_eigenvalues``: ARPACK shift-invert
+  (scipy.sparse.linalg.eigsh) whose inverse is the partial-pivoting LU
+  solve of the shifted matrix, counted against a max_iter budget of
+  solves.  Every returned pair is re-checked as ||M x - lambda x|| <=
+  tol * ||M||_inf.
 * ``lowest_of_square``: shift-invert at zero for the positive square-form
   operators, whose result is certified by ``count_below``.
 
@@ -30,8 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .assembly import HermitianOperator
 
@@ -70,22 +71,25 @@ class SpectrumReport:
 
 
 def _as_matrix(op):
-    """Accept HermitianOperator, sparse matrix, or dense array."""
+    """Accept HermitianOperator, sparse matrix, or dense array.
+
+    Other input is promoted to at least double precision, so the solves
+    run in float64 or complex128 whatever the caller's dtype.
+    """
     if isinstance(op, HermitianOperator):
         return op.matrix, op
     if sp.issparse(op):
-        return op.tocsr(), None
-    m = np.asarray(op)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return sp.csr_matrix(m), None
+        m = op.tocsr()
+    else:
+        m = np.asarray(op)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        m = sp.csr_matrix(m)
+    return m.astype(np.result_type(m.dtype, np.float64), copy=False), None
 
 
-def _inf_norm(m) -> float:
-    if sp.issparse(m):
-        a = abs(m)
-        return float((a @ np.ones(m.shape[1])).max()) if m.nnz else 0.0
-    return float(np.abs(m).sum(axis=1).max()) if m.size else 0.0
+def _inf_norm(m: sp.csr_matrix) -> float:
+    return float((abs(m) @ np.ones(m.shape[1])).max()) if m.nnz else 0.0
 
 
 def _fix_phase(vecs: np.ndarray) -> np.ndarray:
@@ -179,8 +183,7 @@ def dense_eigs(op, cap: int = DENSE_CAP_DEFAULT) -> SpectrumReport:
     n = matrix.shape[0]
     if n > cap:
         raise ValueError(f"dimension {n} exceeds dense solver cap {cap}")
-    dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, dtype=np.complex128)
-    vals, vecs = np.linalg.eigh(dense)
+    vals, vecs = np.linalg.eigh(matrix.toarray())
     report = _build_report(matrix, parent, vals, vecs, "dense", None)
     scale = max(np.abs(vals).max() if n else 0.0, np.finfo(float).tiny)
     worst = report.residuals.max() if n else 0.0
@@ -269,96 +272,10 @@ def count_below(op, threshold: float) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# shift-invert Lanczos
+# shift-invert ARPACK
 
-def _lanczos_nearest(opsolve, matrix, n, sigma, want, tol, normest, max_iter,
-                     rng, history):
-    """Eigenpairs of `matrix` nearest sigma via Lanczos on its shifted inverse.
-
-    Accepts pairs one at a time as they converge, restarting the Krylov
-    space with the converged vectors deflated, which resolves clustered and
-    near-degenerate neighbours.  For a Ritz pair (theta, x) of the inverse,
-    ||M x - lambda x|| <= (||M|| + |sigma|) * beta |s_last| / |theta|, and a
-    pair is only accepted after the actual residual passes.
-    """
-    tol_resid = tol * normest
-    found_vals: list[float] = []
-    found_vecs: list[np.ndarray] = []
-    total = 0
-    restarts = 0
-    while len(found_vals) < want and total < max_iter and restarts < want + 6:
-        restarts += 1
-        defl = (
-            np.stack(found_vecs, axis=1)
-            if found_vecs
-            else np.zeros((n, 0), dtype=np.complex128)
-        )
-        m_cap = min(max_iter - total, n - defl.shape[1])
-        if m_cap < 1:
-            break
-        # column-major, so only the columns actually written get touched
-        V = np.zeros((n, m_cap), dtype=np.complex128, order="F")
-        v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v0 -= defl @ (defl.conj().T @ v0)
-        nrm = np.linalg.norm(v0)
-        if nrm < 1e-12:
-            break
-        V[:, 0] = v0 / nrm
-        alphas: list[float] = []
-        betas: list[float] = []
-        verify_gate = np.inf
-        accepted = False
-        for j in range(m_cap):
-            w = opsolve(V[:, j])
-            total += 1
-            a = np.vdot(V[:, j], w).real
-            alphas.append(a)
-            w = w - a * V[:, j]
-            if j > 0:
-                w = w - betas[-1] * V[:, j - 1]
-            basis = V[:, : j + 1]
-            w -= basis @ (basis.conj().T @ w)
-            if defl.shape[1]:
-                w -= defl @ (defl.conj().T @ w)
-            beta = float(np.linalg.norm(w))
-            theta, s = eigh_tridiagonal(np.asarray(alphas), np.asarray(betas))
-            order = np.argsort(-np.abs(theta))
-            top = order[: want - len(found_vals)]
-            denom = np.maximum(np.abs(theta[top]), 1e-300)
-            res_bound = beta * np.abs(s[-1, top]) * (normest + abs(sigma)) / denom
-            exhausted = beta <= 1e-13 * max(1.0, float(np.abs(theta).max()))
-            last_chance = j == m_cap - 1 or total >= max_iter
-            should_verify = (
-                res_bound.min() <= 30.0 * tol_resid
-                and res_bound.min() <= verify_gate
-            ) or exhausted or last_chance
-            if should_verify and top.size:
-                for idx in top[np.argsort(res_bound)]:
-                    if np.abs(theta[idx]) < 1e-300:
-                        continue
-                    x = V[:, : j + 1] @ s[:, idx]
-                    x /= np.linalg.norm(x)
-                    lam = float(sigma + 1.0 / theta[idx])
-                    resid = float(np.linalg.norm(matrix @ x - lam * x))
-                    history.append(
-                        {"iter": total, "theta": float(theta[idx]),
-                         "lambda": lam, "residual": resid}
-                    )
-                    if resid <= tol_resid:
-                        found_vals.append(lam)
-                        found_vecs.append(x)
-                        accepted = True
-                if accepted:
-                    break
-                verify_gate = res_bound.min() / 3.0
-            if exhausted or last_chance:
-                break
-            V[:, j + 1] = w / beta
-            betas.append(beta)
-        if not accepted and total < max_iter:
-            # fresh random restart; deflation unchanged
-            continue
-    return found_vals, found_vecs, total
+class _SolveBudgetSpent(Exception):
+    """Raised by the counted solve to stop ARPACK once max_iter is spent."""
 
 
 def _symmetric_radius(lo: float, hi: float) -> float | None:
@@ -368,18 +285,58 @@ def _symmetric_radius(lo: float, hi: float) -> float | None:
 
 
 def _run_shift_invert(matrix, sigma, want, tol, max_iter, seed, certificate):
-    """Shared driver: factor M - sigma I once, then Lanczos on its inverse."""
+    """Shared driver: factor M - sigma I once, then ARPACK on its inverse.
+
+    The counted solve enforces the cap of max_iter solves and stops the run
+    once it is spent.  ARPACK's own maxiter counts restarts, each costing
+    at least one solve, so with maxiter = max_iter the solve budget always
+    runs out first.  Factors and start vector keep the matrix's dtype, so
+    real square forms run in real arithmetic.  ARPACK accepts a Ritz pair
+    (theta, x) of the inverse once its residual is below tol_a * |theta|,
+    which bounds ||M x - lambda x|| by tol_a * (||M|| + |sigma|); tol_a is
+    scaled so that bound is tol * ||M||_inf.  Each returned pair is still
+    re-checked explicitly and recorded in the history; only passing pairs
+    are kept.
+    """
     n = matrix.shape[0]
     normest = max(_inf_norm(matrix), np.finfo(float).tiny)
-    # the Lanczos vectors are complex, so the solve must be too
-    lu, _ = _factor(matrix.astype(np.complex128, copy=False), sigma)
+    tol_resid = tol * normest
+    lu, _ = _factor(matrix, sigma)
     history: list[dict] = []
-    vals, vecs, solves = _lanczos_nearest(
-        lu.solve, matrix, n, sigma, want, tol, normest, max_iter,
-        np.random.default_rng(seed), history,
-    )
+    solves = 0
+
+    def solve(x):
+        nonlocal solves
+        if solves == max_iter:
+            raise _SolveBudgetSpent
+        solves += 1
+        return lu.solve(x)
+
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(n)
+    if matrix.dtype.kind == "c":
+        v0 = v0 + 1j * rng.standard_normal(n)
+    try:
+        vals, vecs = eigsh(
+            matrix, k=want, sigma=sigma, v0=v0, maxiter=max_iter,
+            tol=tol * normest / (normest + abs(sigma)),
+            OPinv=LinearOperator(matrix.shape, matvec=solve, dtype=matrix.dtype),
+        )
+    except _SolveBudgetSpent:
+        vals, vecs = np.zeros(0), np.zeros((n, 0), dtype=matrix.dtype)
+        history.append({"iter": solves, "stopped": "solve budget spent"})
     certificate["iterations"] = solves
-    return vals, vecs, history
+    residuals = np.linalg.norm(matrix @ vecs - vecs * vals[None, :], axis=0)
+    for lam, resid in zip(vals, residuals):
+        history.append({"iter": solves, "lambda": float(lam), "residual": float(resid)})
+    ok = residuals <= tol_resid
+    return vals[ok], vecs[:, ok], history
+
+
+def _check_k(k: int, n: int) -> None:
+    # ARPACK's complex Hermitian route needs k < n - 1
+    if not 1 <= k < n - 1:
+        raise ValueError(f"k must lie in [1, {n - 2}] for dimension {n}, got {k}")
 
 
 def gap_eigs(
@@ -397,15 +354,16 @@ def gap_eigs(
     windows) the interval count is first certified through squared-operator
     inertia, so an empty window returns immediately with a certified zero
     and a certified shortfall raises ConvergenceError.  Asymmetric
-    intervals search without a certificate and report count None.  tol is
-    relative to an infinity-norm estimate of the matrix.
+    intervals search without a certificate and report count None.  The
+    pairs come from ARPACK shift-invert at the midpoint; max_iter caps the
+    number of solves with the shifted matrix and tol is relative to an
+    infinity-norm estimate of the matrix.  k must stay below dim - 1.
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"bad interval [{lo}, {hi}]")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     matrix, parent = _as_matrix(op)
     n = matrix.shape[0]
+    _check_k(k, n)
     sigma = 0.5 * (lo + hi)
     certificate: dict = {"interval": [float(lo), float(hi)],
                          "certified": False, "count": None}
@@ -426,24 +384,19 @@ def gap_eigs(
     vals, vecs, history = _run_shift_invert(
         matrix, sigma, want, tol, max_iter, seed, certificate
     )
-    inside = [(v, x) for v, x in zip(vals, vecs) if lo <= v <= hi]
-    if certificate["certified"] and len(inside) < want:
+    inside = (lo <= vals) & (vals <= hi)
+    if certificate["certified"] and inside.sum() < want:
         raise ConvergenceError(
-            f"found {len(inside)} of {want} certified eigenvalues in "
+            f"found {inside.sum()} of {want} certified eigenvalues in "
             f"[{lo}, {hi}] within {max_iter} iterations",
             history,
         )
-    if not vals and want > 0:
+    if not vals.size:
         raise ConvergenceError(
             f"no eigenpair converged near {sigma} within {max_iter} iterations",
             history,
         )
-    if inside:
-        vals_in = np.array([v for v, _ in inside])
-        vecs_in = np.stack([x for _, x in inside], axis=1)
-    else:
-        vals_in, vecs_in = np.zeros(0), np.zeros((n, 0), dtype=np.complex128)
-    return _build_report(matrix, parent, vals_in, vecs_in, "gap", certificate)
+    return _build_report(matrix, parent, vals[inside], vecs[:, inside], "gap", certificate)
 
 
 def nearest_eigenvalues(
@@ -459,26 +412,24 @@ def nearest_eigenvalues(
     The workhorse for band-edge queries: placing sigma just inside the gap
     next to the expected edge separates the target from the discretized
     continuum cluster far better than a gap-midpoint shift, so convergence
-    takes a few dozen solves instead of hundreds.
+    takes a few dozen solves instead of hundreds.  The pairs come from
+    ARPACK shift-invert at sigma; max_iter caps the number of solves with
+    M - sigma I, and k must stay below dim - 1.
     """
     if not np.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     matrix, parent = _as_matrix(op)
+    _check_k(k, matrix.shape[0])
     certificate: dict = {"shift": float(sigma), "certified": False, "count": None}
     vals, vecs, history = _run_shift_invert(
         matrix, sigma, k, tol, max_iter, seed, certificate
     )
-    if not vals:
+    if not vals.size:
         raise ConvergenceError(
             f"no eigenpair converged near {sigma} within {max_iter} iterations",
             history,
         )
-    return _build_report(
-        matrix, parent, np.array(vals), np.stack(vecs, axis=1), "nearest",
-        certificate,
-    )
+    return _build_report(matrix, parent, vals, vecs, "nearest", certificate)
 
 
 def lowest_of_square(
@@ -494,16 +445,15 @@ def lowest_of_square(
     positive form are the lowest ones.  count_below just above the k-th of
     them then certifies that none was skipped; the certificate keeps that
     inertia record under "below".  Raises ConvergenceError if fewer than k
-    pairs converge or the count disagrees.
+    pairs converge within max_iter solves or the count disagrees.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     rep = nearest_eigenvalues(op, 0.0, k=k, tol=tol, max_iter=max_iter, seed=seed)
     top = float(rep.eigenvalues[-1])
     below = count_below(op, top * (1.0 + 1e-9))
     if rep.k != k or below["count"] != k:
         raise ConvergenceError(
-            f"shift-invert at 0 returned {rep.k} of {k} pairs up to {top}, "
+            f"shift-invert at 0 returned {rep.k} of {k} pairs within {max_iter} "
+            f"iterations up to {top}, "
             f"but {below['count']} eigenvalues lie below {below['threshold']}"
         )
     certificate = {**rep.certificate, "certified": True, "count": k, "below": below}

@@ -26,6 +26,7 @@ from .assembly import (
     HermitianOperator,
     YGrid,
     _finish,
+    _reduce,
     first_derivative_y,
 )
 from .lattice import Params
@@ -78,15 +79,5 @@ def fiber_operator(xi: float, params: Params, ny: int, y_max: float) -> Hermitia
     coupling = fiber_edge(xi, params)
     a12 = (coupling * womega).tocsr()
 
-    # fold u2(0) onto u1(0): full index space is [u1 (ny), u2 (ny)]
-    n = ny
-    rows = np.arange(2 * n)
-    cols = np.concatenate([np.arange(n), [0], n + np.arange(n - 1)])
-    embed = sp.csr_matrix(
-        (np.ones(2 * n), (rows, cols)), shape=(2 * n, 2 * n - 1)
-    )
-    full = sp.bmat([[a11, a12], [a12, a22]], format="csr")
-    w_red = embed.T @ np.concatenate([omega, omega])
-    scale = sp.diags(1.0 / np.sqrt(w_red))
-    reduced = (scale @ (embed.T @ full @ embed) @ scale).tocsr()
-    return _finish(reduced, FIRST_ORDER, w_red, params, grid=None, ygrid=ygrid)
+    M, w_red = _reduce(ygrid, a11, a12, a12, a22)
+    return _finish(M, FIRST_ORDER, w_red, params, grid=None, ygrid=ygrid)

@@ -115,7 +115,7 @@ def test_lowest_of_square_matches_dense_oracle():
     assert count_below(S, float(ref.eigenvalues[2]) * 0.999999)["count"] == 2
     assert rep.certificate["certified"] and rep.certificate["below"]["count"] == 2
     # a short result is refused, not returned with fewer than k pairs
-    with pytest.raises(ConvergenceError, match="returned 1 of 3 pairs"):
+    with pytest.raises(ConvergenceError, match="within 20 iterations"):
         lowest_of_square(S, k=3, tol=1e-9, max_iter=20, seed=0)
 
 
@@ -134,6 +134,20 @@ def test_gap_eigs_rejects_bad_requests():
         gap_eigs(T, 1.0, -1.0)
     with pytest.raises(ValueError):
         gap_eigs(T, -1.0, 1.0, k=0)
+    # ARPACK needs k < dim - 1; the dimension-28 T of a 4x4 grid allows 26
+    small = assemble_T(Grid2D(-3.0, 3.0, 3.0, 4, 4), P1)
+    for k in (27, 29):
+        with pytest.raises(ValueError, match="dimension 28"):
+            gap_eigs(small, -10.0, 10.0, k=k)
+        with pytest.raises(ValueError, match="dimension 28"):
+            nearest_eigenvalues(small, 0.5, k=k)
+
+
+def test_low_precision_input_is_solved_in_double():
+    # ARPACK runs in the matrix's dtype, so float32 input must be promoted
+    D = np.diag(np.arange(1.0, 9.0)).astype(np.float32)
+    rep = nearest_eigenvalues(D, 2.2, k=2, tol=1e-12)
+    assert np.max(np.abs(rep.eigenvalues - [2.0, 3.0])) < 1e-12
 
 
 def test_broken_factorizations_raise_naming_the_shift():

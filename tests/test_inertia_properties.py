@@ -1,4 +1,5 @@
-"""Property tests: certified inertia counts agree with dense eigenvalues."""
+"""Property tests: certified inertia counts and shift-invert eigenvalues
+agree with dense eigenvalues."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from semidirac import (
     BoxPotential,
+    ConvergenceError,
     Grid2D,
     Params,
     XOnlyPotential,
@@ -16,6 +18,7 @@ from semidirac import (
     assemble_T,
     count_below,
     count_within,
+    nearest_eigenvalues,
 )
 
 # fixed draws, so a failure reproduces on every run and machine
@@ -64,3 +67,33 @@ def test_count_below_matches_eigvalsh(op, size, negative):
     assert cert["count"] == np.count_nonzero(lam < threshold)
     assert cert["symmetric_order"] is True
     assert cert["shift"] == threshold
+
+
+# square forms are real, so these draws also cover the float64 solve path
+@PROPERTY
+@given(op=operators(), sigma=st.floats(-4.0, 8.0), k=st.integers(1, 4))
+def test_nearest_eigenvalues_matches_eigvalsh(op, sigma, k):
+    lam = np.linalg.eigvalsh(op.matrix.toarray())
+    dist = np.sort(np.abs(lam - sigma))
+    # sigma off the spectrum and the k nearest eigenvalues well defined
+    assume(dist[0] > 1e-6 and dist[k] - dist[k - 1] > 1e-6)
+    rep = nearest_eigenvalues(op, sigma, k=k, tol=1e-11, max_iter=600)
+    want = np.sort(lam[np.argsort(np.abs(lam - sigma))[:k]])
+    assert rep.k == k
+    assert np.max(np.abs(rep.eigenvalues - want)) < 1e-8
+    assert rep.certificate["iterations"] <= 600
+
+
+@PROPERTY
+@given(op=operators(), sigma=st.floats(-4.0, 8.0), k=st.integers(1, 4),
+       max_iter=st.integers(1, 60))
+def test_shift_invert_stays_within_solve_budget(op, sigma, k, max_iter):
+    lam = np.linalg.eigvalsh(op.matrix.toarray())
+    assume(np.min(np.abs(lam - sigma)) > 1e-6)
+    try:
+        rep = nearest_eigenvalues(op, sigma, k=k, max_iter=max_iter)
+    except ConvergenceError as exc:
+        assert exc.history
+        assert all(entry["iter"] <= max_iter for entry in exc.history)
+    else:
+        assert rep.certificate["iterations"] <= max_iter
