@@ -152,6 +152,26 @@ def edge_embedding(grid: Grid2D | YGrid) -> tuple[sp.csr_matrix, np.ndarray]:
     return E, w_red
 
 
+def conjugation_basis(op: HermitianOperator) -> sp.csr_matrix:
+    """Unitary U whose columns are fixed by the antiunitary C(u1, u2) = (conj u2, conj u1).
+
+    Where C commutes with M (T, H, the square forms, the fibers, and H_eps
+    with w11 = w22), U^H M U is real symmetric.  The nx merged edge unknowns
+    are kept; each interior pair (u1 slot k, u2 slot n + k - nx) maps to
+    (e1 + e2)/sqrt(2) and i (e1 - e2)/sqrt(2).  No layout: the identity.
+    """
+    layout = op.grid if op.grid is not None else op.ygrid
+    m = 0 if layout is None else (op.dim - layout.nx) // 2
+    keep, k = np.arange(op.dim - 2 * m), np.arange(op.dim - 2 * m, op.dim - m)
+    r = np.sqrt(0.5)
+    vals = [np.ones(keep.size), np.full(2 * m, r), np.full(m, 1j * r), np.full(m, -1j * r)]
+    rows, cols = [keep, k, k + m, k, k + m], [keep, k, k, k + m, k + m]
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(op.dim, op.dim),
+    )
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
     """Assembled sparse Hermitian matrix with its provenance.

@@ -17,9 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -682,7 +680,7 @@ def _build_operator(cfg: RunConfig, which: str, grid: Grid2D):
 # subcommands
 
 
-def cmd_spectrum(cfg: RunConfig, pool=None) -> ResultBundle:
+def cmd_spectrum(cfg: RunConfig) -> ResultBundle:
     if cfg.solver_block is None:
         raise ConfigError("$.solver", "spectrum needs a solver block")
     grid = _require_grid(cfg)
@@ -732,7 +730,7 @@ def cmd_spectrum(cfg: RunConfig, pool=None) -> ResultBundle:
     return bundle
 
 
-def cmd_quasimode(cfg: RunConfig, pool=None) -> ResultBundle:
+def cmd_quasimode(cfg: RunConfig) -> ResultBundle:
     q = cfg.quasimode_block
     bundle = ResultBundle("quasimode", cfg.canonical)
     bump = product_bump() if q["bump"] == "product" else disk_bump()
@@ -809,7 +807,7 @@ def _fiber_cross_check(cfg: RunConfig, grid: Grid2D) -> dict:
     }
 
 
-def cmd_scan(cfg: RunConfig, pool=None) -> ResultBundle:
+def cmd_scan(cfg: RunConfig) -> ResultBundle:
     if cfg.scan_block is None:
         raise ConfigError("$.scan", "scan needs a scan block")
     sc = cfg.scan_block
@@ -819,12 +817,12 @@ def cmd_scan(cfg: RunConfig, pool=None) -> ResultBundle:
     if axis == "potential":
         grid = _require_grid(cfg)
         res = scan_potential(
-            cfg.params, sc["a"], sc["b"], sc["values"], cfg.solver(grid), pool
+            cfg.params, sc["a"], sc["b"], sc["values"], cfg.solver(grid)
         )
     elif axis == "epsilon":
         grid = _require_grid(cfg)
         model = cfg.perturbation()
-        res = scan_perturbation(cfg.params, model, sc["values"], cfg.solver(grid), pool)
+        res = scan_perturbation(cfg.params, model, sc["values"], cfg.solver(grid))
     elif axis == "convergence":
         study = convergence_study(
             sc["observable"], sc["values"], cfg.params,
@@ -854,7 +852,7 @@ def cmd_scan(cfg: RunConfig, pool=None) -> ResultBundle:
     return bundle
 
 
-def cmd_fiber(cfg: RunConfig, pool=None) -> ResultBundle:
+def cmd_fiber(cfg: RunConfig) -> ResultBundle:
     f = cfg.fiber_block
     bundle = ResultBundle("fiber", cfg.canonical)
     rows = []
@@ -882,7 +880,7 @@ def cmd_fiber(cfg: RunConfig, pool=None) -> ResultBundle:
     return bundle
 
 
-def cmd_export_matrix(cfg: RunConfig, pool=None) -> ResultBundle:
+def cmd_export_matrix(cfg: RunConfig) -> ResultBundle:
     grid = _require_grid(cfg)
     which = cfg.export_block["operator"]
     op = _build_operator(cfg, which, grid)
@@ -894,7 +892,7 @@ def cmd_export_matrix(cfg: RunConfig, pool=None) -> ResultBundle:
     return bundle
 
 
-def cmd_validate_config(cfg: RunConfig, pool=None) -> ResultBundle:
+def cmd_validate_config(cfg: RunConfig) -> ResultBundle:
     bundle = ResultBundle("validate-config", cfg.canonical)
     bundle.checks["valid"] = True
     return bundle
@@ -925,8 +923,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default="./out", help="output directory (default ./out)")
         p.add_argument(
-            "--threads", type=int, default=os.cpu_count() or 1,
-            help="worker pool size (default: hardware count)",
+            "--threads", type=int, default=1,
+            help="accepted for compatibility; has no effect (must be >= 1)",
         )
         p.add_argument(
             "--seed", type=int, default=0,
@@ -968,8 +966,7 @@ def main(argv=None) -> int:
     command = _COMMANDS[args.command]
     out_dir = Path(args.out)
     try:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            bundle = command(cfg, pool if args.threads > 1 else None)
+        bundle = command(cfg)
     except ConfigError as exc:
         print(f"config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -3,10 +3,10 @@
 Every sparse route factors a shifted matrix M - sigma I with SuperLU
 (scipy.sparse.linalg.splu) and nothing else:
 
-* ``dense_eigs``: full spectrum through LAPACK's Hermitian
-  eigendecomposition.  This is the oracle route for cross-checking the
-  sparse routes on small problems; every reported pair is re-verified by
-  an explicit matrix-vector product.
+* ``dense_eigs``: full spectrum through LAPACK, in real arithmetic
+  wherever the antiunitary symmetry makes the matrix real.  This is the
+  oracle route for cross-checking the sparse routes on small problems;
+  every reported pair is re-verified by an explicit matrix-vector product.
 * ``count_within`` / ``count_below``: certified eigenvalue counts from the
   pivot signs of a diagonal-pivoted sparse LU in a symmetric fill-reducing
   order (Sylvester inertia).  Each certificate carries its evidence: the
@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .assembly import HermitianOperator
+from .assembly import HermitianOperator, conjugation_basis, edge_embedding
 
 DENSE_CAP_DEFAULT = 4000
 
@@ -93,65 +93,60 @@ def _inf_norm(m: sp.csr_matrix) -> float:
 
 
 def _fix_phase(vecs: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first significant entry is real positive."""
+    """Rotate each nonzero column so its first significant entry is real positive."""
     out = np.array(vecs, dtype=np.complex128, copy=True)
-    for i in range(out.shape[1]):
-        col = out[:, i]
-        mags = np.abs(col)
-        top = mags.max()
-        if top == 0.0:
-            continue
-        j = int(np.argmax(mags > 1e-12 * top))
-        out[:, i] = col * (np.conj(col[j]) / mags[j])
+    mags = np.abs(out)
+    top = mags.max(axis=0, initial=0.0)
+    live = top > 0.0
+    j, cols = np.argmax(mags > 1e-12 * top, axis=0)[live], np.flatnonzero(live)
+    rotate = np.ones(out.shape[1], dtype=np.complex128)
+    rotate[cols] = np.conj(out[j, cols]) / mags[j, cols]
+    out *= rotate
     return out
 
 
-def participation_ratio(v: np.ndarray) -> float:
-    """Inverse participation measure in (0, 1]; 1 for a flat vector."""
+def participation_ratio(v: np.ndarray):
+    """Inverse participation measure in (0, 1]; 1 for a flat vector, NaN for zero.
+
+    v is one vector (gives a float) or a 2-d array of columns (one each).
+    """
     v = np.asarray(v)
-    p2 = np.abs(v) ** 2
-    s = p2.sum()
-    if s == 0.0:
-        return float("nan")
-    p2 = p2 / s
-    return float(1.0 / (v.shape[0] * np.sum(p2**2)))
+    p2 = np.abs(v[:, None] if v.ndim == 1 else v) ** 2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p2 = p2 / p2.sum(axis=0)
+        pr = 1.0 / (p2.shape[0] * np.sum(p2 * p2, axis=0))
+    return float(pr[0]) if v.ndim == 1 else pr
 
 
-def _row_masses(op: HermitianOperator | None, v: np.ndarray):
-    """Per-row (constant-y) probability mass of an eigenvector, or None."""
-    if op is None:
-        return None
-    if op.grid is not None:
-        f = op.vector_to_field(v)
-        mass = (np.abs(f.u1) ** 2 + np.abs(f.u2) ** 2).sum(axis=1)
-        return op.grid.y(), mass
-    if op.ygrid is not None:
-        ny = op.ygrid.ny
-        phys = np.asarray(v, dtype=np.complex128) / np.sqrt(op.weights)
-        u1 = phys[:ny]
-        u2 = np.concatenate([phys[:1], phys[ny:]])
-        return op.ygrid.y(), np.abs(u1) ** 2 + np.abs(u2) ** 2
-    return None
-
-
-def y_decay_rate(op: HermitianOperator | None, v: np.ndarray) -> float:
+def y_decay_rate(op: HermitianOperator | None, v: np.ndarray):
     """Slope of log row mass against y over the outer half of the domain.
 
     Negative for states that decay away from the edge; near zero for
-    delocalized ones.  NaN when the operator carries no y layout or too few
-    rows survive the positivity filter.
+    delocalized ones.  v is one vector (gives a float) or a 2-d array of
+    columns (one each).  The least-squares slope runs over the rows whose
+    mass exceeds 1e-300; NaN when the operator carries no y layout or fewer
+    than 2 rows survive.
     """
-    rm = _row_masses(op, v)
-    if rm is None:
-        return float("nan")
-    y, mass = rm
-    sel = y >= 0.5 * y[-1]
-    y, mass = y[sel], mass[sel]
-    ok = mass > 1e-300
-    if ok.sum() < 2:
-        return float("nan")
-    slope = np.polyfit(y[ok], np.log(mass[ok]), 1)[0]
-    return float(slope)
+    v = np.asarray(v)
+    cols = v[:, None] if v.ndim == 1 else v
+    layout = None if op is None else op.grid if op.grid is not None else op.ygrid
+    slope = np.full(cols.shape[1], np.nan)
+    if layout is not None:
+        # each row of E holds a single 1, so |E v|^2 = E |v|^2
+        full = edge_embedding(layout)[0] @ (np.abs(cols) ** 2 / op.weights[:, None])
+        mass = full.reshape(2, layout.ny, layout.nx, cols.shape[1]).sum(axis=(0, 2))
+        y = layout.y()
+        sel = y >= 0.5 * y[-1]
+        y, mass = y[sel][:, None], mass[sel]
+        ok = mass > 1e-300
+        count = ok.sum(axis=0)
+        # fewer than 2 surviving rows leave dy == 0, so the slope is 0/0 = NaN
+        with np.errstate(invalid="ignore", divide="ignore"):
+            logm = np.log(np.where(ok, mass, 1.0))
+            dy = np.where(ok, y - (ok * y).sum(axis=0) / count, 0.0)
+            dl = logm - logm.sum(axis=0) / count
+            slope = (dy * dl).sum(axis=0) / (dy * dy).sum(axis=0)
+    return float(slope[0]) if v.ndim == 1 else slope
 
 
 def localization_metrics(v: np.ndarray, op: HermitianOperator | None = None):
@@ -163,28 +158,37 @@ def _build_report(matrix, parent, vals, vecs, method, certificate=None):
     order = np.argsort(vals)
     vals = np.asarray(vals, dtype=np.float64)[order]
     vecs = _fix_phase(np.asarray(vecs)[:, order])
-    if vals.size:
-        mv = matrix @ vecs
-        residuals = np.linalg.norm(mv - vecs * vals[None, :], axis=0)
-    else:
-        residuals = np.zeros(0)
-    pr = np.array([participation_ratio(vecs[:, i]) for i in range(vals.size)])
-    yd = np.array([y_decay_rate(parent, vecs[:, i]) for i in range(vals.size)])
+    mv = matrix @ vecs
+    mv -= vecs * vals
+    residuals = np.linalg.norm(mv, axis=0)
+    pr = participation_ratio(vecs)
+    yd = y_decay_rate(parent, vecs)
     return SpectrumReport(vals, vecs, residuals, pr, yd, method, certificate)
 
 
 def dense_eigs(op, cap: int = DENSE_CAP_DEFAULT) -> SpectrumReport:
     """Full spectrum by dense Hermitian eigendecomposition (oracle route).
 
-    Refuses dimensions above cap.  Residuals are recomputed from the
-    input matrix and must sit at roundoff level, else this raises.
+    Refuses dimensions above cap.  LAPACK runs on U^H M U, U from
+    assembly.conjugation_basis: on its real part when the imaginary part
+    is exactly zero (every operator the antiunitary symmetry commutes
+    with), else on the complex matrix (H_eps with w11 != w22, plain complex
+    input); certificate["arithmetic"] says which.  Residuals are recomputed
+    from the input matrix and must sit at roundoff level, else this raises.
     """
     matrix, parent = _as_matrix(op)
     n = matrix.shape[0]
     if n > cap:
         raise ValueError(f"dimension {n} exceeds dense solver cap {cap}")
-    vals, vecs = np.linalg.eigh(matrix.toarray())
-    report = _build_report(matrix, parent, vals, vecs, "dense", None)
+    basis = sp.identity(n, format="csr") if parent is None else conjugation_basis(parent)
+    rotated = (basis.conj().T @ matrix @ basis).toarray()
+    real = not rotated.imag.any()
+    vals, vecs = np.linalg.eigh(rotated.real if real else rotated)
+    del rotated  # the report's temporaries would stack on it at the memory peak
+    vecs = basis @ vecs
+    report = _build_report(
+        matrix, parent, vals, vecs, "dense", {"arithmetic": "real" if real else "complex"}
+    )
     scale = max(np.abs(vals).max() if n else 0.0, np.finfo(float).tiny)
     worst = report.residuals.max() if n else 0.0
     if worst > 1e-10 * scale:

@@ -155,16 +155,9 @@ def _check_ladder(ladder) -> None:
 # gap observation shared by the sweeps
 
 
-def _run_observations(tasks, pool):
-    """Run observation closures, optionally on a pool, in sweep order."""
-    if pool is None:
-        return [task() for task in tasks]
-    futures = [pool.submit(task) for task in tasks]
-    return [f.result() for f in futures]
-
-
-def _observe_gap(op, params: Params, solver: SolverConfig) -> dict:
-    """Certified in-window count plus localization stats of converged pairs."""
+def _observe_gap(rec: dict, op, params: Params, solver: SolverConfig) -> None:
+    """Fill a sweep record with the certified in-window count, localization
+    stats of the converged pairs and the one-sided agreement verdict."""
     lo, hi = gap_window(params)
     rep = gap_eigs(
         op, lo, hi, k=solver.k, tol=solver.tol,
@@ -184,12 +177,12 @@ def _observe_gap(op, params: Params, solver: SolverConfig) -> dict:
         min_abs = float("nan")
         min_pr = float("nan")
         localized = False
-    return {
+    rec.update({
         "observed_count": int(count),
         "min_abs_lambda": min_abs,
         "min_participation": min_pr,
-        "localized_present": localized,
-    }
+        "agreement": bool(not rec["predicted"] or (count > 0 and localized)),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +190,7 @@ def _observe_gap(op, params: Params, solver: SolverConfig) -> dict:
 
 
 def scan_potential(
-    params: Params, a: float, b: float, depths, solver: SolverConfig, pool=None
+    params: Params, a: float, b: float, depths, solver: SolverConfig
 ) -> ScanResult:
     """Sweep box depth V0 against the trinomial bound-state window.
 
@@ -226,16 +219,9 @@ def scan_potential(
         predicted = window is not None and window[0] < v < window[1]
         records.append({"axis_value": v, "predicted": bool(predicted)})
 
-    def observe(depth):
-        pot = BoxPotential(a, b, depth)
-        return _observe_gap(assemble_H(grid, params, pot), params, solver)
-
-    tasks = [lambda v=rec["axis_value"]: observe(v) for rec in records]
-    for rec, obs in zip(records, _run_observations(tasks, pool)):
-        present = obs["observed_count"] > 0 and obs["localized_present"]
-        rec.update(obs)
-        rec["agreement"] = bool((not rec["predicted"]) or present)
-        del rec["localized_present"]
+    for rec in records:
+        pot = BoxPotential(a, b, rec["axis_value"])
+        _observe_gap(rec, assemble_H(grid, params, pot), params, solver)
 
     meta = {
         "box": [float(a), float(b)],
@@ -251,8 +237,7 @@ def scan_potential(
 
 
 def scan_perturbation(
-    params: Params, model: PerturbationModel, eps_values, solver: SolverConfig,
-    pool=None,
+    params: Params, model: PerturbationModel, eps_values, solver: SolverConfig
 ) -> ScanResult:
     """Sweep coupling strength against the sign of the trial energy.
 
@@ -282,16 +267,9 @@ def scan_perturbation(
 
     field_samples = model.sample_on(grid)
 
-    def observe(eps):
-        op = assemble_H_eps(grid, params, field_samples, eps)
-        return _observe_gap(op, params, solver)
-
-    tasks = [lambda e=rec["axis_value"]: observe(e) for rec in records]
-    for rec, obs in zip(records, _run_observations(tasks, pool)):
-        present = obs["observed_count"] > 0 and obs["localized_present"]
-        rec.update(obs)
-        rec["agreement"] = bool((not rec["predicted"]) or present)
-        del rec["localized_present"]
+    for rec in records:
+        op = assemble_H_eps(grid, params, field_samples, rec["axis_value"])
+        _observe_gap(rec, op, params, solver)
 
     meta = {
         "label": model.label,

@@ -11,6 +11,7 @@ from semidirac import (
     ConvergenceError,
     Grid2D,
     Params,
+    SpinorField,
     XOnlyPotential,
     assemble_H,
     assemble_square_form,
@@ -18,11 +19,14 @@ from semidirac import (
     count_below,
     count_within,
     dense_eigs,
+    fiber_operator,
     gap_eigs,
     lowest_of_square,
     nearest_eigenvalues,
     participation_ratio,
+    y_decay_rate,
 )
+from semidirac.eigensolve import _fix_phase
 
 P1 = Params(1.0)
 P2 = Params(2.0)
@@ -172,6 +176,83 @@ def test_participation_ratio_limits():
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     pr = participation_ratio(v)
     assert 0.0 < pr <= 1.0
+    assert np.isnan(participation_ratio(np.zeros(n)))
+    # a 2-d array gives one ratio per column, NaN for the zero column
+    cols = np.column_stack([np.ones(n), one_hot, v, np.zeros(n)])
+    batched = participation_ratio(cols)
+    assert batched.shape == (4,)
+    np.testing.assert_allclose(
+        batched, [participation_ratio(cols[:, i]) for i in range(4)], rtol=1e-12
+    )
+    assert np.isnan(batched[3])
+
+
+def polyfit_decay(op, v):
+    """Reference y-decay of one vector: np.polyfit through the surviving rows."""
+    f = op.vector_to_field(v)
+    mass = (np.abs(f.u1) ** 2 + np.abs(f.u2) ** 2).sum(axis=1)
+    y = op.grid.y()
+    sel = y >= 0.5 * y[-1]
+    y, mass = y[sel], mass[sel]
+    ok = mass > 1e-300
+    return np.polyfit(y[ok], np.log(mass[ok]), 1)[0] if ok.sum() >= 2 else np.nan
+
+
+def test_y_decay_rate_batches_columns(box_case):
+    H, ref = box_case
+    vecs = ref.eigenvectors
+    batched = y_decay_rate(H, vecs)
+    one_by_one = [y_decay_rate(H, vecs[:, i]) for i in range(vecs.shape[1])]
+    np.testing.assert_allclose(batched, one_by_one, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(
+        batched, [polyfit_decay(H, vecs[:, i]) for i in range(vecs.shape[1])],
+        rtol=1e-10, atol=1e-12,
+    )
+    np.testing.assert_allclose(ref.y_decay, batched, rtol=1e-12, atol=1e-14)
+    # the fibers' one-column layout
+    F = fiber_operator(0.4, P1, 60, 12.0)
+    fvecs = dense_eigs(F).eigenvectors
+    np.testing.assert_allclose(
+        y_decay_rate(F, fvecs),
+        [y_decay_rate(F, fvecs[:, i]) for i in range(fvecs.shape[1])],
+        rtol=1e-12, atol=1e-14,
+    )
+
+
+def test_y_decay_rate_masked_rows_and_nan_cases(box_case):
+    H, ref = box_case
+    g = H.grid
+    # mass on the top two rows: the empty rows drop out of the fit
+    top = np.zeros((g.ny, g.nx))
+    top[-2:, g.nx // 2] = [2.0, 1.0]
+    two_rows = H.field_to_vector(SpinorField(g, top, top))
+    # mass on the top row alone: one row of the outer half survives
+    top[-2] = 0.0
+    single_row = H.field_to_vector(SpinorField(g, top, top))
+    cols = np.column_stack([two_rows, single_row, np.zeros(H.dim)])
+    got = y_decay_rate(H, cols)
+    assert got[0] == pytest.approx(-np.log(4.0) / g.hy, rel=1e-12)
+    assert got[0] == pytest.approx(polyfit_decay(H, two_rows), rel=1e-12)
+    assert np.isnan(got[1]) and np.isnan(got[2])
+    assert np.isnan(y_decay_rate(H, single_row))
+    assert np.isnan(y_decay_rate(H, np.zeros(H.dim)))
+    # no y layout: NaN for every column
+    assert np.isnan(y_decay_rate(None, cols[:, 0]))
+    assert np.all(np.isnan(y_decay_rate(None, cols)))
+    assert y_decay_rate(H, cols[:, :0]).shape == (0,)
+
+
+def test_fix_phase_rotates_each_column_and_skips_zero_ones():
+    rng = np.random.default_rng(4)
+    v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    lead = np.zeros(16, dtype=complex)
+    lead[3], lead[9] = 1e-14, -2.0j
+    fixed = _fix_phase(np.column_stack([v, np.zeros(16), lead]))
+    assert abs(fixed[0, 0].imag) <= 1e-15 * fixed[0, 0].real
+    np.testing.assert_allclose(np.abs(fixed[:, 0]), np.abs(v), rtol=1e-15)
+    assert np.all(fixed[:, 1] == 0.0)
+    # entries below 1e-12 of the largest are not significant
+    assert fixed[9, 2] == 2.0
 
 
 def test_bound_state_vector_is_localized(box_case):

@@ -1,5 +1,6 @@
-"""Property tests: certified inertia counts and shift-invert eigenvalues
-agree with dense eigenvalues."""
+"""Property tests: certified inertia counts, shift-invert and dense
+eigenvalues agree with plain dense eigenvalues, and the antiunitary
+symmetry makes the operators real where it should."""
 
 from __future__ import annotations
 
@@ -12,14 +13,19 @@ from semidirac import (
     ConvergenceError,
     Grid2D,
     Params,
+    PerturbationField,
     XOnlyPotential,
     assemble_H,
+    assemble_H_eps,
     assemble_square_form,
     assemble_T,
     count_below,
     count_within,
+    dense_eigs,
+    fiber_operator,
     nearest_eigenvalues,
 )
+from semidirac.assembly import conjugation_basis
 
 # fixed draws, so a failure reproduces on every run and machine
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
@@ -97,3 +103,49 @@ def test_shift_invert_stays_within_solve_budget(op, sigma, k, max_iter):
         assert all(entry["iter"] <= max_iter for entry in exc.history)
     else:
         assert rep.certificate["iterations"] <= max_iter
+
+
+@st.composite
+def conjugation_cases(draw):
+    """(operator, whether C(u1, u2) = (conj u2, conj u1) commutes with it).
+
+    T, H, the square forms and the fibers always commute with C; H_eps does
+    exactly when w11 = w22, whether w12 is real or complex (w21 = conj w12
+    maps onto itself under C).
+    """
+    kind = draw(st.sampled_from(["shipped", "fiber", "H_eps"]))
+    if kind == "shipped":
+        return draw(operators()), True
+    params = Params(draw(st.floats(0.5, 2.5)))
+    if kind == "fiber":
+        op = fiber_operator(draw(st.floats(-2.0, 2.0)), params,
+                            draw(st.integers(4, 60)), draw(st.floats(2.0, 20.0)))
+        return op, True
+    grid = Grid2D(-3.0, 3.0, draw(st.floats(2.0, 6.0)),
+                  draw(st.integers(5, 12)), draw(st.integers(4, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (grid.ny, grid.nx)
+    symmetric = draw(st.booleans())
+    w11 = rng.standard_normal(shape)
+    w22 = w11 if symmetric else rng.standard_normal(shape)
+    w12 = rng.standard_normal(shape)
+    if draw(st.booleans()):
+        w12 = w12 + 1j * rng.standard_normal(shape)
+    field = PerturbationField(grid, w11, w12, np.conj(w12), w22)
+    return assemble_H_eps(grid, params, field, draw(st.floats(0.1, 2.0))), symmetric
+
+
+@PROPERTY
+@given(case=conjugation_cases())
+def test_conjugation_basis_makes_symmetric_operators_real(case):
+    op, symmetric = case
+    basis = conjugation_basis(op)
+    assert abs(basis.conj().T @ basis - np.eye(op.dim)).max() < 1e-15
+    rotated = (basis.conj().T @ op.matrix @ basis).toarray()
+    assert np.any(rotated.imag) != symmetric
+    rep = dense_eigs(op)
+    assert rep.certificate["arithmetic"] == ("real" if symmetric else "complex")
+    lam = np.linalg.eigvalsh(op.matrix.toarray())
+    norm = np.abs(lam).max()
+    assert np.max(np.abs(rep.eigenvalues - lam)) <= 1e-10 * max(1.0, norm)
+    assert rep.residuals.max() <= 1e-10 * norm
