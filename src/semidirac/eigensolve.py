@@ -1,12 +1,13 @@
 """Eigensolvers and localization diagnostics.
 
-Every sparse route factors a shifted matrix M - sigma I with SuperLU
+Every route runs in real arithmetic wherever the antiunitary symmetry
+makes the rotated matrix real (_real_form; certificate["arithmetic"]), and
+every sparse route factors a shifted matrix with SuperLU
 (scipy.sparse.linalg.splu) and nothing else:
 
-* ``dense_eigs``: full spectrum through LAPACK, in real arithmetic
-  wherever the antiunitary symmetry makes the matrix real.  This is the
-  oracle route for cross-checking the sparse routes on small problems;
-  every reported pair is re-verified by an explicit matrix-vector product.
+* ``dense_eigs``: full spectrum through LAPACK, the oracle route for
+  cross-checking the sparse routes on small problems; every reported pair
+  is re-verified by an explicit matrix-vector product.
 * ``count_within`` / ``count_below``: certified eigenvalue counts from the
   pivot signs of a diagonal-pivoted sparse LU in a symmetric fill-reducing
   order (Sylvester inertia).  Each certificate carries its evidence: the
@@ -124,8 +125,11 @@ def y_decay_rate(op: HermitianOperator | None, v: np.ndarray):
     Negative for states that decay away from the edge; near zero for
     delocalized ones.  v is one vector (gives a float) or a 2-d array of
     columns (one each).  The least-squares slope runs over the rows whose
-    mass exceeds 1e-300; NaN when the operator carries no y layout or fewer
-    than 2 rows survive.
+    mass exceeds 1e-20 of the column's peak row mass: computed eigenvector
+    entries carry absolute errors of order eps ||M|| / gap, so rows below
+    amplitude 1e-10 of the peak are rounding noise (1e-27 to 1e-34 of the
+    peak off a sublattice state), whose logs would decide the slope's sign.
+    NaN when the operator carries no y layout or fewer than 2 rows survive.
     """
     v = np.asarray(v)
     cols = v[:, None] if v.ndim == 1 else v
@@ -135,10 +139,11 @@ def y_decay_rate(op: HermitianOperator | None, v: np.ndarray):
         # each row of E holds a single 1, so |E v|^2 = E |v|^2
         full = edge_embedding(layout)[0] @ (np.abs(cols) ** 2 / op.weights[:, None])
         mass = full.reshape(2, layout.ny, layout.nx, cols.shape[1]).sum(axis=(0, 2))
+        floor = 1e-20 * mass.max(axis=0, initial=0.0)
         y = layout.y()
         sel = y >= 0.5 * y[-1]
         y, mass = y[sel][:, None], mass[sel]
-        ok = mass > 1e-300
+        ok = mass > floor
         count = ok.sum(axis=0)
         # fewer than 2 surviving rows leave dy == 0, so the slope is 0/0 = NaN
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -166,29 +171,38 @@ def _build_report(matrix, parent, vals, vecs, method, certificate=None):
     return SpectrumReport(vals, vecs, residuals, pr, yd, method, certificate)
 
 
+def _real_form(matrix: sp.csr_matrix, parent):
+    """(U^H M U).real and U, U = conjugation_basis(parent), if exactly real.
+
+    True for every operator the antiunitary symmetry commutes with; H_eps
+    with w11 != w22 and bare matrices (no parent) give (M, None).  Spectrum
+    and inertia are those of M; eigenvectors map back as U z.
+    """
+    if parent is not None:
+        basis = conjugation_basis(parent)
+        rotated = (basis.conj().T @ matrix @ basis).tocsr()
+        if not rotated.data.imag.any():
+            return rotated.real, basis
+    return matrix, None
+
+
 def dense_eigs(op, cap: int = DENSE_CAP_DEFAULT) -> SpectrumReport:
     """Full spectrum by dense Hermitian eigendecomposition (oracle route).
 
-    Refuses dimensions above cap.  LAPACK runs on U^H M U, U from
-    assembly.conjugation_basis: on its real part when the imaginary part
-    is exactly zero (every operator the antiunitary symmetry commutes
-    with), else on the complex matrix (H_eps with w11 != w22, plain complex
-    input); certificate["arithmetic"] says which.  Residuals are recomputed
-    from the input matrix and must sit at roundoff level, else this raises.
+    Refuses dimensions above cap.  LAPACK runs on _real_form(M), in real
+    arithmetic except for H_eps with w11 != w22 and plain complex input;
+    certificate["arithmetic"] says which.  Residuals are recomputed from the
+    input matrix and must sit at roundoff level, else this raises.
     """
     matrix, parent = _as_matrix(op)
     n = matrix.shape[0]
     if n > cap:
         raise ValueError(f"dimension {n} exceeds dense solver cap {cap}")
-    basis = sp.identity(n, format="csr") if parent is None else conjugation_basis(parent)
-    rotated = (basis.conj().T @ matrix @ basis).toarray()
-    real = not rotated.imag.any()
-    vals, vecs = np.linalg.eigh(rotated.real if real else rotated)
-    del rotated  # the report's temporaries would stack on it at the memory peak
-    vecs = basis @ vecs
-    report = _build_report(
-        matrix, parent, vals, vecs, "dense", {"arithmetic": "real" if real else "complex"}
-    )
+    work, basis = _real_form(matrix, parent)
+    vals, vecs = np.linalg.eigh(work.toarray())
+    vecs = vecs if basis is None else basis @ vecs
+    certificate = {"arithmetic": "complex" if work.dtype.kind == "c" else "real"}
+    report = _build_report(matrix, parent, vals, vecs, "dense", certificate)
     scale = max(np.abs(vals).max() if n else 0.0, np.finfo(float).tiny)
     worst = report.residuals.max() if n else 0.0
     if worst > 1e-10 * scale:
@@ -233,6 +247,7 @@ def _inertia(matrix: sp.csr_matrix, shift: float) -> dict:
     pivots = lu.U.diagonal().real
     return {
         "count": int(np.count_nonzero(pivots < 0.0)),
+        "arithmetic": "complex" if matrix.dtype.kind == "c" else "real",
         "symmetric_order": True,
         "min_pivot": float(np.abs(pivots).min()),
         "growth": float(np.abs(lu.L.data).max()),
@@ -243,19 +258,19 @@ def _inertia(matrix: sp.csr_matrix, shift: float) -> dict:
 def count_within(op, radius: float) -> dict:
     """Certified count of eigenvalues with |lambda| < radius.
 
-    Computed as the inertia of M @ M - radius^2 I.  The first-order
-    operator has zero diagonal blocks, on which diagonal pivoting breaks
-    down structurally; its square is positive semidefinite with strictly
-    positive diagonal, and its pivot signs count the squared eigenvalues
-    below radius^2.  The certificate carries the factored shift
-    (shift_squared), symmetric_order, the smallest |pivot| (min_pivot),
-    the largest multiplier max|L| (growth) and nnz(L + U) / nnz(A) (fill).
+    Computed as the inertia of R @ R - radius^2 I, R = _real_form(M), real
+    wherever the antiunitary symmetry allows.  The square is positive
+    semidefinite with strictly positive diagonal, and its pivot signs count
+    the squared eigenvalues below radius^2.  The certificate carries the
+    factored shift (shift_squared), "arithmetic" ("real" or "complex"),
+    symmetric_order, the smallest |pivot| (min_pivot), the largest
+    multiplier max|L| (growth) and nnz(L + U) / nnz(A) (fill).
     """
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be positive, got {radius}")
-    matrix, _ = _as_matrix(op)
+    work, _ = _real_form(*_as_matrix(op))
     shift = float(radius) ** 2
-    window = _inertia((matrix @ matrix).tocsr(), shift)
+    window = _inertia((work @ work).tocsr(), shift)
     return {"radius": float(radius), "shift_squared": shift, **window}
 
 
@@ -270,9 +285,9 @@ def count_below(op, threshold: float) -> dict:
     """
     if not np.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
-    matrix, _ = _as_matrix(op)
+    work, _ = _real_form(*_as_matrix(op))
     shift = float(threshold)
-    return {"threshold": shift, "shift": shift, **_inertia(matrix, shift)}
+    return {"threshold": shift, "shift": shift, **_inertia(work, shift)}
 
 
 # ---------------------------------------------------------------------------
@@ -282,30 +297,24 @@ class _SolveBudgetSpent(Exception):
     """Raised by the counted solve to stop ARPACK once max_iter is spent."""
 
 
-def _symmetric_radius(lo: float, hi: float) -> float | None:
-    if abs(lo + hi) <= 1e-12 * max(abs(lo), abs(hi)):
-        return 0.5 * (hi - lo)
-    return None
+def _run_shift_invert(matrix, work, basis, sigma, want, tol, max_iter, seed, certificate):
+    """Shared driver: factor R - sigma I once, then ARPACK on its inverse.
 
-
-def _run_shift_invert(matrix, sigma, want, tol, max_iter, seed, certificate):
-    """Shared driver: factor M - sigma I once, then ARPACK on its inverse.
-
-    The counted solve enforces the cap of max_iter solves and stops the run
-    once it is spent.  ARPACK's own maxiter counts restarts, each costing
-    at least one solve, so with maxiter = max_iter the solve budget always
-    runs out first.  Factors and start vector keep the matrix's dtype, so
-    real square forms run in real arithmetic.  ARPACK accepts a Ritz pair
-    (theta, x) of the inverse once its residual is below tol_a * |theta|,
-    which bounds ||M x - lambda x|| by tol_a * (||M|| + |sigma|); tol_a is
-    scaled so that bound is tol * ||M||_inf.  Each returned pair is still
-    re-checked explicitly and recorded in the history; only passing pairs
-    are kept.
+    (work, basis) = (R, U) = _real_form(M): factors and start vector keep
+    R's dtype and the vectors map back as U z.  The counted solve enforces
+    the cap of max_iter solves and stops the run once it is spent.  ARPACK's
+    own maxiter counts restarts, each costing at least one solve, so with
+    maxiter = max_iter the solve budget always runs out first.  ARPACK
+    accepts a Ritz pair (theta, x) of the inverse once its residual is below
+    tol_a * |theta|, which bounds ||M x - lambda x|| by tol_a * (||M|| +
+    |sigma|); tol_a is scaled so that bound is tol * ||M||_inf.  Each pair is
+    still re-checked against M and recorded in the history; only passing
+    pairs are kept.
     """
     n = matrix.shape[0]
     normest = max(_inf_norm(matrix), np.finfo(float).tiny)
     tol_resid = tol * normest
-    lu, _ = _factor(matrix, sigma)
+    lu, _ = _factor(work, sigma)
     history: list[dict] = []
     solves = 0
 
@@ -318,18 +327,20 @@ def _run_shift_invert(matrix, sigma, want, tol, max_iter, seed, certificate):
 
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
-    if matrix.dtype.kind == "c":
+    if work.dtype.kind == "c":
         v0 = v0 + 1j * rng.standard_normal(n)
     try:
         vals, vecs = eigsh(
-            matrix, k=want, sigma=sigma, v0=v0, maxiter=max_iter,
+            work, k=want, sigma=sigma, v0=v0, maxiter=max_iter,
             tol=tol * normest / (normest + abs(sigma)),
-            OPinv=LinearOperator(matrix.shape, matvec=solve, dtype=matrix.dtype),
+            OPinv=LinearOperator(work.shape, matvec=solve, dtype=work.dtype),
         )
     except _SolveBudgetSpent:
-        vals, vecs = np.zeros(0), np.zeros((n, 0), dtype=matrix.dtype)
+        vals, vecs = np.zeros(0), np.zeros((n, 0), dtype=work.dtype)
         history.append({"iter": solves, "stopped": "solve budget spent"})
-    certificate["iterations"] = solves
+    vecs = vecs if basis is None else basis @ vecs
+    certificate.update(iterations=solves,
+                       arithmetic="complex" if work.dtype.kind == "c" else "real")
     residuals = np.linalg.norm(matrix @ vecs - vecs * vals[None, :], axis=0)
     for lam, resid in zip(vals, residuals):
         history.append({"iter": solves, "lambda": float(lam), "residual": float(resid)})
@@ -359,21 +370,22 @@ def gap_eigs(
     inertia, so an empty window returns immediately with a certified zero
     and a certified shortfall raises ConvergenceError.  Asymmetric
     intervals search without a certificate and report count None.  The
-    pairs come from ARPACK shift-invert at the midpoint; max_iter caps the
-    number of solves with the shifted matrix and tol is relative to an
-    infinity-norm estimate of the matrix.  k must stay below dim - 1.
+    count and the ARPACK shift-invert at the midpoint share one _real_form
+    rotation (certificate["arithmetic"]); max_iter caps the number of
+    solves and tol is relative to an infinity-norm estimate of M.  k must
+    stay below dim - 1.
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"bad interval [{lo}, {hi}]")
     matrix, parent = _as_matrix(op)
     n = matrix.shape[0]
     _check_k(k, n)
+    work, basis = _real_form(matrix, parent)
     sigma = 0.5 * (lo + hi)
     certificate: dict = {"interval": [float(lo), float(hi)],
                          "certified": False, "count": None}
-    radius = _symmetric_radius(lo, hi)
-    if radius is not None:
-        window = count_within(matrix, radius)
+    if abs(lo + hi) <= 1e-12 * max(abs(lo), abs(hi)):
+        window = count_within(work, 0.5 * (hi - lo))
         certificate.update(window, certified=True)
         if window["count"] == 0:
             return _build_report(
@@ -386,7 +398,7 @@ def gap_eigs(
         )
         want = k
     vals, vecs, history = _run_shift_invert(
-        matrix, sigma, want, tol, max_iter, seed, certificate
+        matrix, work, basis, sigma, want, tol, max_iter, seed, certificate
     )
     inside = (lo <= vals) & (vals <= hi)
     if certificate["certified"] and inside.sum() < want:
@@ -424,9 +436,10 @@ def nearest_eigenvalues(
         raise ValueError(f"sigma must be finite, got {sigma}")
     matrix, parent = _as_matrix(op)
     _check_k(k, matrix.shape[0])
+    work, basis = _real_form(matrix, parent)
     certificate: dict = {"shift": float(sigma), "certified": False, "count": None}
     vals, vecs, history = _run_shift_invert(
-        matrix, sigma, k, tol, max_iter, seed, certificate
+        matrix, work, basis, sigma, k, tol, max_iter, seed, certificate
     )
     if not vals.size:
         raise ConvergenceError(

@@ -1,6 +1,7 @@
 """Property tests: certified inertia counts, shift-invert and dense
 eigenvalues agree with plain dense eigenvalues, and the antiunitary
-symmetry makes the operators real where it should."""
+symmetry makes the operators real, and every route run in real
+arithmetic, where it should."""
 
 from __future__ import annotations
 
@@ -23,22 +24,32 @@ from semidirac import (
     count_within,
     dense_eigs,
     fiber_operator,
+    gap_eigs,
+    lowest_of_square,
     nearest_eigenvalues,
 )
 from semidirac.assembly import conjugation_basis
+from semidirac.eigensolve import _as_matrix, _real_form
 
 # fixed draws, so a failure reproduces on every run and machine
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
 
 
+def assert_residuals_within(op, rep, tol):
+    """Every returned pair meets ||M x - lambda x|| <= tol ||M||_inf on the input matrix."""
+    vecs = rep.eigenvectors
+    resid = np.linalg.norm(op.matrix @ vecs - vecs * rep.eigenvalues, axis=0)
+    assert np.all(resid <= tol * abs(op.matrix).sum(axis=1).max())
+
+
 @st.composite
-def operators(draw):
+def operators(draw, kinds=("T", "H", "square")):
     """Small T, box-well H and Gaussian square-form operators."""
     half = draw(st.floats(2.0, 6.0))
     y_max = draw(st.floats(2.0, 6.0))
     grid = Grid2D(-half, half, y_max, draw(st.integers(5, 15)), draw(st.integers(4, 9)))
     params = Params(draw(st.floats(0.5, 2.5)))
-    kind = draw(st.sampled_from(["T", "H", "square"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "T":
         return assemble_T(grid, params)
     if kind == "H":
@@ -59,10 +70,12 @@ def test_count_within_matches_eigvalsh(op, radius):
     assert cert["count"] == np.count_nonzero(np.abs(lam) < radius)
     assert cert["symmetric_order"] is True
     assert cert["shift_squared"] == radius**2
+    assert cert["arithmetic"] == "real"
 
 
-# |threshold| >= 0.1: at 0 the first-order operators' zero diagonal blocks
-# leave no diagonal pivot, which count_below refuses (see test_eigensolve)
+# |threshold| >= 0.1: at 0 the bare first-order matrices' zero diagonal
+# blocks leave no diagonal pivot, which count_below refuses; the operators
+# themselves are counted in the real basis (both in test_eigensolve)
 @PROPERTY
 @given(op=operators(), size=st.floats(0.1, 8.0), negative=st.booleans())
 def test_count_below_matches_eigvalsh(op, size, negative):
@@ -73,6 +86,7 @@ def test_count_below_matches_eigvalsh(op, size, negative):
     assert cert["count"] == np.count_nonzero(lam < threshold)
     assert cert["symmetric_order"] is True
     assert cert["shift"] == threshold
+    assert cert["arithmetic"] == "real"
 
 
 # square forms are real, so these draws also cover the float64 solve path
@@ -88,6 +102,21 @@ def test_nearest_eigenvalues_matches_eigvalsh(op, sigma, k):
     assert rep.k == k
     assert np.max(np.abs(rep.eigenvalues - want)) < 1e-8
     assert rep.certificate["iterations"] <= 600
+    assert rep.certificate["arithmetic"] == "real"
+    assert_residuals_within(op, rep, 1e-11)
+
+
+@PROPERTY
+@given(op=operators(kinds=("square",)), k=st.integers(1, 3))
+def test_lowest_of_square_certifies_in_real_arithmetic(op, k):
+    lam = np.linalg.eigvalsh(op.matrix.toarray())
+    # the k-th eigenvalue separated from the next, so the count is sharp
+    assume(lam[k] - lam[k - 1] > 1e-6 * lam[k])
+    rep = lowest_of_square(op, k=k, tol=1e-11)
+    assert np.max(np.abs(rep.eigenvalues - lam[:k])) < 1e-8
+    assert rep.certificate["arithmetic"] == "real"
+    assert rep.certificate["below"]["arithmetic"] == "real"
+    assert_residuals_within(op, rep, 1e-11)
 
 
 @PROPERTY
@@ -149,3 +178,48 @@ def test_conjugation_basis_makes_symmetric_operators_real(case):
     norm = np.abs(lam).max()
     assert np.max(np.abs(rep.eigenvalues - lam)) <= 1e-10 * max(1.0, norm)
     assert rep.residuals.max() <= 1e-10 * norm
+
+
+@PROPERTY
+@given(case=conjugation_cases(), radius=st.floats(0.05, 4.0),
+       size=st.floats(0.1, 8.0), negative=st.booleans(),
+       sigma=st.floats(-4.0, 4.0), k=st.integers(1, 4))
+def test_sparse_routes_run_real_exactly_where_the_symmetry_holds(
+    case, radius, size, negative, sigma, k
+):
+    op, symmetric = case
+    arithmetic = "real" if symmetric else "complex"
+    lam = np.linalg.eigvalsh(op.matrix.toarray())
+    threshold = -size if negative else size
+    dist = np.sort(np.abs(lam - sigma))
+    assume(np.min(np.abs(np.abs(lam) - radius)) > 1e-8)
+    assume(np.min(np.abs(lam - threshold)) > 1e-8)
+    assume(dist[0] > 1e-6 and dist[k] - dist[k - 1] > 1e-6)
+    # a threshold on a diagonal entry of the factored matrix leaves an exactly
+    # zero diagonal pivot, which count_below refuses (the fibers' real form
+    # carries +-(delta + xi^2) on its diagonal)
+    work, _ = _real_form(*_as_matrix(op))
+    assume(np.min(np.abs(work.diagonal() - threshold)) > 1e-8)
+
+    within = count_within(op, radius)
+    assert within["count"] == np.count_nonzero(np.abs(lam) < radius)
+    below = count_below(op, threshold)
+    assert below["count"] == np.count_nonzero(lam < threshold)
+    assert within["arithmetic"] == below["arithmetic"] == arithmetic
+
+    near = nearest_eigenvalues(op, sigma, k=k, tol=1e-11)
+    want = np.sort(lam[np.argsort(np.abs(lam - sigma))[:k]])
+    assert np.max(np.abs(near.eigenvalues - want)) < 1e-8
+    assert near.certificate["arithmetic"] == arithmetic
+    assert_residuals_within(op, near, 1e-11)
+
+    # a certified window: min(k, count) eigenvalues of it, nearest zero first
+    # (the spectra are often symmetric about zero, so compare |lambda|)
+    gap = gap_eigs(op, -radius, radius, k=k, tol=1e-11)
+    assert gap.certificate["arithmetic"] == arithmetic
+    assert gap.certificate["count"] == within["count"]
+    assert gap.k == min(k, within["count"])
+    assert np.all(np.min(np.abs(gap.eigenvalues[:, None] - lam), axis=1) < 1e-8)
+    nearest_zero = np.sort(np.abs(lam))[:gap.k]
+    assert np.max(np.abs(np.sort(np.abs(gap.eigenvalues)) - nearest_zero), initial=0.0) < 1e-8
+    assert_residuals_within(op, gap, 1e-11)
