@@ -32,7 +32,6 @@ from .eigensolve import (
     count_within,
     dense_eigs,
     gap_eigs,
-    localization_metrics,
     lowest_of_square,
     nearest_eigenvalues,
     participation_ratio,

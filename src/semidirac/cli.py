@@ -1,8 +1,11 @@
 """Command-line bench: one JSON config in, CSV tables and a summary out.
 
-The config is schema-validated up front (unknown keys rejected with the
-offending JSON path) and canonicalized, so re-serializing a parsed
-config is idempotent and its hash identifies the run.  All numeric CSV
+The config is validated up front against _SCHEMA, the one place that
+lists every key, its type and its default.  Unknown keys, malformed
+values and non-finite numbers (array entries included) are rejected with
+the offending JSON path.  The canonical form fills in every default, so
+re-serializing a parsed config is idempotent and its hash identifies the
+run.  All numeric CSV
 cells print with 17 significant digits and '\\n' endings; identical
 configs reproduce identical CSV bytes.
 
@@ -18,7 +21,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -58,6 +61,7 @@ from .scan import (
     GAP_WINDOW_FRACTION,
     SCAN_COLUMNS,
     SolverConfig,
+    _check_ladder,
     convergence_study,
     delocalization_probe,
     scan_perturbation,
@@ -97,455 +101,304 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# schema validation
+# config schema: one table per block, one walker
+#
+# A table maps each key to (parser, default).  The default is _REQUIRED,
+# _OMITTED (an absent block stays out of the canonical dict), a value, or
+# a function of the canonical dict built so far; defaults go through the
+# parser like any input.  A Tagged block picks its table by the value of
+# its tag key.  After a block's keys are walked, its rules run in order,
+# and a ValueError from rule(block, canonical) becomes a ConfigError at the
+# rule's path.  The library constructors run as rules, block by block, so
+# a config with several faults reports the first one in walk order.
+
+_REQUIRED = object()
+_OMITTED = object()
 
 
-def _as_block(v, path: str) -> dict:
-    if not isinstance(v, dict):
-        raise ConfigError(path, f"expected an object, got {type(v).__name__}")
-    return v
+@dataclass(frozen=True)
+class Block:
+    keys: dict           # key -> (parser or nested Block/Tagged, default)
+    rules: tuple = ()    # (path, rule(block, canonical))
 
 
-def _check_keys(block: dict, path: str, required: dict, optional: dict) -> None:
-    _as_block(block, path)
-    allowed = set(required) | set(optional)
-    for key in block:
-        if key not in allowed:
+@dataclass(frozen=True)
+class Tagged:
+    tag: str
+    tables: dict         # tag value -> Block
+
+
+def _walk(doc, path: str, schema, root: dict | None = None) -> dict:
+    """Canonical dict of one block: keys checked, defaults filled, rules run."""
+    if not isinstance(doc, dict):
+        raise ConfigError(path, f"expected an object, got {type(doc).__name__}")
+    canon: dict = {}
+    root = canon if root is None else root
+    if isinstance(schema, Tagged):
+        if schema.tag not in doc:
+            raise ConfigError(f"{path}.{schema.tag}", "missing required key")
+        kind = _choice(*schema.tables)(doc[schema.tag], f"{path}.{schema.tag}")
+        canon[schema.tag] = kind
+        schema = schema.tables[kind]
+    for key in doc:
+        if key not in schema.keys and key not in canon:
             raise ConfigError(f"{path}.{key}", "unknown key")
-    for key in required:
-        if key not in block:
+    for key, (_, default) in schema.keys.items():
+        if default is _REQUIRED and key not in doc:
             raise ConfigError(f"{path}.{key}", "missing required key")
+    for key, (parse, default) in schema.keys.items():
+        if key in doc:
+            value = doc[key]
+        elif default is _OMITTED:
+            continue
+        else:
+            value = default(root) if callable(default) else default
+        if isinstance(parse, (Block, Tagged)):
+            canon[key] = _walk(value, f"{path}.{key}", parse, root)
+        else:
+            canon[key] = parse(value, f"{path}.{key}")
+    for where, rule in schema.rules:
+        try:
+            rule(canon, root)
+        except ValueError as exc:
+            raise ConfigError(where, str(exc)) from exc
+    return canon
 
 
-def _number(block: dict, path: str, key: str, default=None) -> float:
-    if key not in block:
-        if default is None:
-            raise ConfigError(f"{path}.{key}", "missing required key")
-        return float(default)
-    v = block[key]
+def _number(v, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}", f"expected a number, got {v!r}")
+        raise ConfigError(path, f"expected a number, got {v!r}")
     if not np.isfinite(v):
-        raise ConfigError(f"{path}.{key}", f"must be finite, got {v!r}")
+        raise ConfigError(path, f"must be finite, got {v!r}")
     return float(v)
 
 
-def _integer(block: dict, path: str, key: str, default=None) -> int:
-    if key not in block:
-        if default is None:
-            raise ConfigError(f"{path}.{key}", "missing required key")
-        return int(default)
-    v = block[key]
+def _integer(v, path: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}.{key}", f"expected an integer, got {v!r}")
-    return int(v)
-
-
-def _number_list(block: dict, path: str, key: str, default=None) -> list:
-    if key not in block:
-        if default is None:
-            raise ConfigError(f"{path}.{key}", "missing required key")
-        return list(default)
-    v = block[key]
-    if not isinstance(v, list) or not v:
-        raise ConfigError(f"{path}.{key}", "expected a non-empty array of numbers")
-    out = []
-    for i, item in enumerate(v):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigError(f"{path}.{key}[{i}]", f"expected a number, got {item!r}")
-        out.append(float(item))
-    return out
-
-
-def _string(block: dict, path: str, key: str, choices=None, default=None) -> str:
-    if key not in block:
-        if default is None:
-            raise ConfigError(f"{path}.{key}", "missing required key")
-        return default
-    v = block[key]
-    if not isinstance(v, str):
-        raise ConfigError(f"{path}.{key}", f"expected a string, got {v!r}")
-    if choices is not None and v not in choices:
-        raise ConfigError(f"{path}.{key}", f"expected one of {sorted(choices)}, got {v!r}")
+        raise ConfigError(path, f"expected an integer, got {v!r}")
     return v
+
+
+def _numbers(v, path: str) -> list:
+    if not isinstance(v, list) or not v:
+        raise ConfigError(path, "expected a non-empty array of numbers")
+    return [_number(item, f"{path}[{i}]") for i, item in enumerate(v)]
+
+
+def _choice(*choices):
+    def parse(v, path: str) -> str:
+        if not isinstance(v, str):
+            raise ConfigError(path, f"expected a string, got {v!r}")
+        if v not in choices:
+            raise ConfigError(path, f"expected one of {sorted(choices)}, got {v!r}")
+        return v
+    return parse
+
+
+def _shaped(*names, ordered=False):
+    """Number array [names...]; ordered also asks names[0] < names[1]."""
+    shape = f"[{', '.join(names)}]"
+
+    def parse(v, path: str) -> list:
+        out = _numbers(v, path)
+        if ordered and (len(out) != 2 or out[0] >= out[1]):
+            raise ConfigError(path, f"expected {shape} with {' < '.join(names)}, got {out}")
+        if len(out) != len(names):
+            raise ConfigError(path, f"expected {shape}")
+        return out
+    return parse
+
+
+def _scales(v, path: str) -> list:
+    out = _numbers(v, path)
+    for i, s in enumerate(out):
+        if s != int(s) or s < 2:
+            raise ConfigError(f"{path}[{i}]", f"scales must be integers >= 2, got {s}")
+    return [int(s) for s in out]
+
+
+def _rungs(v, path: str) -> list:
+    if not isinstance(v, list) or not all(
+        isinstance(r, int) and not isinstance(r, bool) for r in v
+    ):
+        raise ConfigError(path, "expected an array of integer rungs")
+    return list(v)
+
+
+def _formats(v, path: str) -> list:
+    if not isinstance(v, list) or not v:
+        raise ConfigError(path, "expected a non-empty array")
+    for i, fmt in enumerate(v):
+        if fmt not in ("csv", "json"):
+            raise ConfigError(f"{path}[{i}]", f"expected 'csv' or 'json', got {fmt!r}")
+    return sorted(set(v))
+
+
+def _must(ok, message: str):
+    """Rule failing with message (formatted with the block) unless ok(block, canonical)."""
+    def rule(block, root):
+        if not ok(block, root):
+            raise ValueError(message.format(**block))
+    return rule
+
+
+def _potential(b: dict, grid: Grid2D | None = None):
+    if b["type"] == "none":
+        return NoPotential()
+    if b["type"] == "box":
+        return BoxPotential(b["a"], b["b"], b["value"])
+    h, w, c = b["height"], b["width"], b["center"]
+    return XOnlyPotential.from_callable(grid, lambda x: h * np.exp(-(((x - c) / w) ** 2)))
+
+
+def _perturbation(b: dict):
+    if b["type"] == "disk":
+        return disk_perturbation(b["amplitude"], tuple(b["center"]), b["radius"])
+    return box_perturbation(b["amplitude"], tuple(b["box"]))
+
+
+# the solver knobs default to SolverConfig's own defaults
+_SOLVER_DEFAULTS = {f.name: f.default for f in fields(SolverConfig) if f.name != "grid"}
+
+_SOLVER = Block(
+    {
+        "mode": (_choice("dense", "gap", "square-form"), _REQUIRED),
+        "k": (_integer, _SOLVER_DEFAULTS["k"]),
+        "tol": (_number, _SOLVER_DEFAULTS["tol"]),
+        "max_iter": (_integer, _SOLVER_DEFAULTS["max_iter"]),
+        "seed": (_integer, _SOLVER_DEFAULTS["seed"]),
+        "epsilon": (_number, 1.0),
+        "interval": (_shaped("lo", "hi", ordered=True), lambda c: [
+            s * GAP_WINDOW_FRACTION * c["params"]["delta"] for s in (-1.0, 1.0)]),
+    },
+    rules=(
+        ("$.solver.k", _must(lambda s, c: s["k"] >= 1, "must be >= 1")),
+        ("$.solver.tol", _must(lambda s, c: 0.0 < s["tol"] < 1.0, "must lie in (0, 1)")),
+        ("$.solver.max_iter", _must(lambda s, c: s["max_iter"] >= 1, "must be >= 1")),
+    ),
+)
+
+_BUILD_PERTURBATION = (("$.perturbation", lambda w, c: _perturbation(w)),)
+
+_SCHEMA = Block({
+    "params": (Block(
+        {"delta": (_number, _REQUIRED)},
+        rules=(("$.params.delta", lambda p, c: Params(**p)),),
+    ), _REQUIRED),
+    "grid": (Block(
+        {"x_min": (_number, _REQUIRED), "x_max": (_number, _REQUIRED),
+         "y_max": (_number, _REQUIRED), "nx": (_integer, _REQUIRED),
+         "ny": (_integer, _REQUIRED)},
+        rules=(("$.grid", lambda g, c: Grid2D(**g)),),
+    ), _OMITTED),
+    "potential": (Tagged("type", {
+        "none": Block({}),
+        "box": Block(
+            {"a": (_number, _REQUIRED), "b": (_number, _REQUIRED),
+             "value": (_number, _REQUIRED)},
+            rules=(("$.potential", lambda p, c: _potential(p)),),
+        ),
+        "xonly_gaussian": Block(
+            {"height": (_number, _REQUIRED), "width": (_number, 1.0),
+             "center": (_number, 0.0)},
+            rules=(("$.potential.width", _must(lambda p, c: p["width"] > 0.0,
+                                               "must be positive")),),
+        ),
+    }), {"type": "none"}),
+    "perturbation": (Tagged("type", {
+        "disk": Block(
+            {"center": (_shaped("x", "y"), _REQUIRED), "amplitude": (_number, _REQUIRED),
+             "radius": (_number, _REQUIRED)},
+            rules=_BUILD_PERTURBATION,
+        ),
+        "box": Block(
+            {"box": (_shaped("x0", "x1", "y0", "y1"), _REQUIRED),
+             "amplitude": (_number, _REQUIRED)},
+            rules=_BUILD_PERTURBATION,
+        ),
+    }), _OMITTED),
+    "solver": (_SOLVER, _OMITTED),
+    "scan": (Tagged("axis", {
+        "potential": Block(
+            {"values": (_numbers, _REQUIRED), "a": (_number, _REQUIRED),
+             "b": (_number, _REQUIRED)},
+            rules=(("$.scan", _must(lambda s, c: s["a"] < s["b"], "empty box [{a}, {b}]")),),
+        ),
+        "epsilon": Block(
+            {"values": (_numbers, _REQUIRED)},
+            rules=(("$.perturbation", _must(lambda s, c: "perturbation" in c,
+                                            "epsilon scan needs a perturbation block")),),
+        ),
+        "convergence": Block(
+            {"values": (_rungs, _REQUIRED),
+             "observable": (_choice("gap-edge", "bound-state-lambda", "square-form-min"),
+                            _REQUIRED),
+             "x_half": (_number, 20.0), "depth": (_number, -3.0),
+             "box": (_shaped("a", "b", ordered=True), [1.0, 1.0 + float(np.pi)])},
+            rules=(("$.scan.values", lambda s, c: _check_ladder(s["values"])),),
+        ),
+        "domain": Block(
+            {"values": (_numbers, _REQUIRED), "h": (_number, 0.5)},
+            rules=(("$.scan.h", _must(lambda s, c: s["h"] > 0.0, "must be positive")),),
+        ),
+    }), _OMITTED),
+    "quasimode": (Block({
+        "weyl_mus": (_numbers, lambda c: [s * (c["params"]["delta"] + t)
+                                          for s in (1.0, -1.0) for t in (0.0, 1.0, 4.0)]),
+        "weyl_ns": (_scales, [8, 16, 32, 64]),
+        "cutoff_ns": (_scales, [4, 16, 64]),
+        "eps_values": (_numbers, [0.0, 0.25, 0.5, 0.75, 1.0]),
+        "bump": (_choice("product", "disk"), "product"),
+    }), {}),
+    "fiber": (Block(
+        {"xi_values": (_numbers, [round(v, 12) for v in np.linspace(-2.0, 2.0, 21)]),
+         "ny": (_integer, 400), "y_max": (_number, 40.0)},
+        rules=(
+            ("$.fiber.ny", _must(lambda f, c: f["ny"] >= 4, "must be >= 4")),
+            ("$.fiber.y_max", _must(lambda f, c: f["y_max"] > 0.0, "must be positive")),
+        ),
+    ), {}),
+    "export": (Block({
+        "operator": (_choice("T", "H", "H_eps", "square-form"),
+                     lambda c: "T" if c["potential"]["type"] == "none" else "H"),
+    }), {}),
+    "output": (Block({"formats": (_formats, ["csv", "json"])}), {}),
+})
 
 
 @dataclass
 class RunConfig:
     """Validated config: canonical dict plus constructed library objects.
 
-    Construction exercises the library constructors, so every module
-    precondition (grid sizes, box placement, support positivity) fails
-    here, before any matrix is assembled.
+    The walk runs the library constructors, so every module precondition
+    (grid sizes, box placement, support positivity) fails in parse_config,
+    before any matrix is assembled.
     """
 
     canonical: dict
     params: Params
     grid: Grid2D | None
-    potential_block: dict
-    perturbation_block: dict | None
-    solver_block: dict | None
-    scan_block: dict | None
-    quasimode_block: dict
-    fiber_block: dict
-    export_block: dict
-    formats: tuple
 
     def potential(self, grid: Grid2D):
-        kind = self.potential_block["type"]
-        if kind == "none":
-            return NoPotential()
-        if kind == "box":
-            b = self.potential_block
-            return BoxPotential(b["a"], b["b"], b["value"])
-        b = self.potential_block
-        h, w, c = b["height"], b["width"], b["center"]
-        return XOnlyPotential.from_callable(
-            grid, lambda x: h * np.exp(-(((x - c) / w) ** 2))
-        )
+        return _potential(self.canonical["potential"], grid)
 
     def perturbation(self):
-        if self.perturbation_block is None:
-            return None
-        b = self.perturbation_block
-        if b["type"] == "disk":
-            return disk_perturbation(b["amplitude"], tuple(b["center"]), b["radius"])
-        return box_perturbation(b["amplitude"], tuple(b["box"]))
+        b = self.canonical.get("perturbation")
+        return None if b is None else _perturbation(b)
 
     def solver(self, grid: Grid2D) -> SolverConfig:
-        b = self.solver_block or {}
-        return SolverConfig(
-            grid=grid,
-            k=b.get("k", 6),
-            tol=b.get("tol", 1e-8),
-            max_iter=b.get("max_iter", 600),
-            seed=b.get("seed", 0),
-        )
+        b = self.canonical.get("solver", {})
+        return SolverConfig(grid=grid, **{k: b[k] for k in _SOLVER_DEFAULTS if k in b})
 
 
 def parse_config(doc) -> RunConfig:
-    """Validate a decoded JSON document and build the library objects."""
+    """Validate a decoded JSON document against _SCHEMA and build the library objects."""
     if not isinstance(doc, dict):
         raise ConfigError("$", f"top level must be an object, got {type(doc).__name__}")
-    _check_keys(
-        doc,
-        "$",
-        required={"params": None},
-        optional={
-            "grid": None,
-            "potential": None,
-            "perturbation": None,
-            "solver": None,
-            "scan": None,
-            "quasimode": None,
-            "fiber": None,
-            "export": None,
-            "output": None,
-        },
-    )
-
-    pblock = doc["params"]
-    _check_keys(pblock, "$.params", required={"delta": None}, optional={})
-    delta = _number(pblock, "$.params", "delta")
-    try:
-        params = Params(delta=delta)
-    except ValueError as exc:
-        raise ConfigError("$.params.delta", str(exc)) from exc
-    canonical: dict = {"params": {"delta": delta}}
-
-    grid = None
-    if "grid" in doc:
-        g = doc["grid"]
-        _check_keys(
-            g,
-            "$.grid",
-            required={"x_min": None, "x_max": None, "y_max": None, "nx": None, "ny": None},
-            optional={},
-        )
-        spec = {
-            "x_min": _number(g, "$.grid", "x_min"),
-            "x_max": _number(g, "$.grid", "x_max"),
-            "y_max": _number(g, "$.grid", "y_max"),
-            "nx": _integer(g, "$.grid", "nx"),
-            "ny": _integer(g, "$.grid", "ny"),
-        }
-        try:
-            grid = Grid2D(**spec)
-        except ValueError as exc:
-            raise ConfigError("$.grid", str(exc)) from exc
-        canonical["grid"] = spec
-
-    pot = _as_block(doc.get("potential", {"type": "none"}), "$.potential")
-    kind = _string(pot, "$.potential", "type", choices={"none", "box", "xonly_gaussian"})
-    if kind == "none":
-        _check_keys(pot, "$.potential", required={"type": None}, optional={})
-        canonical["potential"] = {"type": "none"}
-    elif kind == "box":
-        _check_keys(
-            pot, "$.potential",
-            required={"type": None, "a": None, "b": None, "value": None}, optional={},
-        )
-        spec = {
-            "type": "box",
-            "a": _number(pot, "$.potential", "a"),
-            "b": _number(pot, "$.potential", "b"),
-            "value": _number(pot, "$.potential", "value"),
-        }
-        try:
-            BoxPotential(spec["a"], spec["b"], spec["value"])
-        except ValueError as exc:
-            raise ConfigError("$.potential", str(exc)) from exc
-        canonical["potential"] = spec
-    else:
-        _check_keys(
-            pot, "$.potential",
-            required={"type": None, "height": None},
-            optional={"width": None, "center": None},
-        )
-        canonical["potential"] = {
-            "type": "xonly_gaussian",
-            "height": _number(pot, "$.potential", "height"),
-            "width": _number(pot, "$.potential", "width", default=1.0),
-            "center": _number(pot, "$.potential", "center", default=0.0),
-        }
-        if canonical["potential"]["width"] <= 0.0:
-            raise ConfigError("$.potential.width", "must be positive")
-
-    pert = None
-    if "perturbation" in doc:
-        w = _as_block(doc["perturbation"], "$.perturbation")
-        wkind = _string(w, "$.perturbation", "type", choices={"disk", "box"})
-        if wkind == "disk":
-            _check_keys(
-                w, "$.perturbation",
-                required={"type": None, "amplitude": None, "center": None, "radius": None},
-                optional={},
-            )
-            center = _number_list(w, "$.perturbation", "center")
-            if len(center) != 2:
-                raise ConfigError("$.perturbation.center", "expected [x, y]")
-            pert = {
-                "type": "disk",
-                "amplitude": _number(w, "$.perturbation", "amplitude"),
-                "center": center,
-                "radius": _number(w, "$.perturbation", "radius"),
-            }
-            try:
-                disk_perturbation(pert["amplitude"], tuple(center), pert["radius"])
-            except ValueError as exc:
-                raise ConfigError("$.perturbation", str(exc)) from exc
-        else:
-            _check_keys(
-                w, "$.perturbation",
-                required={"type": None, "amplitude": None, "box": None}, optional={},
-            )
-            boxv = _number_list(w, "$.perturbation", "box")
-            if len(boxv) != 4:
-                raise ConfigError("$.perturbation.box", "expected [x0, x1, y0, y1]")
-            pert = {
-                "type": "box",
-                "amplitude": _number(w, "$.perturbation", "amplitude"),
-                "box": boxv,
-            }
-            try:
-                box_perturbation(pert["amplitude"], tuple(boxv))
-            except ValueError as exc:
-                raise ConfigError("$.perturbation", str(exc)) from exc
-        canonical["perturbation"] = pert
-
-    solver = None
-    if "solver" in doc:
-        s = _as_block(doc["solver"], "$.solver")
-        _check_keys(
-            s, "$.solver",
-            required={"mode": None},
-            optional={"interval": None, "k": None, "tol": None, "max_iter": None,
-                      "seed": None, "epsilon": None},
-        )
-        mode = _string(s, "$.solver", "mode", choices={"dense", "gap", "square-form"})
-        solver = {
-            "mode": mode,
-            "k": _integer(s, "$.solver", "k", default=6),
-            "tol": _number(s, "$.solver", "tol", default=1e-8),
-            "max_iter": _integer(s, "$.solver", "max_iter", default=600),
-            "seed": _integer(s, "$.solver", "seed", default=0),
-            "epsilon": _number(s, "$.solver", "epsilon", default=1.0),
-        }
-        if "interval" in s:
-            iv = _number_list(s, "$.solver", "interval")
-            if len(iv) != 2 or iv[0] >= iv[1]:
-                raise ConfigError("$.solver.interval", f"expected [lo, hi] with lo < hi, got {iv}")
-            solver["interval"] = iv
-        else:
-            r = GAP_WINDOW_FRACTION * delta
-            solver["interval"] = [-r, r]
-        if solver["k"] < 1:
-            raise ConfigError("$.solver.k", "must be >= 1")
-        if not 0.0 < solver["tol"] < 1.0:
-            raise ConfigError("$.solver.tol", "must lie in (0, 1)")
-        if solver["max_iter"] < 1:
-            raise ConfigError("$.solver.max_iter", "must be >= 1")
-        canonical["solver"] = solver
-
-    scan = None
-    if "scan" in doc:
-        sc = _as_block(doc["scan"], "$.scan")
-        axis = _string(
-            sc, "$.scan", "axis",
-            choices={"potential", "epsilon", "convergence", "domain"},
-        )
-        if axis == "potential":
-            _check_keys(
-                sc, "$.scan",
-                required={"axis": None, "values": None, "a": None, "b": None},
-                optional={},
-            )
-            scan = {
-                "axis": "potential",
-                "values": _number_list(sc, "$.scan", "values"),
-                "a": _number(sc, "$.scan", "a"),
-                "b": _number(sc, "$.scan", "b"),
-            }
-            if not scan["a"] < scan["b"]:
-                raise ConfigError("$.scan", f"empty box [{scan['a']}, {scan['b']}]")
-        elif axis == "epsilon":
-            _check_keys(sc, "$.scan", required={"axis": None, "values": None}, optional={})
-            scan = {"axis": "epsilon", "values": _number_list(sc, "$.scan", "values")}
-            if pert is None:
-                raise ConfigError("$.perturbation", "epsilon scan needs a perturbation block")
-        elif axis == "convergence":
-            _check_keys(
-                sc, "$.scan",
-                required={"axis": None, "values": None, "observable": None},
-                optional={"x_half": None, "box": None, "depth": None},
-            )
-            ladder = sc["values"]
-            if not isinstance(ladder, list) or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in ladder
-            ):
-                raise ConfigError("$.scan.values", "expected an array of integer rungs")
-            scan = {
-                "axis": "convergence",
-                "values": [int(v) for v in ladder],
-                "observable": _string(
-                    sc, "$.scan", "observable",
-                    choices={"gap-edge", "bound-state-lambda", "square-form-min"},
-                ),
-                "x_half": _number(sc, "$.scan", "x_half", default=20.0),
-                "depth": _number(sc, "$.scan", "depth", default=-3.0),
-            }
-            if "box" in sc:
-                boxv = _number_list(sc, "$.scan", "box")
-                if len(boxv) != 2 or boxv[0] >= boxv[1]:
-                    raise ConfigError("$.scan.box", f"expected [a, b] with a < b, got {boxv}")
-                scan["box"] = boxv
-            else:
-                scan["box"] = [1.0, 1.0 + float(np.pi)]
-        else:
-            _check_keys(
-                sc, "$.scan",
-                required={"axis": None, "values": None}, optional={"h": None},
-            )
-            scan = {
-                "axis": "domain",
-                "values": _number_list(sc, "$.scan", "values"),
-                "h": _number(sc, "$.scan", "h", default=0.5),
-            }
-            if scan["h"] <= 0.0:
-                raise ConfigError("$.scan.h", "must be positive")
-        canonical["scan"] = scan
-
-    q = _as_block(doc.get("quasimode", {}), "$.quasimode")
-    _check_keys(
-        q, "$.quasimode",
-        required={},
-        optional={"weyl_mus": None, "weyl_ns": None, "cutoff_ns": None,
-                  "eps_values": None, "bump": None},
-    )
-    qcanon = {
-        "weyl_mus": _number_list(
-            q, "$.quasimode", "weyl_mus",
-            default=[delta, delta + 1.0, delta + 4.0,
-                     -delta, -(delta + 1.0), -(delta + 4.0)],
-        ),
-        "weyl_ns": [
-            _as_scale(v, i) for i, v in enumerate(
-                _number_list(q, "$.quasimode", "weyl_ns", default=[8, 16, 32, 64])
-            )
-        ],
-        "cutoff_ns": [
-            _as_scale(v, i) for i, v in enumerate(
-                _number_list(q, "$.quasimode", "cutoff_ns", default=[4, 16, 64])
-            )
-        ],
-        "eps_values": _number_list(
-            q, "$.quasimode", "eps_values", default=[0.0, 0.25, 0.5, 0.75, 1.0]
-        ),
-        "bump": _string(q, "$.quasimode", "bump", choices={"product", "disk"},
-                        default="product"),
-    }
-    canonical["quasimode"] = qcanon
-
-    f = _as_block(doc.get("fiber", {}), "$.fiber")
-    _check_keys(
-        f, "$.fiber",
-        required={}, optional={"xi_values": None, "ny": None, "y_max": None},
-    )
-    fcanon = {
-        "xi_values": _number_list(
-            f, "$.fiber", "xi_values",
-            default=[round(v, 12) for v in np.linspace(-2.0, 2.0, 21)],
-        ),
-        "ny": _integer(f, "$.fiber", "ny", default=400),
-        "y_max": _number(f, "$.fiber", "y_max", default=40.0),
-    }
-    if fcanon["ny"] < 4:
-        raise ConfigError("$.fiber.ny", "must be >= 4")
-    if fcanon["y_max"] <= 0.0:
-        raise ConfigError("$.fiber.y_max", "must be positive")
-    canonical["fiber"] = fcanon
-
-    e = _as_block(doc.get("export", {}), "$.export")
-    _check_keys(e, "$.export", required={}, optional={"operator": None})
-    default_op = "H" if canonical["potential"]["type"] != "none" else "T"
-    ecanon = {
-        "operator": _string(
-            e, "$.export", "operator",
-            choices={"T", "H", "H_eps", "square-form"}, default=default_op,
-        )
-    }
-    canonical["export"] = ecanon
-
-    out = _as_block(doc.get("output", {}), "$.output")
-    _check_keys(out, "$.output", required={}, optional={"formats": None})
-    formats = out.get("formats", ["csv", "json"])
-    if not isinstance(formats, list) or not formats:
-        raise ConfigError("$.output.formats", "expected a non-empty array")
-    for i, fmt in enumerate(formats):
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"$.output.formats[{i}]", f"expected 'csv' or 'json', got {fmt!r}")
-    formats = sorted(set(formats))
-    canonical["output"] = {"formats": formats}
-
-    return RunConfig(
-        canonical=canonical,
-        params=params,
-        grid=grid,
-        potential_block=canonical["potential"],
-        perturbation_block=pert,
-        solver_block=solver,
-        scan_block=scan,
-        quasimode_block=qcanon,
-        fiber_block=fcanon,
-        export_block=ecanon,
-        formats=tuple(formats),
-    )
-
-
-def _as_scale(v: float, i: int) -> int:
-    if v != int(v) or v < 2:
-        raise ConfigError(f"$.quasimode[{i}]", f"scales must be integers >= 2, got {v}")
-    return int(v)
+    canonical = _walk(doc, "$", _SCHEMA)
+    grid = canonical.get("grid")
+    return RunConfig(canonical, Params(**canonical["params"]),
+                     None if grid is None else Grid2D(**grid))
 
 
 def canonical_text(canonical: dict) -> str:
@@ -668,7 +521,7 @@ def _build_operator(cfg: RunConfig, which: str, grid: Grid2D):
         model = cfg.perturbation()
         if model is None:
             raise ConfigError("$.perturbation", "H_eps needs a perturbation block")
-        eps = (cfg.solver_block or {}).get("epsilon", 1.0)
+        eps = cfg.canonical.get("solver", {}).get("epsilon", _SOLVER.keys["epsilon"][1])
         return assemble_H_eps(grid, cfg.params, model.sample_on(grid), eps)
     pot = cfg.potential(grid)
     if isinstance(pot, NoPotential) and which == "T":
@@ -681,10 +534,10 @@ def _build_operator(cfg: RunConfig, which: str, grid: Grid2D):
 
 
 def cmd_spectrum(cfg: RunConfig) -> ResultBundle:
-    if cfg.solver_block is None:
+    solver = cfg.canonical.get("solver")
+    if solver is None:
         raise ConfigError("$.solver", "spectrum needs a solver block")
     grid = _require_grid(cfg)
-    solver = cfg.solver_block
     mode = solver["mode"]
     bundle = ResultBundle("spectrum", cfg.canonical)
 
@@ -731,7 +584,7 @@ def cmd_spectrum(cfg: RunConfig) -> ResultBundle:
 
 
 def cmd_quasimode(cfg: RunConfig) -> ResultBundle:
-    q = cfg.quasimode_block
+    q = cfg.canonical["quasimode"]
     bundle = ResultBundle("quasimode", cfg.canonical)
     bump = product_bump() if q["bump"] == "product" else disk_bump()
 
@@ -791,7 +644,7 @@ def cmd_quasimode(cfg: RunConfig) -> ResultBundle:
 
 def _fiber_cross_check(cfg: RunConfig, grid: Grid2D) -> dict:
     """2D free edge against the fiber union at the same delta."""
-    xi = np.array(cfg.fiber_block["xi_values"], dtype=np.float64)
+    xi = np.array(cfg.canonical["fiber"]["xi_values"], dtype=np.float64)
     if not np.any(xi == 0.0):
         xi = np.concatenate([xi, [0.0]])
     union = union_edge(xi, cfg.params)
@@ -808,22 +661,13 @@ def _fiber_cross_check(cfg: RunConfig, grid: Grid2D) -> dict:
 
 
 def cmd_scan(cfg: RunConfig) -> ResultBundle:
-    if cfg.scan_block is None:
+    sc = cfg.canonical.get("scan")
+    if sc is None:
         raise ConfigError("$.scan", "scan needs a scan block")
-    sc = cfg.scan_block
     bundle = ResultBundle("scan", cfg.canonical)
     axis = sc["axis"]
 
-    if axis == "potential":
-        grid = _require_grid(cfg)
-        res = scan_potential(
-            cfg.params, sc["a"], sc["b"], sc["values"], cfg.solver(grid)
-        )
-    elif axis == "epsilon":
-        grid = _require_grid(cfg)
-        model = cfg.perturbation()
-        res = scan_perturbation(cfg.params, model, sc["values"], cfg.solver(grid))
-    elif axis == "convergence":
+    if axis == "convergence":
         study = convergence_study(
             sc["observable"], sc["values"], cfg.params,
             x_half=sc["x_half"], box=tuple(sc["box"]), depth=sc["depth"],
@@ -834,26 +678,31 @@ def cmd_scan(cfg: RunConfig) -> ResultBundle:
         bundle.checks["order_positive"] = bool(study.fitted_order > 0.0)
         bundle.extra["fitted_order"] = study.fitted_order
         bundle.extra["values"] = list(study.values)
-        if cfg.grid is not None:
-            bundle.extra["fiber_cross_check"] = _fiber_cross_check(cfg, cfg.grid)
-            bundle.checks["fiber_cross_check"] = bundle.extra["fiber_cross_check"]["within_5pct"]
-        return bundle
     else:
-        res = delocalization_probe(cfg.params, sc["values"], h=sc["h"])
+        if axis == "potential":
+            res = scan_potential(
+                cfg.params, sc["a"], sc["b"], sc["values"], cfg.solver(_require_grid(cfg))
+            )
+        elif axis == "epsilon":
+            res = scan_perturbation(
+                cfg.params, cfg.perturbation(), sc["values"], cfg.solver(_require_grid(cfg))
+            )
+        else:
+            res = delocalization_probe(cfg.params, sc["values"], h=sc["h"])
+        bundle.tables["scan.csv"] = (SCAN_COLUMNS, res.to_rows())
+        bundle.checks["all_agree"] = res.all_agree()
+        bundle.extra["axis"] = res.axis
+        bundle.extra["meta"] = res.meta
 
-    bundle.tables["scan.csv"] = (SCAN_COLUMNS, res.to_rows())
-    bundle.checks["all_agree"] = res.all_agree()
-    bundle.extra["axis"] = res.axis
-    bundle.extra["meta"] = res.meta
-    grid_for_fiber = cfg.grid
-    if grid_for_fiber is not None:
-        bundle.extra["fiber_cross_check"] = _fiber_cross_check(cfg, grid_for_fiber)
-        bundle.checks["fiber_cross_check"] = bundle.extra["fiber_cross_check"]["within_5pct"]
+    if cfg.grid is not None:
+        cross = _fiber_cross_check(cfg, cfg.grid)
+        bundle.extra["fiber_cross_check"] = cross
+        bundle.checks["fiber_cross_check"] = cross["within_5pct"]
     return bundle
 
 
 def cmd_fiber(cfg: RunConfig) -> ResultBundle:
-    f = cfg.fiber_block
+    f = cfg.canonical["fiber"]
     bundle = ResultBundle("fiber", cfg.canonical)
     rows = []
     for xi in f["xi_values"]:
@@ -882,7 +731,7 @@ def cmd_fiber(cfg: RunConfig) -> ResultBundle:
 
 def cmd_export_matrix(cfg: RunConfig) -> ResultBundle:
     grid = _require_grid(cfg)
-    which = cfg.export_block["operator"]
+    which = cfg.canonical["export"]["operator"]
     op = _build_operator(cfg, which, grid)
     bundle = ResultBundle("export-matrix", cfg.canonical)
     bundle.texts["matrix.txt"] = export_coordinate_text(op)
@@ -959,8 +808,7 @@ def main(argv=None) -> int:
         print(f"config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if cfg.solver_block is not None and args.seed:
-        cfg.solver_block["seed"] = args.seed
+    if "solver" in cfg.canonical and args.seed:
         cfg.canonical["solver"]["seed"] = args.seed
 
     command = _COMMANDS[args.command]
@@ -975,7 +823,7 @@ def main(argv=None) -> int:
         diag.checks["converged"] = False
         diag.extra["error"] = str(exc)
         diag.extra["history_tail"] = list(getattr(exc, "history", ()))[-5:]
-        diag.write(out_dir, cfg.formats)
+        diag.write(out_dir, cfg.canonical["output"]["formats"])
         print(f"solver: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
@@ -983,7 +831,7 @@ def main(argv=None) -> int:
         sys.stdout.write(canonical_text(cfg.canonical))
         return EXIT_OK
 
-    written = bundle.write(out_dir, cfg.formats)
+    written = bundle.write(out_dir, cfg.canonical["output"]["formats"])
     for path in written:
         print(path)
     return EXIT_OK

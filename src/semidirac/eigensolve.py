@@ -154,11 +154,6 @@ def y_decay_rate(op: HermitianOperator | None, v: np.ndarray):
     return float(slope[0]) if v.ndim == 1 else slope
 
 
-def localization_metrics(v: np.ndarray, op: HermitianOperator | None = None):
-    """(participation_ratio, y_decay_rate) for one eigenvector."""
-    return participation_ratio(v), y_decay_rate(op, v)
-
-
 def _build_report(matrix, parent, vals, vecs, method, certificate=None):
     order = np.argsort(vals)
     vals = np.asarray(vals, dtype=np.float64)[order]

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from semidirac import Grid2D, Params, assemble_T, read_coordinate_text
+from semidirac import Grid2D, Params, SolverConfig, assemble_T, read_coordinate_text
 from semidirac.cli import (
     ConfigError,
+    RunConfig,
     canonical_text,
     config_hash,
     format_cell,
@@ -82,6 +89,177 @@ def test_rejected_configs_point_at_the_offending_key(doc, fragment):
 def test_top_level_must_be_object():
     with pytest.raises(ConfigError, match="top level"):
         parse_config([1, 2])
+
+
+@pytest.mark.parametrize(
+    "doc,path,message",
+    [
+        # non-finite array entries are rejected like non-finite scalars
+        ({"quasimode": {"weyl_ns": [float("nan")]}}, "$.quasimode.weyl_ns[0]", "must be finite"),
+        ({"quasimode": {"cutoff_ns": [4, float("inf")]}}, "$.quasimode.cutoff_ns[1]", "must be finite"),
+        ({"fiber": {"xi_values": [0.5, float("nan")]}}, "$.fiber.xi_values[1]", "must be finite"),
+        ({"solver": {"mode": "gap", "interval": [float("-inf"), 1.0]}}, "$.solver.interval[0]", "must be finite"),
+        # scale errors name the key and the entry
+        ({"quasimode": {"weyl_ns": [8, 16.5]}}, "$.quasimode.weyl_ns[1]", "scales must be integers >= 2"),
+        ({"quasimode": {"cutoff_ns": [1]}}, "$.quasimode.cutoff_ns[0]", "scales must be integers >= 2"),
+        # the convergence ladder is checked before any run
+        ({"scan": {"axis": "convergence", "values": [], "observable": "gap-edge"}}, "$.scan.values", "at least 3 rungs"),
+        ({"scan": {"axis": "convergence", "values": [8, 8, 16], "observable": "gap-edge"}}, "$.scan.values", "repeats the rung 8"),
+        ({"scan": {"axis": "convergence", "values": [16, 8, 32], "observable": "gap-edge"}}, "$.scan.values", "not increasing"),
+    ],
+)
+def test_rejected_entries_name_their_exact_path(doc, path, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config({"params": {"delta": 1.0}, **doc})
+    assert info.value.path == path
+    assert str(info.value).startswith(f"{path}: ")
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "command,doc,path",
+    [
+        ("quasimode", {"quasimode": {"weyl_ns": [float("nan")]}}, "$.quasimode.weyl_ns[0]"),
+        ("quasimode", {"quasimode": {"weyl_ns": [float("inf")]}}, "$.quasimode.weyl_ns[0]"),
+        ("validate-config", {"fiber": {"xi_values": [float("nan")]}}, "$.fiber.xi_values[0]"),
+        ("scan", {"scan": {"axis": "convergence", "values": [], "observable": "gap-edge"}}, "$.scan.values"),
+    ],
+)
+def test_rejected_entries_exit_2_through_the_driver(tmp_path, capsys, command, doc, path):
+    cfg = write_config(tmp_path, {"params": {"delta": 1.0}, **doc})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config: {path}: ")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc,path",
+    [
+        # each block's constructor runs before the next block is read
+        ({"grid": {**BASE_GRID, "nx": 2}, "quasimode": {"bump": 3}}, "$.grid"),
+        ({"potential": {"type": "box", "a": 2.0, "b": 1.0, "value": -1.0}, "solver": {"mode": 1}}, "$.potential"),
+        ({"perturbation": {"type": "box", "amplitude": 1.0, "box": [1, 0, 0, 1]}, "fiber": {"ny": "x"}}, "$.perturbation"),
+        ({"params": {"delta": -1.0}, "grid": {"nx": 4}}, "$.params.delta"),
+        # within a block, types are read before value rules run
+        ({"fiber": {"ny": 2, "y_max": "x"}}, "$.fiber.y_max"),
+        ({"solver": {"mode": "gap", "k": 0, "interval": [1.0, 0.0]}}, "$.solver.interval"),
+        ({"potential": {"type": "xonly_gaussian", "height": 1.0, "width": -1.0, "center": "x"}}, "$.potential.center"),
+    ],
+)
+def test_first_fault_is_reported_in_walk_order(doc, path):
+    with pytest.raises(ConfigError) as info:
+        parse_config({"params": {"delta": 1.0}, **doc})
+    assert info.value.path == path
+
+
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_canonical_form_matches_golden(name):
+    """Canonical text and hash of every benchmark workload config (seed 0)
+    and of configs that set every block, every tag value and every key,
+    frozen from the hand-written parser that the schema table replaced."""
+    entry = GOLDEN[name]
+    canon = parse_config(entry["config"]).canonical
+    text = canonical_text(canon)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == entry["canonical_text_sha256"], text
+    assert config_hash(canon) == entry["config_hash"]
+
+
+def test_run_config_holds_canonical_params_and_grid_only():
+    assert [f.name for f in fields(RunConfig)] == ["canonical", "params", "grid"]
+    grid = Grid2D(**BASE_GRID)
+    bare = parse_config({"params": {"delta": 1.0}, "grid": BASE_GRID})
+    assert bare.grid == grid and bare.params == Params(1.0)
+    assert bare.solver(grid) == SolverConfig(grid)
+    cfg = parse_config({"params": {"delta": 1.0}, "solver": {"mode": "gap", "k": 3, "seed": 9}})
+    assert cfg.grid is None
+    assert cfg.solver(grid) == SolverConfig(grid, k=3, seed=9)
+    # the canonical solver block spells out SolverConfig's own defaults
+    solver = parse_config({"params": {"delta": 1.0}, "solver": {"mode": "gap"}}).canonical["solver"]
+    defaults = SolverConfig(grid)
+    for key in ("k", "tol", "max_iter", "seed"):
+        assert solver[key] == getattr(defaults, key)
+
+
+# ---------------------------------------------------------------------------
+# round trip over the schema
+
+
+def _num(lo, hi):
+    return st.one_of(st.integers(math.ceil(lo), math.floor(hi)), st.floats(lo, hi))
+
+
+def _increasing(lo, hi):
+    return st.tuples(_num(lo, hi), _num(lo, hi)).filter(lambda p: p[0] < p[1]).map(list)
+
+
+def _values():
+    return st.lists(_num(-5.0, 5.0), min_size=1, max_size=4)
+
+
+def _block(required, **optional):
+    return st.fixed_dictionaries(required, optional=optional)
+
+
+_POTENTIALS = st.one_of(
+    st.just({"type": "none"}),
+    _block({"type": st.just("box"), "a": _num(0.5, 2.0), "b": _num(2.5, 5.0), "value": _num(-5.0, 5.0)}),
+    _block({"type": st.just("xonly_gaussian"), "height": _num(-5.0, 5.0)},
+           width=_num(0.1, 3.0), center=_num(-3.0, 3.0)),
+)
+_PERTURBATIONS = st.one_of(
+    _block({"type": st.just("disk"), "amplitude": _num(-2.0, 2.0),
+            "center": st.tuples(_num(-3.0, 3.0), _num(5.0, 10.0)).map(list), "radius": _num(0.5, 5.0)}),
+    _block({"type": st.just("box"), "amplitude": _num(-2.0, 2.0),
+            "box": st.tuples(_increasing(-5.0, 5.0), _increasing(0.0, 5.0)).map(lambda t: t[0] + t[1])}),
+)
+_SCANS = st.one_of(
+    _block({"axis": st.just("potential"), "values": _values(), "a": _num(0.1, 1.0), "b": _num(1.5, 3.0)}),
+    _block({"axis": st.just("epsilon"), "values": _values()}),
+    _block({"axis": st.just("convergence"),
+            "values": st.lists(st.integers(4, 200), min_size=3, max_size=5, unique=True).map(sorted),
+            "observable": st.sampled_from(["gap-edge", "bound-state-lambda", "square-form-min"])},
+           x_half=_num(1.0, 30.0), depth=_num(-5.0, 0.0), box=_increasing(0.1, 5.0)),
+    _block({"axis": st.just("domain"), "values": _values()}, h=_num(0.1, 2.0)),
+)
+_CONFIGS = _block(
+    {"params": _block({"delta": _num(0.1, 5.0)})},
+    grid=_block({"x_min": _num(-10.0, -1.0), "x_max": _num(1.0, 10.0), "y_max": _num(1.0, 10.0),
+                 "nx": st.integers(4, 60), "ny": st.integers(4, 60)}),
+    potential=_POTENTIALS,
+    perturbation=_PERTURBATIONS,
+    solver=_block({"mode": st.sampled_from(["dense", "gap", "square-form"])},
+                  interval=_increasing(-2.0, 2.0), k=st.integers(1, 10), tol=st.floats(1e-12, 0.5),
+                  max_iter=st.integers(1, 2000), seed=st.integers(0, 2**31), epsilon=_num(-2.0, 2.0)),
+    scan=_SCANS,
+    quasimode=_block({}, weyl_mus=_values(),
+                     weyl_ns=st.lists(st.integers(2, 128) | st.integers(2, 128).map(float),
+                                      min_size=1, max_size=4),
+                     cutoff_ns=st.lists(st.integers(2, 128), min_size=1, max_size=4),
+                     eps_values=_values(), bump=st.sampled_from(["product", "disk"])),
+    fiber=_block({}, xi_values=_values(), ny=st.integers(4, 500), y_max=_num(1.0, 50.0)),
+    export=_block({}, operator=st.sampled_from(["T", "H", "H_eps", "square-form"])),
+    output=_block({}, formats=st.lists(st.sampled_from(["csv", "json"]), min_size=1, max_size=3)),
+).filter(lambda d: d.get("scan", {}).get("axis") != "epsilon" or "perturbation" in d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_CONFIGS)
+def test_canonical_form_is_a_fixed_point(doc):
+    canon = parse_config(doc).canonical
+    again = parse_config(json.loads(canonical_text(canon))).canonical
+    assert canonical_text(again) == canonical_text(canon)
+    assert config_hash(again) == config_hash(canon)
+    # every key the config sets lands in the canonical form unchanged
+    for block, body in doc.items():
+        for key, value in body.items():
+            want = sorted(set(value)) if key == "formats" else value
+            assert canon[block][key] == want, (block, key)
 
 
 # ---------------------------------------------------------------------------
