@@ -49,14 +49,12 @@ from .lattice import (
     SpinorField,
     XOnlyPotential,
     inner_product,
-    quadrature_1d,
     sample,
 )
 from .quasimode import (
     BoxTrial,
     BumpProfile,
     CutoffProfile,
-    CutoffSequence,
     PerturbationModel,
     SpinorTrial,
     WeylTrial,

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
+import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -41,7 +43,6 @@ from .eigensolve import (
     dense_eigs,
     gap_eigs,
     lowest_of_square,
-    nearest_eigenvalues,
 )
 from .fiber import fiber_edge, fiber_operator, union_edge
 from .lattice import BoxPotential, Grid2D, NoPotential, Params, XOnlyPotential
@@ -62,8 +63,10 @@ from .scan import (
     SCAN_COLUMNS,
     SolverConfig,
     _check_ladder,
+    _domain_grid,
     convergence_study,
     delocalization_probe,
+    free_edge,
     scan_perturbation,
     scan_potential,
 )
@@ -168,9 +171,13 @@ def _walk(doc, path: str, schema, root: dict | None = None) -> dict:
 def _number(v, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(path, f"expected a number, got {v!r}")
-    if not np.isfinite(v):
+    try:
+        out = float(v)
+    except OverflowError:
+        raise ConfigError(path, "integer too large for a float") from None
+    if not math.isfinite(out):
         raise ConfigError(path, f"must be finite, got {v!r}")
-    return float(v)
+    return out
 
 
 def _integer(v, path: str) -> int:
@@ -257,8 +264,14 @@ def _perturbation(b: dict):
     return box_perturbation(b["amplitude"], tuple(b["box"]))
 
 
-# the solver knobs default to SolverConfig's own defaults
-_SOLVER_DEFAULTS = {f.name: f.default for f in fields(SolverConfig) if f.name != "grid"}
+def _defaults(fn) -> dict:
+    """The keyword defaults of a library function, so each is written once."""
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not p.empty}
+
+
+_SOLVER_DEFAULTS = asdict(SolverConfig())
+_CONVERGENCE_DEFAULTS = _defaults(convergence_study)
 
 _SOLVER = Block(
     {
@@ -275,6 +288,7 @@ _SOLVER = Block(
         ("$.solver.k", _must(lambda s, c: s["k"] >= 1, "must be >= 1")),
         ("$.solver.tol", _must(lambda s, c: 0.0 < s["tol"] < 1.0, "must lie in (0, 1)")),
         ("$.solver.max_iter", _must(lambda s, c: s["max_iter"] >= 1, "must be >= 1")),
+        ("$.solver.seed", _must(lambda s, c: s["seed"] >= 0, "must be >= 0")),
     ),
 )
 
@@ -333,12 +347,14 @@ _SCHEMA = Block({
             {"values": (_rungs, _REQUIRED),
              "observable": (_choice("gap-edge", "bound-state-lambda", "square-form-min"),
                             _REQUIRED),
-             "x_half": (_number, 20.0), "depth": (_number, -3.0),
-             "box": (_shaped("a", "b", ordered=True), [1.0, 1.0 + float(np.pi)])},
+             "x_half": (_number, _CONVERGENCE_DEFAULTS["x_half"]),
+             "depth": (_number, _CONVERGENCE_DEFAULTS["depth"]),
+             "box": (_shaped("a", "b", ordered=True), list(_CONVERGENCE_DEFAULTS["box"]))},
             rules=(("$.scan.values", lambda s, c: _check_ladder(s["values"])),),
         ),
         "domain": Block(
-            {"values": (_numbers, _REQUIRED), "h": (_number, 0.5)},
+            {"values": (_numbers, _REQUIRED),
+             "h": (_number, _defaults(delocalization_probe)["h"])},
             rules=(("$.scan.h", _must(lambda s, c: s["h"] > 0.0, "must be positive")),),
         ),
     }), _OMITTED),
@@ -386,9 +402,10 @@ class RunConfig:
         b = self.canonical.get("perturbation")
         return None if b is None else _perturbation(b)
 
-    def solver(self, grid: Grid2D) -> SolverConfig:
+    def solver(self) -> SolverConfig:
+        """The solver block's settings, or SolverConfig's defaults without one."""
         b = self.canonical.get("solver", {})
-        return SolverConfig(grid=grid, **{k: b[k] for k in _SOLVER_DEFAULTS if k in b})
+        return SolverConfig(**{k: b[k] for k in _SOLVER_DEFAULTS if k in b})
 
 
 def parse_config(doc) -> RunConfig:
@@ -543,10 +560,7 @@ def cmd_spectrum(cfg: RunConfig) -> ResultBundle:
 
     if mode == "square-form":
         op = _build_operator(cfg, "square-form", grid)
-        rep = lowest_of_square(
-            op, k=solver["k"], tol=solver["tol"],
-            max_iter=solver["max_iter"], seed=solver["seed"],
-        )
+        rep = lowest_of_square(op, **asdict(cfg.solver()))
         bundle.checks["bottom_above_gap_square"] = bool(
             rep.eigenvalues[0] >= cfg.params.delta**2 - 0.05
         )
@@ -566,10 +580,7 @@ def cmd_spectrum(cfg: RunConfig) -> ResultBundle:
             )
         else:
             lo, hi = solver["interval"]
-            rep = gap_eigs(
-                op, lo, hi, k=solver["k"], tol=solver["tol"],
-                max_iter=solver["max_iter"], seed=solver["seed"],
-            )
+            rep = gap_eigs(op, lo, hi, **asdict(cfg.solver()))
             cert = rep.certificate or {}
             count = cert.get("count")
             bundle.checks["certified"] = bool(cert.get("certified", False))
@@ -642,15 +653,13 @@ def cmd_quasimode(cfg: RunConfig) -> ResultBundle:
     return bundle
 
 
-def _fiber_cross_check(cfg: RunConfig, grid: Grid2D) -> dict:
+def _fiber_cross_check(cfg: RunConfig, grid: Grid2D, solver: SolverConfig) -> dict:
     """2D free edge against the fiber union at the same delta."""
     xi = np.array(cfg.canonical["fiber"]["xi_values"], dtype=np.float64)
     if not np.any(xi == 0.0):
         xi = np.concatenate([xi, [0.0]])
     union = union_edge(xi, cfg.params)
-    op = assemble_T(grid, cfg.params)
-    rep = nearest_eigenvalues(op, GAP_WINDOW_FRACTION * cfg.params.delta, k=2)
-    two_d = float(np.min(np.abs(rep.eigenvalues)))
+    two_d = free_edge(grid, cfg.params, solver)
     rel = abs(two_d - union) / union
     return {
         "union_edge": union,
@@ -660,17 +669,37 @@ def _fiber_cross_check(cfg: RunConfig, grid: Grid2D) -> dict:
     }
 
 
+def _domain_potential(cfg: RunConfig, sc: dict):
+    """The domain axis's potential: none, or a box that fits the smallest rung.
+
+    Every rung has its own grid, so a potential sampled on one grid
+    (xonly_gaussian) has no meaning there.
+    """
+    pot = cfg.canonical["potential"]
+    if pot["type"] == "none":
+        return None
+    if pot["type"] != "box":
+        raise ConfigError("$.potential", "the domain axis accepts only none or box")
+    box, smallest = _potential(pot), _domain_grid(min(sc["values"]), sc["h"])
+    try:
+        box.validate_against(smallest)
+    except ValueError as exc:
+        raise ConfigError("$.potential", f"{exc} at the smallest domain") from exc
+    return box
+
+
 def cmd_scan(cfg: RunConfig) -> ResultBundle:
     sc = cfg.canonical.get("scan")
     if sc is None:
         raise ConfigError("$.scan", "scan needs a scan block")
     bundle = ResultBundle("scan", cfg.canonical)
     axis = sc["axis"]
+    solver = cfg.solver()
 
     if axis == "convergence":
         study = convergence_study(
             sc["observable"], sc["values"], cfg.params,
-            x_half=sc["x_half"], box=tuple(sc["box"]), depth=sc["depth"],
+            x_half=sc["x_half"], box=tuple(sc["box"]), depth=sc["depth"], solver=solver,
         )
         bundle.tables["convergence.csv"] = (CONVERGENCE_COLUMNS, study.to_rows())
         diffs = np.abs(np.diff(study.values))
@@ -681,21 +710,24 @@ def cmd_scan(cfg: RunConfig) -> ResultBundle:
     else:
         if axis == "potential":
             res = scan_potential(
-                cfg.params, sc["a"], sc["b"], sc["values"], cfg.solver(_require_grid(cfg))
+                cfg.params, sc["a"], sc["b"], sc["values"], _require_grid(cfg), solver
             )
         elif axis == "epsilon":
             res = scan_perturbation(
-                cfg.params, cfg.perturbation(), sc["values"], cfg.solver(_require_grid(cfg))
+                cfg.params, cfg.perturbation(), sc["values"], _require_grid(cfg), solver
             )
         else:
-            res = delocalization_probe(cfg.params, sc["values"], h=sc["h"])
+            res = delocalization_probe(
+                cfg.params, sc["values"], h=sc["h"], potential=_domain_potential(cfg, sc),
+                solver=solver,
+            )
         bundle.tables["scan.csv"] = (SCAN_COLUMNS, res.to_rows())
         bundle.checks["all_agree"] = res.all_agree()
         bundle.extra["axis"] = res.axis
         bundle.extra["meta"] = res.meta
 
     if cfg.grid is not None:
-        cross = _fiber_cross_check(cfg, cfg.grid)
+        cross = _fiber_cross_check(cfg, cfg.grid, solver)
         bundle.extra["fiber_cross_check"] = cross
         bundle.checks["fiber_cross_check"] = cross["within_5pct"]
     return bundle

@@ -17,7 +17,7 @@ Hermitian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -200,38 +200,6 @@ def inner_product(u: SpinorField, v: SpinorField) -> complex:
         raise GridMismatchError(f"grids differ: {u.grid} vs {v.grid}")
     w = u.grid.node_weights()
     return complex(np.sum(w * (np.conj(u.u1) * v.u1 + np.conj(u.u2) * v.u2)))
-
-
-def quadrature_1d(values: np.ndarray, order: int = 2):
-    """Integrate samples taken uniformly on [0, 1], endpoints included.
-
-    order 2 is the composite trapezoid rule, order 4 composite Simpson
-    (with a 3/8 tail when the interval count is odd).  Error is
-    O(h^order) for integrands with the matching smoothness.
-    """
-    v = np.asarray(values)
-    m = v.shape[0] - 1  # interval count
-    if order == 2:
-        if m < 1:
-            raise ValueError("need at least 2 samples")
-        h = 1.0 / m
-        return h * (v[0] / 2 + v[1:-1].sum() + v[-1] / 2)
-    if order == 4:
-        if m < 3:
-            raise ValueError("need at least 4 samples for order 4")
-        h = 1.0 / m
-        total = 0.0
-        if m % 2 == 1:
-            # peel a 3/8 tail so the rest has an even interval count
-            total = 3 * h / 8 * (v[-4] + 3 * v[-3] + 3 * v[-2] + v[-1])
-            v = v[: m - 2]
-            m -= 3
-        if m > 0:
-            total = total + h / 3 * (
-                v[0] + v[-1] + 4 * v[1:-1:2].sum() + 2 * v[2:-1:2].sum()
-            )
-        return total
-    raise ValueError(f"unsupported quadrature order {order} (use 2 or 4)")
 
 
 class PotentialSpec:

@@ -28,7 +28,7 @@ Contents:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -525,25 +525,6 @@ def cutoff_row(n: int, profile: CutoffProfile | None = None, order: int = 240) -
         "first_deriv_identity_rel_err": abs(ix - ident) / ident,
         "second_deriv_bound_slack": bound - ixx,
     }
-
-
-@dataclass(frozen=True)
-class CutoffSequence:
-    """Logarithmic cutoff family g_n at a fixed transition profile."""
-
-    n: int
-    profile: CutoffProfile = field(default_factory=smoothstep_profile)
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"cutoff scale n must be >= 2, got {self.n}")
-        _check_plateaus(self.profile)
-
-    def __call__(self, r):
-        return cutoff_g(self.n, r, self.profile)
-
-    def derivative_integrals(self, quad_order: int = 240) -> tuple[float, float, float]:
-        return cutoff_derivative_integrals(self.n, self.profile, quad_order)
 
 
 # ---------------------------------------------------------------------------

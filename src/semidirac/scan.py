@@ -10,21 +10,19 @@ Agreement is asserted one-sidedly throughout: a predicted bound state
 must show up, but an observed state outside the predicted window is not
 an error.  The trial-state criteria behind the predictions are
 sufficient, not necessary, so extra states are expected.
+
+Every eigensolver call takes its k, tol, max_iter and seed from one
+SolverConfig; the grids are the sweeps' own arguments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .assembly import assemble_H, assemble_H_eps, assemble_square_form, assemble_T
-from .eigensolve import (
-    SpectrumReport,
-    gap_eigs,
-    lowest_of_square,
-    nearest_eigenvalues,
-)
+from .eigensolve import SpectrumReport, gap_eigs, nearest_eigenvalues
 from .lattice import BoxPotential, Grid2D, Params, PotentialSpec
 from .quasimode import PerturbationModel, a_eps_derived, boundstate_window, eps_threshold
 
@@ -63,9 +61,9 @@ def is_localized(participation: float, y_decay: float) -> bool:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Shared knobs for the eigensolver calls a sweep makes."""
+    """The settings of every eigensolver call a sweep makes, passed on
+    whole as ``**asdict(solver)``; a probe that needs a fixed k replaces it."""
 
-    grid: Grid2D
     k: int = 6
     tol: float = 1e-8
     max_iter: int = 600
@@ -159,10 +157,7 @@ def _observe_gap(rec: dict, op, params: Params, solver: SolverConfig) -> None:
     """Fill a sweep record with the certified in-window count, localization
     stats of the converged pairs and the one-sided agreement verdict."""
     lo, hi = gap_window(params)
-    rep = gap_eigs(
-        op, lo, hi, k=solver.k, tol=solver.tol,
-        max_iter=solver.max_iter, seed=solver.seed,
-    )
+    rep = gap_eigs(op, lo, hi, **asdict(solver))
     cert = rep.certificate or {}
     count = cert.get("count")
     if count is None:
@@ -190,15 +185,15 @@ def _observe_gap(rec: dict, op, params: Params, solver: SolverConfig) -> None:
 
 
 def scan_potential(
-    params: Params, a: float, b: float, depths, solver: SolverConfig
+    params: Params, a: float, b: float, depths, grid: Grid2D,
+    solver: SolverConfig = SolverConfig(),
 ) -> ScanResult:
-    """Sweep box depth V0 against the trinomial bound-state window.
+    """Sweep box depth V0 on grid against the trinomial bound-state window.
 
     Prediction: V0 strictly inside the window q(V0) < 0 forces a gap
     state.  Observation: a certified in-window eigenvalue whose vector is
     localized.  Agreement is one-sided (window implies presence).
     """
-    grid = solver.grid
     width = b - a
     if not (grid.x_min < a < b < grid.x_max and b < grid.y_max):
         raise ValueError(
@@ -237,15 +232,15 @@ def scan_potential(
 
 
 def scan_perturbation(
-    params: Params, model: PerturbationModel, eps_values, solver: SolverConfig
+    params: Params, model: PerturbationModel, eps_values, grid: Grid2D,
+    solver: SolverConfig = SolverConfig(),
 ) -> ScanResult:
-    """Sweep coupling strength against the sign of the trial energy.
+    """Sweep coupling strength on grid against the sign of the trial energy.
 
     Prediction: a_eps_derived < 0 buys a gap state once the domain holds
     the spread-out trial, so the domain actually used is recorded in the
     meta block.  Agreement is again one-sided.
     """
-    grid = solver.grid
     x0, x1, y0, y1 = model.support
     if x0 < grid.x_min or x1 > grid.x_max or y0 < 0.0 or y1 > grid.y_max:
         raise ValueError(
@@ -298,19 +293,16 @@ def convergence_study(
     ladder,
     params: Params,
     x_half: float = 20.0,
-    box: tuple | None = None,
+    box: tuple = (1.0, 1.0 + np.pi),
     depth: float = -3.0,
-    k: int = 4,
-    tol: float = 1e-8,
-    max_iter: int = 600,
-    seed: int = 0,
+    solver: SolverConfig = SolverConfig(),
 ) -> ConvergenceStudy:
     """Track one observable down a strictly refining nx ladder.
 
-    gap-edge: smallest |eigenvalue| of the free operator, approaching the
-    band edge.  bound-state-lambda: the gap eigenvalue of a box well
-    (default [1, 1+pi] at depth -3).  square-form-min: the bottom of the
-    free square form, approaching delta^2 plus the finite-domain offset.
+    gap-edge: the free edge (free_edge), approaching the band edge.
+    bound-state-lambda: the gap eigenvalue of the box well [a, b]^2 at
+    depth, nearest 0.  square-form-min: the bottom of the free square
+    form, approaching delta^2 plus the finite-domain offset.
     """
     ladder = [int(n) for n in ladder]
     _check_ladder(ladder)
@@ -318,25 +310,16 @@ def convergence_study(
         raise ValueError(
             f"unknown observable {observable!r}; pick one of {OBSERVABLES}"
         )
-    if box is None:
-        box = (1.0, 1.0 + np.pi)
 
     values = []
     for nx in ladder:
         grid = _ladder_grid(nx, x_half, x_half)
         if observable == "gap-edge":
-            op = assemble_T(grid, params)
-            rep = nearest_eigenvalues(
-                op, GAP_WINDOW_FRACTION * params.delta, k=k, tol=tol,
-                max_iter=max_iter, seed=seed,
-            )
-            values.append(float(np.min(np.abs(rep.eigenvalues))))
+            values.append(free_edge(grid, params, solver))
         elif observable == "bound-state-lambda":
             pot = BoxPotential(box[0], box[1], depth)
             op = assemble_H(grid, params, pot)
-            rep = nearest_eigenvalues(
-                op, 0.0, k=k, tol=tol, max_iter=max_iter, seed=seed
-            )
+            rep = nearest_eigenvalues(op, 0.0, **asdict(solver))
             values.append(float(np.min(np.abs(rep.eigenvalues))))
         else:
             # the free form's bottom sits in the wall-quantized edge ladder,
@@ -345,7 +328,7 @@ def convergence_study(
             op = assemble_square_form(grid, params, None)
             sigma = (GAP_WINDOW_FRACTION * params.delta) ** 2
             rep = nearest_eigenvalues(
-                op, sigma, k=max(k, 2), tol=tol, max_iter=max_iter, seed=seed
+                op, sigma, **asdict(replace(solver, k=max(solver.k, 2)))
             )
             values.append(float(np.min(rep.eigenvalues)))
 
@@ -365,15 +348,18 @@ def convergence_study(
 # domain-growth probe
 
 
+def _domain_grid(L: float, h: float) -> Grid2D:
+    """The domain probe's rung: [-L, L] x [0, L] at spacing h."""
+    n = int(round(L / h))
+    return Grid2D(x_min=-L, x_max=L, y_max=L, nx=2 * n + 1, ny=n + 1)
+
+
 def delocalization_probe(
     params: Params,
     domains,
     h: float = 0.5,
     potential: PotentialSpec | None = None,
-    k: int = 4,
-    tol: float = 1e-8,
-    max_iter: int = 600,
-    seed: int = 0,
+    solver: SolverConfig = SolverConfig(),
 ) -> ScanResult:
     """Grow the domain at fixed spacing and watch the edge state's footprint.
 
@@ -381,6 +367,8 @@ def delocalization_probe(
     state: its participation fraction must not drop as the box grows
     (10% band).  A bound-state potential flips that trend, which is the
     probe's sanity inversion; no agreement is asserted for that case.
+    The potential must not depend on the grid, since every rung has its
+    own; a box has to fit the smallest rung.
     """
     domains = [float(L) for L in domains]
     if len(domains) < 2:
@@ -394,15 +382,12 @@ def delocalization_probe(
 
     prs = []
     for rec in records:
-        L = rec["axis_value"]
-        nx = 2 * int(round(L / h)) + 1
-        ny = int(round(L / h)) + 1
-        grid = Grid2D(x_min=-L, x_max=L, y_max=L, nx=nx, ny=ny)
+        grid = _domain_grid(rec["axis_value"], h)
         if free:
             op = assemble_T(grid, params)
         else:
             op = assemble_H(grid, params, potential)
-        rep = _smallest_abs_pair(op, params, k, tol, max_iter, seed)
+        rep = _smallest_abs_pair(op, params, solver)
         i = int(np.argmin(np.abs(rep.eigenvalues)))
         pr = float(rep.participation[i])
         prs.append(pr)
@@ -432,13 +417,27 @@ def delocalization_probe(
     return ScanResult("domain_size", tuple(domains), tuple(records), meta)
 
 
-def _smallest_abs_pair(op, params, k, tol, max_iter, seed) -> SpectrumReport:
+def _smallest_abs_pair(op, params: Params, solver: SolverConfig) -> SpectrumReport:
     """Smallest-|lambda| pairs: in-gap states if any, else the band edge."""
     lo, hi = gap_window(params)
-    rep = gap_eigs(op, lo, hi, k=k, tol=tol, max_iter=max_iter, seed=seed)
-    if rep.k:
-        return rep
-    return nearest_eigenvalues(
-        op, GAP_WINDOW_FRACTION * params.delta, k=k, tol=tol,
-        max_iter=max_iter, seed=seed,
-    )
+    rep = gap_eigs(op, lo, hi, **asdict(solver))
+    return rep if rep.k else _edge_pairs(op, params, solver)
+
+
+# ---------------------------------------------------------------------------
+# band-edge probe
+
+
+def free_edge(grid: Grid2D, params: Params, solver: SolverConfig) -> float:
+    """The free operator's discrete band edge on grid: its smallest |lambda|.
+
+    Only the edge is read, so two pairs are asked for whatever solver.k
+    says; more pairs cost time and leave the edge where it is.
+    """
+    rep = _edge_pairs(assemble_T(grid, params), params, replace(solver, k=2))
+    return float(np.min(np.abs(rep.eigenvalues)))
+
+
+def _edge_pairs(op, params: Params, solver: SolverConfig) -> SpectrumReport:
+    """The solver.k pairs nearest 0.95 delta, a shift just inside the gap."""
+    return nearest_eigenvalues(op, GAP_WINDOW_FRACTION * params.delta, **asdict(solver))

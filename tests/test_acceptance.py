@@ -44,7 +44,7 @@ from semidirac.quasimode import (
     trial_energy,
     weyl_rows,
 )
-from semidirac.scan import SCAN_COLUMNS, SolverConfig, scan_perturbation, scan_potential
+from semidirac.scan import SCAN_COLUMNS, scan_perturbation, scan_potential
 
 P1 = Params(1.0)
 P2 = Params(2.0)
@@ -125,7 +125,7 @@ def test_04_bound_state_window():
         assert abs(num - ana) <= 1e-8 * max(1.0, abs(ana))
 
     grid = Grid2D(-9.0, 14.0, 14.0, 47, 29)
-    res = scan_potential(P2, a, b, [-4.0, -3.0, -2.0, 0.0], SolverConfig(grid=grid))
+    res = scan_potential(P2, a, b, [-4.0, -3.0, -2.0, 0.0], grid)
     assert res.all_agree()
     for rec in res.records[:3]:
         assert rec["observed_count"] > 0
@@ -189,7 +189,7 @@ def test_06_perturbation_criterion():
     half = 0.5 * thr
     assert abs(a_eps_paper(disk, half, P1) - a_eps_derived(disk, half, P1)) <= 1e-12
     grid = Grid2D(-20.0, 20.0, 40.0, 81, 61)
-    res = scan_perturbation(P1, disk, [half], SolverConfig(grid=grid))
+    res = scan_perturbation(P1, disk, [half], grid)
     rec = res.records[0]
     assert rec["predicted"] is True
     assert rec["observed_count"] >= 1
@@ -256,7 +256,7 @@ def test_08_oracle_equivalence_and_invariants():
 
     scan_grid = Grid2D(-9.0, 14.0, 14.0, 47, 29)
     runs = [
-        scan_potential(P2, 1.0, 1.0 + float(np.pi), [-3.0, 0.0], SolverConfig(grid=scan_grid))
+        scan_potential(P2, 1.0, 1.0 + float(np.pi), [-3.0, 0.0], scan_grid)
         for _ in range(2)
     ]
     first, second = (render_csv(SCAN_COLUMNS, r.to_rows()).encode() for r in runs)

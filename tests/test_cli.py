@@ -106,6 +106,9 @@ def test_top_level_must_be_object():
         ({"scan": {"axis": "convergence", "values": [], "observable": "gap-edge"}}, "$.scan.values", "at least 3 rungs"),
         ({"scan": {"axis": "convergence", "values": [8, 8, 16], "observable": "gap-edge"}}, "$.scan.values", "repeats the rung 8"),
         ({"scan": {"axis": "convergence", "values": [16, 8, 32], "observable": "gap-edge"}}, "$.scan.values", "not increasing"),
+        # a negative seed and an integer past the float range
+        ({"solver": {"mode": "gap", "seed": -1}}, "$.solver.seed", "must be >= 0"),
+        ({"params": {"delta": 10**400}}, "$.params.delta", "too large"),
     ],
 )
 def test_rejected_entries_name_their_exact_path(doc, path, message):
@@ -123,6 +126,14 @@ def test_rejected_entries_name_their_exact_path(doc, path, message):
         ("quasimode", {"quasimode": {"weyl_ns": [float("inf")]}}, "$.quasimode.weyl_ns[0]"),
         ("validate-config", {"fiber": {"xi_values": [float("nan")]}}, "$.fiber.xi_values[0]"),
         ("scan", {"scan": {"axis": "convergence", "values": [], "observable": "gap-edge"}}, "$.scan.values"),
+        ("validate-config", {"solver": {"mode": "gap", "seed": -1}}, "$.solver.seed"),
+        ("validate-config", {"params": {"delta": 10**400}}, "$.params.delta"),
+        # every domain rung has its own grid: no grid-bound potential, and
+        # a box has to fit the smallest rung
+        ("scan", {"potential": {"type": "xonly_gaussian", "height": -1.0},
+                  "scan": {"axis": "domain", "values": [10.0, 20.0]}}, "$.potential"),
+        ("scan", {"potential": {"type": "box", "a": 1.0, "b": 12.0, "value": -3.0},
+                  "scan": {"axis": "domain", "values": [10.0, 20.0]}}, "$.potential"),
     ],
 )
 def test_rejected_entries_exit_2_through_the_driver(tmp_path, capsys, command, doc, path):
@@ -175,13 +186,13 @@ def test_run_config_holds_canonical_params_and_grid_only():
     grid = Grid2D(**BASE_GRID)
     bare = parse_config({"params": {"delta": 1.0}, "grid": BASE_GRID})
     assert bare.grid == grid and bare.params == Params(1.0)
-    assert bare.solver(grid) == SolverConfig(grid)
+    assert bare.solver() == SolverConfig()
     cfg = parse_config({"params": {"delta": 1.0}, "solver": {"mode": "gap", "k": 3, "seed": 9}})
     assert cfg.grid is None
-    assert cfg.solver(grid) == SolverConfig(grid, k=3, seed=9)
+    assert cfg.solver() == SolverConfig(k=3, seed=9)
     # the canonical solver block spells out SolverConfig's own defaults
     solver = parse_config({"params": {"delta": 1.0}, "solver": {"mode": "gap"}}).canonical["solver"]
-    defaults = SolverConfig(grid)
+    defaults = SolverConfig()
     for key in ("k", "tol", "max_iter", "seed"):
         assert solver[key] == getattr(defaults, key)
 
@@ -429,6 +440,33 @@ def test_scan_reruns_are_byte_identical(tmp_path, capsys):
     capsys.readouterr()
     assert outs[0] == outs[1]
     assert outs[0] == outs[2]
+
+
+def test_convergence_scan_obeys_the_solver_block(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "params": {"delta": 1.0},
+        "scan": {"axis": "convergence", "values": [21, 41, 81], "observable": "gap-edge"},
+        "solver": {"mode": "gap", "max_iter": 1, "tol": 1e-14},
+    })
+    out = tmp_path / "out"
+    assert main(["scan", "--config", cfg, "--out", str(out)]) == 3
+    assert "solver:" in capsys.readouterr().err
+    assert read_summary(out)["checks"]["converged"] is False
+
+
+def test_domain_scan_runs_the_box_well(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "params": {"delta": 2.0},
+        "potential": {"type": "box", "a": 1.0, "b": 4.0, "value": -3.0},
+        "scan": {"axis": "domain", "values": [10.0, 20.0]},
+    })
+    out = tmp_path / "out"
+    assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    meta = read_summary(out)["detail"]["meta"]
+    assert meta["free"] is False
+    # the bound state's footprint shrinks as the domain grows
+    assert meta["participation"][1] < 0.5 * meta["participation"][0]
 
 
 def test_export_matrix_roundtrip(tmp_path, capsys):

@@ -15,7 +15,6 @@ from semidirac import (
     SpinorField,
     XOnlyPotential,
     inner_product,
-    quadrature_1d,
     sample,
 )
 
@@ -121,31 +120,6 @@ def test_inner_product_is_conjugate_symmetric():
     w = SpinorField(other, np.zeros((10, 13)), np.zeros((10, 13)))
     with pytest.raises(GridMismatchError):
         inner_product(u, w)
-
-
-def test_quadrature_exactness():
-    x = np.linspace(0.0, 1.0, 9)
-    assert quadrature_1d(2.0 * x + 1.0, order=2) == pytest.approx(2.0, rel=1e-14)
-    assert quadrature_1d(x**3, order=4) == pytest.approx(0.25, rel=1e-13)
-    # odd interval count exercises the 3/8 tail
-    x8 = np.linspace(0.0, 1.0, 8)
-    assert quadrature_1d(x8**3, order=4) == pytest.approx(0.25, rel=1e-13)
-
-
-def test_quadrature_orders():
-    f = lambda x: np.sin(3.0 * x)
-    exact = (1.0 - np.cos(3.0)) / 3.0
-    errs2, errs4 = [], []
-    for n in (17, 33):
-        x = np.linspace(0.0, 1.0, n)
-        errs2.append(abs(quadrature_1d(f(x), order=2) - exact))
-        errs4.append(abs(quadrature_1d(f(x), order=4) - exact))
-    assert errs2[0] / errs2[1] > 3.5
-    assert errs4[0] / errs4[1] > 12.0
-    with pytest.raises(ValueError):
-        quadrature_1d(np.zeros(5), order=3)
-    with pytest.raises(ValueError):
-        quadrature_1d(np.zeros(1), order=2)
 
 
 def test_box_potential_validation_and_sampling():

@@ -7,7 +7,6 @@ import pytest
 
 from semidirac import (
     CutoffProfile,
-    CutoffSequence,
     Params,
     PerturbationModel,
     SpinorTrial,
@@ -275,15 +274,6 @@ def test_profiles_that_break_admissibility_are_rejected():
         cutoff_derivative_integrals(8, overshoot)
     with pytest.raises(ValueError, match="knots"):
         smoothstep_profile(0.7, 0.3)
-
-
-def test_cutoff_sequence_wrapper():
-    seq = CutoffSequence(16)
-    r = np.array([2.0, 30.0, 300.0])
-    assert np.array_equal(seq(r), cutoff_g(16, r))
-    assert seq.derivative_integrals() == cutoff_derivative_integrals(16)
-    with pytest.raises(ValueError):
-        CutoffSequence(1)
     with pytest.raises(ValueError):
         cutoff_derivative_integrals(1)
 

@@ -51,12 +51,11 @@ def test_localization_classifier():
 
 
 def test_solver_config_validation():
-    g = Grid2D(-3.0, 3.0, 3.0, 13, 9)
-    SolverConfig(grid=g)
+    SolverConfig()
     with pytest.raises(ValueError):
-        SolverConfig(grid=g, k=0)
+        SolverConfig(k=0)
     with pytest.raises(ValueError):
-        SolverConfig(grid=g, tol=2.0)
+        SolverConfig(tol=2.0)
 
 
 def test_scan_result_container():
@@ -85,9 +84,7 @@ def test_convergence_study_validation():
 
 def depth_scan():
     grid = Grid2D(-9.0, 14.0, 14.0, 47, 29)
-    return scan_potential(
-        P2, 1.0, 1.0 + np.pi, [-4.0, -3.0, -2.0, 0.0], SolverConfig(grid=grid)
-    )
+    return scan_potential(P2, 1.0, 1.0 + np.pi, [-4.0, -3.0, -2.0, 0.0], grid)
 
 
 def test_potential_scan_against_frozen_run():
@@ -117,7 +114,7 @@ def test_potential_scan_agreement_is_one_sided():
     # a depth outside the sufficient window may still bind; that must
     # never be flagged as disagreement
     grid = Grid2D(-9.0, 14.0, 14.0, 47, 29)
-    res = scan_potential(P2, 1.0, 1.0 + np.pi, [-1.25], SolverConfig(grid=grid))
+    res = scan_potential(P2, 1.0, 1.0 + np.pi, [-1.25], grid)
     rec = res.records[0]
     assert rec["predicted"] is False
     assert rec["agreement"] is True
@@ -125,16 +122,15 @@ def test_potential_scan_agreement_is_one_sided():
 
 def test_potential_scan_placement_guards():
     grid = Grid2D(-9.0, 14.0, 14.0, 47, 29)
-    sol = SolverConfig(grid=grid)
     with pytest.raises(ValueError, match="outside the domain"):
-        scan_potential(P2, 10.0, 15.0, [-3.0], sol)
+        scan_potential(P2, 10.0, 15.0, [-3.0], grid)
     with pytest.raises(ValueError, match="margin"):
-        scan_potential(P2, 1.0, 9.0, [-3.0], sol)
+        scan_potential(P2, 1.0, 9.0, [-3.0], grid)
 
 
 def test_perturbation_scan_against_frozen_run():
     grid = Grid2D(-20.0, 20.0, 30.0, 81, 61)
-    res = scan_perturbation(P1, disk_perturbation(), [0.0, 1.0, 2.5], SolverConfig(grid=grid))
+    res = scan_perturbation(P1, disk_perturbation(), [0.0, 1.0, 2.5], grid)
     assert res.axis == "epsilon"
     assert res.all_agree()
     assert [r["predicted"] for r in res.records] == [False, True, True]
@@ -151,7 +147,7 @@ def test_perturbation_scan_requires_contained_support():
     grid = Grid2D(-20.0, 20.0, 30.0, 81, 61)
     model = disk_perturbation(center=(0.0, 25.0), radius=13.0)  # pokes above y_max
     with pytest.raises(ValueError, match="not contained"):
-        scan_perturbation(P1, model, [1.0], SolverConfig(grid=grid))
+        scan_perturbation(P1, model, [1.0], grid)
 
 
 def test_free_edge_state_stays_delocalized():
