@@ -37,7 +37,14 @@ from .eigensolve import (
     participation_ratio,
     y_decay_rate,
 )
-from .fiber import dispersion, fiber_edge, fiber_operator, union_edge
+from .fiber import (
+    dispersion,
+    fiber_edge,
+    fiber_operator,
+    fiber_spectra,
+    separable_spectrum,
+    union_edge,
+)
 from .lattice import (
     BoxPotential,
     Grid2D,

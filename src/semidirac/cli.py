@@ -31,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from .assembly import (
+    YGrid,
     assemble_H,
     assemble_H_eps,
     assemble_square_form,
@@ -40,11 +41,13 @@ from .assembly import (
 from .eigensolve import (
     DENSE_CAP_DEFAULT,
     ConvergenceError,
+    _check_k,
+    count_within,
     dense_eigs,
     gap_eigs,
     lowest_of_square,
 )
-from .fiber import fiber_edge, fiber_operator, union_edge
+from .fiber import fiber_edge, fiber_operator, fiber_spectra, union_edge
 from .lattice import BoxPotential, Grid2D, NoPotential, Params, XOnlyPotential
 from .quasimode import (
     aeps_divergence,
@@ -62,6 +65,7 @@ from .scan import (
     GAP_WINDOW_FRACTION,
     SCAN_COLUMNS,
     SolverConfig,
+    _check_domains,
     _check_ladder,
     _domain_grid,
     convergence_study,
@@ -526,6 +530,14 @@ def _require_grid(cfg: RunConfig) -> Grid2D:
     return cfg.grid
 
 
+def _check_solver_k(solver: SolverConfig, grid: Grid2D) -> None:
+    """solver.k against the operators on grid, by eigensolve's own rule."""
+    try:
+        _check_k(solver.k, grid.reduced_dim)
+    except ValueError as exc:
+        raise ConfigError("$.solver.k", str(exc)) from exc
+
+
 def _build_operator(cfg: RunConfig, which: str, grid: Grid2D):
     if which == "square-form":
         pot = cfg.potential(grid)
@@ -558,6 +570,8 @@ def cmd_spectrum(cfg: RunConfig) -> ResultBundle:
     mode = solver["mode"]
     bundle = ResultBundle("spectrum", cfg.canonical)
 
+    if mode != "dense":
+        _check_solver_k(cfg.solver(), grid)
     if mode == "square-form":
         op = _build_operator(cfg, "square-form", grid)
         rep = lowest_of_square(op, **asdict(cfg.solver()))
@@ -669,7 +683,16 @@ def _fiber_cross_check(cfg: RunConfig, grid: Grid2D, solver: SolverConfig) -> di
     }
 
 
-def _domain_potential(cfg: RunConfig, sc: dict):
+def _smallest_domain(sc: dict) -> Grid2D:
+    """The domain ladder's first rung; a ladder the probe refuses is a config error."""
+    try:
+        _check_domains(sc["values"])
+        return _domain_grid(sc["values"][0], sc["h"])
+    except ValueError as exc:
+        raise ConfigError("$.scan.values", str(exc)) from exc
+
+
+def _domain_potential(cfg: RunConfig, smallest: Grid2D):
     """The domain axis's potential: none, or a box that fits the smallest rung.
 
     Every rung has its own grid, so a potential sampled on one grid
@@ -680,7 +703,7 @@ def _domain_potential(cfg: RunConfig, sc: dict):
         return None
     if pot["type"] != "box":
         raise ConfigError("$.potential", "the domain axis accepts only none or box")
-    box, smallest = _potential(pot), _domain_grid(min(sc["values"]), sc["h"])
+    box = _potential(pot)
     try:
         box.validate_against(smallest)
     except ValueError as exc:
@@ -708,17 +731,15 @@ def cmd_scan(cfg: RunConfig) -> ResultBundle:
         bundle.extra["fitted_order"] = study.fitted_order
         bundle.extra["values"] = list(study.values)
     else:
+        grid = _smallest_domain(sc) if axis == "domain" else _require_grid(cfg)
+        _check_solver_k(solver, grid)
         if axis == "potential":
-            res = scan_potential(
-                cfg.params, sc["a"], sc["b"], sc["values"], _require_grid(cfg), solver
-            )
+            res = scan_potential(cfg.params, sc["a"], sc["b"], sc["values"], grid, solver)
         elif axis == "epsilon":
-            res = scan_perturbation(
-                cfg.params, cfg.perturbation(), sc["values"], _require_grid(cfg), solver
-            )
+            res = scan_perturbation(cfg.params, cfg.perturbation(), sc["values"], grid, solver)
         else:
             res = delocalization_probe(
-                cfg.params, sc["values"], h=sc["h"], potential=_domain_potential(cfg, sc),
+                cfg.params, sc["values"], h=sc["h"], potential=_domain_potential(cfg, grid),
                 solver=solver,
             )
         bundle.tables["scan.csv"] = (SCAN_COLUMNS, res.to_rows())
@@ -733,15 +754,43 @@ def cmd_scan(cfg: RunConfig) -> ResultBundle:
     return bundle
 
 
+def _inertia_bracket(op, xi: float, m: float, norm: float) -> dict:
+    """Certify m as the fiber's min |lambda| by two inertia counts.
+
+    No eigenvalue may lie within m - w of zero and exactly one within
+    m + w, w = 1e-10 ||M|| with ||M|| = max |lambda|: the scale of
+    dense_eigs' residual gate.  The single count at m + w also certifies
+    that the next level sqrt(c^2 + s_1^2) lies outside the bracket.  The
+    counts come from the assembled operator, so a wrong identity fails here
+    rather than landing in the table.  count_within factors M^2 - r^2 I,
+    whose roundoff is about eps ||M||^2 against a margin of 2 m w, so m
+    below about 1e-6 ||M|| cannot be certified and raises.  A radius at or
+    below zero holds no eigenvalue and is not factored.
+    """
+    w = 1e-10 * norm
+    radii = [m - w, m + w]
+    bracket = {"xi": xi, "radii": radii,
+               "counts": [count_within(op, r)["count"] if r > 0.0 else 0 for r in radii]}
+    if bracket["counts"] != [0, 1]:
+        raise ConvergenceError(
+            f"fiber xi = {xi}: {bracket['counts'][0]} eigenvalues within {radii[0]!r} "
+            f"and {bracket['counts'][1]} within {radii[1]!r}, expected 0 and 1 "
+            f"around min |lambda| = {m!r}",
+            [bracket],
+        )
+    return bracket
+
+
 def cmd_fiber(cfg: RunConfig) -> ResultBundle:
     f = cfg.canonical["fiber"]
     bundle = ResultBundle("fiber", cfg.canonical)
-    rows = []
-    for xi in f["xi_values"]:
+    edges = [fiber_edge(xi, cfg.params) for xi in f["xi_values"]]
+    spectra = fiber_spectra(edges, YGrid(f["y_max"], f["ny"]))
+    rows, brackets = [], []
+    for xi, edge, lam in zip(f["xi_values"], edges, spectra):
+        got = float(np.min(np.abs(lam)))
         op = fiber_operator(xi, cfg.params, f["ny"], f["y_max"])
-        rep = dense_eigs(op)
-        got = float(np.min(np.abs(rep.eigenvalues)))
-        edge = fiber_edge(xi, cfg.params)
+        brackets.append(_inertia_bracket(op, float(xi), got, float(np.abs(lam).max())))
         rows.append(
             {
                 "xi": float(xi),
@@ -751,6 +800,8 @@ def cmd_fiber(cfg: RunConfig) -> ResultBundle:
             }
         )
     bundle.tables["fiber.csv"] = (FIBER_COLUMNS, rows)
+    bundle.extra["min_abs_lambda_route"] = "fiber_spectra, certified by count_within"
+    bundle.extra["inertia_brackets"] = brackets
     xi = np.array(f["xi_values"], dtype=np.float64)
     has_zero = bool(np.any(xi == 0.0))
     if has_zero:

@@ -430,8 +430,13 @@ def nearest_eigenvalues(
     if not np.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
     matrix, parent = _as_matrix(op)
+    return _nearest(matrix, parent, _real_form(matrix, parent), sigma, k, tol, max_iter, seed)
+
+
+def _nearest(matrix, parent, real, sigma, k, tol, max_iter, seed) -> SpectrumReport:
+    """nearest_eigenvalues on (matrix, parent) with real = _real_form(matrix, parent)."""
     _check_k(k, matrix.shape[0])
-    work, basis = _real_form(matrix, parent)
+    work, basis = real
     certificate: dict = {"shift": float(sigma), "certified": False, "count": None}
     vals, vecs, history = _run_shift_invert(
         matrix, work, basis, sigma, k, tol, max_iter, seed, certificate
@@ -457,11 +462,15 @@ def lowest_of_square(
     positive form are the lowest ones.  count_below just above the k-th of
     them then certifies that none was skipped; the certificate keeps that
     inertia record under "below".  Raises ConvergenceError if fewer than k
-    pairs converge within max_iter solves or the count disagrees.
+    pairs converge within max_iter solves or the count disagrees.  Both
+    steps share one _real_form rotation.
     """
-    rep = nearest_eigenvalues(op, 0.0, k=k, tol=tol, max_iter=max_iter, seed=seed)
+    matrix, parent = _as_matrix(op)
+    real = _real_form(matrix, parent)
+    rep = _nearest(matrix, parent, real, 0.0, k, tol, max_iter, seed)
     top = float(rep.eigenvalues[-1])
-    below = count_below(op, top * (1.0 + 1e-9))
+    # the rotated matrix carries no parent, so count_below does not rotate again
+    below = count_below(real[0], top * (1.0 + 1e-9))
     if rep.k != k or below["count"] != k:
         raise ConvergenceError(
             f"shift-invert at 0 returned {rep.k} of {k} pairs within {max_iter} "

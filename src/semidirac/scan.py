@@ -354,6 +354,14 @@ def _domain_grid(L: float, h: float) -> Grid2D:
     return Grid2D(x_min=-L, x_max=L, y_max=L, nx=2 * n + 1, ny=n + 1)
 
 
+def _check_domains(domains) -> None:
+    if len(domains) < 2:
+        raise ValueError(f"domain ladder needs at least 2 rungs, got {len(domains)}")
+    for lo, hi in zip(domains, domains[1:]):
+        if hi <= lo:
+            raise ValueError(f"domain ladder is not increasing: {lo} before {hi}")
+
+
 def delocalization_probe(
     params: Params,
     domains,
@@ -371,12 +379,7 @@ def delocalization_probe(
     own; a box has to fit the smallest rung.
     """
     domains = [float(L) for L in domains]
-    if len(domains) < 2:
-        raise ValueError(f"domain ladder needs at least 2 rungs, got {len(domains)}")
-    for lo, hi in zip(domains, domains[1:]):
-        if hi <= lo:
-            raise ValueError(f"domain ladder is not increasing: {lo} before {hi}")
-
+    _check_domains(domains)
     free = potential is None
     records = [{"axis_value": L, "predicted": bool(free)} for L in domains]
 

@@ -24,7 +24,14 @@ from semidirac import (
     nearest_eigenvalues,
 )
 from semidirac.cli import render_csv
-from semidirac.fiber import fiber_edge, fiber_operator, union_edge
+from semidirac.assembly import YGrid
+from semidirac.fiber import (
+    fiber_edge,
+    fiber_operator,
+    fiber_spectra,
+    separable_spectrum,
+    union_edge,
+)
 from semidirac.quasimode import (
     a_eps_derived,
     a_eps_paper,
@@ -209,9 +216,13 @@ def test_07_fiber_2d_consistency():
     assert union == P1.delta
 
     op = fiber_operator(0.0, P1, ny=400, y_max=40.0)
-    got = float(np.min(np.abs(dense_eigs(op).eigenvalues)))
+    lam = dense_eigs(op).eigenvalues
+    got = float(np.min(np.abs(lam)))
     rel_fiber = abs(got - fiber_edge(0.0, P1)) / fiber_edge(0.0, P1)
     assert rel_fiber <= 0.05
+    # the exact discrete identity next to the continuum check
+    exact = fiber_spectra([fiber_edge(0.0, P1)], YGrid(40.0, 400))[0]
+    assert np.max(np.abs(lam - exact)) <= 1e-12 * np.max(np.abs(lam))
 
     grid = Grid2D(-20.0, 20.0, 20.0, 81, 41)
     T = assemble_T(grid, P1)
@@ -219,6 +230,8 @@ def test_07_fiber_2d_consistency():
     two_d = float(np.min(np.abs(near.eigenvalues)))
     rel_2d = abs(two_d - union) / union
     assert rel_2d <= 0.05
+    separable = float(np.min(np.abs(separable_spectrum(grid, P1))))
+    assert abs(two_d - separable) <= 1e-10 * separable
 
     elapsed = time.monotonic() - start
     assert elapsed < 120.0

@@ -5,6 +5,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semidirac.cli
 from semidirac import Grid2D, Params, SolverConfig, assemble_T, read_coordinate_text
 from semidirac.cli import (
     ConfigError,
@@ -134,6 +138,12 @@ def test_rejected_entries_name_their_exact_path(doc, path, message):
                   "scan": {"axis": "domain", "values": [10.0, 20.0]}}, "$.potential"),
         ("scan", {"potential": {"type": "box", "a": 1.0, "b": 12.0, "value": -3.0},
                   "scan": {"axis": "domain", "values": [10.0, 20.0]}}, "$.potential"),
+        # a domain ladder the probe cannot run is refused before any rung
+        ("scan", {"scan": {"axis": "domain", "values": [10.0]}}, "$.scan.values"),
+        ("scan", {"scan": {"axis": "domain", "values": [20.0, 10.0]}}, "$.scan.values"),
+        # k is bounded by the dimension, known once the grid is
+        ("spectrum", {"grid": {**BASE_GRID, "nx": 21, "ny": 11},
+                      "solver": {"mode": "gap", "k": 10**23}}, "$.solver.k"),
     ],
 )
 def test_rejected_entries_exit_2_through_the_driver(tmp_path, capsys, command, doc, path):
@@ -402,6 +412,75 @@ def test_fiber_run_hits_analytic_edges(tmp_path, capsys):
         xi, edge, got, rel = (float(v) for v in line.split(","))
         assert edge == xi * xi + 1.0
         assert rel < 1e-10
+
+
+@pytest.mark.parametrize("doc,edges", [
+    ({"params": {"delta": 1.0}, "fiber": {"xi_values": [-1.0, 0.0, 0.5], "ny": 80}},
+     (2.0, 1.0, 1.25)),
+    # delta = 1e-3 against ||M|| of about 10: a bracket of m (1 +- 1e-10) sits
+    # below the roundoff of the squared count, one of 1e-10 ||M|| does not
+    ({"params": {"delta": 1e-3}, "fiber": {"xi_values": [0.0, 0.1], "ny": 400, "y_max": 40.0}},
+     (1e-3, 1.1e-2)),
+], ids=["delta-1", "delta-1e-3"])
+def test_fiber_table_is_certified_by_inertia(tmp_path, capsys, monkeypatch, doc, edges):
+    def no_dense(*args, **kwargs):
+        raise AssertionError("the fiber table must not call dense_eigs")
+
+    monkeypatch.setattr(semidirac.cli, "dense_eigs", no_dense)
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["fiber", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    detail = read_summary(out)["detail"]
+    assert detail["min_abs_lambda_route"] == "fiber_spectra, certified by count_within"
+    brackets = detail["inertia_brackets"]
+    assert [b["xi"] for b in brackets] == doc["fiber"]["xi_values"]
+    for b, edge in zip(brackets, edges):
+        assert b["counts"] == [0, 1]
+        lo, hi = b["radii"]
+        assert lo < edge < hi
+        assert hi - edge == pytest.approx(edge - lo, rel=1e-3)
+
+
+def test_fiber_table_refuses_a_spectrum_the_inertia_contradicts(tmp_path, capsys, monkeypatch):
+    exact = semidirac.cli.fiber_spectra
+    monkeypatch.setattr(semidirac.cli, "fiber_spectra", lambda c, y: exact(c, y) + 1e-6)
+    cfg = write_config(tmp_path, {"params": {"delta": 1.0}, "fiber": {"ny": 80}})
+    out = tmp_path / "out"
+    assert main(["fiber", "--config", cfg, "--out", str(out)]) == 3
+    assert "expected 0 and 1" in capsys.readouterr().err
+    summary = read_summary(out)
+    assert summary["checks"] == {"converged": False}
+    assert summary["detail"]["history_tail"][0]["counts"] == [1, 1]
+    assert not (out / "fiber.csv").exists()
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The same fiber table and spectrum bytes under 1 and 2 OpenBLAS
+    threads; the thread count is set in each child's environment only."""
+    configs = {
+        "fiber": {"params": {"delta": 1.0}, "fiber": {"ny": 120}},
+        "spectrum": {"params": {"delta": 1.0}, "grid": {**BASE_GRID, "nx": 31, "ny": 17},
+                     "potential": {"type": "box", "a": 1.0, "b": 4.0, "value": -3.0},
+                     "solver": {"mode": "gap"}},
+    }
+    src = str(Path(semidirac.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outputs = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        for command, doc in configs.items():
+            cfg = write_config(tmp_path, doc, f"{command}.json")
+            out = tmp_path / f"{command}-{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "semidirac.cli", command, "--config", cfg, "--out", str(out)],
+                env=env, check=True, capture_output=True,
+            )
+            table = "fiber.csv" if command == "fiber" else "eigenvalues.csv"
+            outputs[command, threads] = (out / table).read_bytes()
+    for command in configs:
+        assert outputs[command, "1"] == outputs[command, "2"]
+    assert outputs["spectrum", "1"].count(b"\n") > 1
 
 
 def scan_doc():
