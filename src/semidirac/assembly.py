@@ -362,22 +362,47 @@ def apply(op: HermitianOperator, u: SpinorField) -> SpinorField:
     return op.vector_to_field(op.matrix @ z)
 
 
+# entries per joined piece of the export body
+_EXPORT_CHUNK = 8192
+
+
+def _texts(values: np.ndarray, spec: str = "") -> np.ndarray:
+    """format(v, spec) of each entry, called once per distinct bit pattern.
+
+    Grouping by bits rather than by value keeps -0.0 apart from 0.0.
+    """
+    values = np.ascontiguousarray(values)
+    bits, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+    texts = [format(v, spec) for v in bits.view(values.dtype).tolist()]
+    return np.array(texts, dtype=object)[inverse]
+
+
 def export_coordinate_text(op: HermitianOperator) -> str:
     """Serialize to coordinate text: header, dims line, one entry per line.
 
     Entries are 0-based (row, col, re, im), emitted in CSR order so equal
-    matrices serialize to equal bytes.
+    matrices serialize to equal bytes.  Values are grouped by bit pattern,
+    so each distinct real part, imaginary part and index is formatted
+    once (an operator holds a handful of distinct values), and the body
+    is joined _EXPORT_CHUNK entries at a time.
     """
     m = op.matrix.tocoo()
-    lines = ["%%MatrixMarket-compatible"]
-    lines.append(f"{m.shape[0]} {m.shape[1]} {m.nnz}")
-    for r, c, v in zip(m.row, m.col, m.data):
-        lines.append(f"{r} {c} {v.real:.17g} {v.imag:.17g}")
-    return "\n".join(lines) + "\n"
+    n = m.nnz
+    rows, cols = _texts(m.row), _texts(m.col)
+    re, im = _texts(m.data.real, ".17g"), _texts(m.data.imag, ".17g")
+    parts = [f"%%MatrixMarket-compatible\n{m.shape[0]} {m.shape[1]} {n}\n"]
+    for s in range(0, n, _EXPORT_CHUNK):
+        sl = slice(s, s + _EXPORT_CHUNK)
+        parts.append("".join(
+            f"{r} {c} {a} {b}\n" for r, c, a, b in zip(
+                rows[sl].tolist(), cols[sl].tolist(), re[sl].tolist(), im[sl].tolist())
+        ))
+    return "".join(parts)
 
 
 def read_coordinate_text(text: str) -> sp.csr_matrix:
-    """Inverse of export_coordinate_text (for round-trip checks)."""
+    """Inverse of export_coordinate_text (for round-trip checks), bit for
+    bit: complex(re, im) keeps the sign of a zero real part."""
     lines = text.strip().split("\n")
     if not lines[0].startswith("%%MatrixMarket-compatible"):
         raise ValueError("missing coordinate-format header line")
@@ -387,5 +412,5 @@ def read_coordinate_text(text: str) -> sp.csr_matrix:
         r, c, re, im = line.split()
         rows.append(int(r))
         cols.append(int(c))
-        vals.append(float(re) + 1j * float(im))
+        vals.append(complex(float(re), float(im)))
     return sp.csr_matrix((vals, (rows, cols)), shape=(nr, nc))

@@ -68,6 +68,7 @@ from .scan import (
     _check_domains,
     _check_ladder,
     _domain_grid,
+    _ladder_grid,
     convergence_study,
     delocalization_probe,
     free_edge,
@@ -354,7 +355,10 @@ _SCHEMA = Block({
              "x_half": (_number, _CONVERGENCE_DEFAULTS["x_half"]),
              "depth": (_number, _CONVERGENCE_DEFAULTS["depth"]),
              "box": (_shaped("a", "b", ordered=True), list(_CONVERGENCE_DEFAULTS["box"]))},
-            rules=(("$.scan.values", lambda s, c: _check_ladder(s["values"])),),
+            rules=(
+                ("$.scan.values", lambda s, c: _check_ladder(s["values"])),
+                ("$.scan.x_half", _must(lambda s, c: s["x_half"] > 0.0, "must be positive")),
+            ),
         ),
         "domain": Block(
             {"values": (_numbers, _REQUIRED),
@@ -692,6 +696,14 @@ def _smallest_domain(sc: dict) -> Grid2D:
         raise ConfigError("$.scan.values", str(exc)) from exc
 
 
+def _first_rung(sc: dict) -> Grid2D:
+    """The convergence ladder's coarsest grid; one too coarse for Grid2D is a config error."""
+    try:
+        return _ladder_grid(sc["values"][0], sc["x_half"], sc["x_half"])
+    except ValueError as exc:
+        raise ConfigError("$.scan.values", str(exc)) from exc
+
+
 def _domain_potential(cfg: RunConfig, smallest: Grid2D):
     """The domain axis's potential: none, or a box that fits the smallest rung.
 
@@ -720,6 +732,10 @@ def cmd_scan(cfg: RunConfig) -> ResultBundle:
     solver = cfg.solver()
 
     if axis == "convergence":
+        grid = _first_rung(sc)
+        # gap-edge reads two pairs whatever solver.k says
+        if sc["observable"] != "gap-edge":
+            _check_solver_k(solver, grid)
         study = convergence_study(
             sc["observable"], sc["values"], cfg.params,
             x_half=sc["x_half"], box=tuple(sc["box"]), depth=sc["depth"], solver=solver,

@@ -1,9 +1,11 @@
 """Quadrature-side checks: trial states evaluated from closed forms.
 
 Everything in this module works with analytic expressions integrated by
-Gauss-Legendre rules.  Nothing here touches the assembled matrices; the
-point is to have an independent route to the same physics so the grid
-side and the analytic side can be compared without shared failure modes.
+Gauss-Legendre rules; the unit rule of each order is computed once and
+cached (read-only), and only its map onto the interval runs per call.
+Nothing here touches the assembled matrices; the point is to have an
+independent route to the same physics so the grid side and the analytic
+side can be compared without shared failure modes.
 
 Contents:
 
@@ -28,6 +30,7 @@ Contents:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,13 +43,26 @@ from .lattice import Grid2D, Params, PerturbationField
 # quadrature helpers
 
 
+@functools.lru_cache(maxsize=16)
+def _unit_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1].
+
+    The rule depends on its order alone, and the orders are code
+    constants, so the cache stays small.  It fills on first use.
+    """
+    t, w = np.polynomial.legendre.leggauss(m)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
+
 def gauss_1d(a: float, b: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [a, b]."""
     if not m >= 1:
         raise ValueError(f"need at least one node, got {m}")
     if not b > a:
         raise ValueError(f"empty interval [{a}, {b}]")
-    t, w = np.polynomial.legendre.leggauss(m)
+    t, w = _unit_rule(m)
     half = 0.5 * (b - a)
     return a + half * (t + 1.0), half * w
 
@@ -240,6 +256,26 @@ def _check_branch(trial: WeylTrial, params: Params) -> None:
         )
 
 
+def _weyl_kernel(bump: BumpProfile, order: int):
+    """Weights, the partials (fy, fx, fxx) of the bump on the rule, and
+    their squared norms: everything a Weyl row needs that is free of (n, k)."""
+    X, Y, W = gauss_2d(bump.support, order, order)
+    parts = (bump.fy(X, Y), bump.fx(X, Y), bump.fxx(X, Y))
+    return W, parts, tuple(float(np.sum(W * g**2)) for g in parts)
+
+
+def _residual(kernel, n: int, k: float) -> float:
+    W, (gy, gx, gxx), _ = kernel
+    integrand = ((gy + 2.0 * k * gx) ** 2 + (gy - 2.0 * k * gx) ** 2) / n**2
+    integrand = integrand + 2.0 * gxx**2 / n**4
+    return float(np.sqrt(np.sum(W * integrand)))
+
+
+def _bound(kernel, n: int, k: float) -> float:
+    _, _, (ny2, nx2, nxx2) = kernel
+    return float(np.sqrt(2.0 * (ny2 + 4.0 * k * k * nx2) / n**2 + 2.0 * nxx2 / n**4))
+
+
 def weyl_residual(trial: WeylTrial, params: Params, order: int = 80) -> float:
     """|| (T - mu) psi_n || by quadrature of the closed-form integrand.
 
@@ -248,12 +284,7 @@ def weyl_residual(trial: WeylTrial, params: Params, order: int = 80) -> float:
     give the same value: the sign flips swap the two rows.
     """
     _check_branch(trial, params)
-    b, n, k = trial.bump, trial.n, trial.k
-    X, Y, W = gauss_2d(b.support, order, order)
-    gy, gx, gxx = b.fy(X, Y), b.fx(X, Y), b.fxx(X, Y)
-    integrand = ((gy + 2.0 * k * gx) ** 2 + (gy - 2.0 * k * gx) ** 2) / n**2
-    integrand = integrand + 2.0 * gxx**2 / n**4
-    return float(np.sqrt(np.sum(W * integrand)))
+    return _residual(_weyl_kernel(trial.bump, order), trial.n, trial.k)
 
 
 def weyl_bound(trial: WeylTrial, params: Params, order: int = 80) -> float:
@@ -264,18 +295,17 @@ def weyl_bound(trial: WeylTrial, params: Params, order: int = 80) -> float:
     quadrature accumulation order.
     """
     _check_branch(trial, params)
-    b, n, k = trial.bump, trial.n, trial.k
-    X, Y, W = gauss_2d(b.support, order, order)
-    ny2 = float(np.sum(W * b.fy(X, Y) ** 2))
-    nx2 = float(np.sum(W * b.fx(X, Y) ** 2))
-    nxx2 = float(np.sum(W * b.fxx(X, Y) ** 2))
-    return float(np.sqrt(2.0 * (ny2 + 4.0 * k * k * nx2) / n**2 + 2.0 * nxx2 / n**4))
+    return _bound(_weyl_kernel(trial.bump, order), trial.n, trial.k)
 
 
 def weyl_rows(mus, ns, params: Params, bump: BumpProfile | None = None, order: int = 80):
-    """Residual table rows over (mu, n); columns match the weyl CSV schema."""
+    """Residual table rows over (mu, n); columns match the weyl CSV schema.
+
+    The bump's partials and norms are evaluated once for the whole table.
+    """
     if bump is None:
         bump = product_bump()
+    kernel = _weyl_kernel(bump, order)
     rows = []
     for mu in mus:
         for n in ns:
@@ -286,8 +316,8 @@ def weyl_rows(mus, ns, params: Params, bump: BumpProfile | None = None, order: i
                     "k": trial.k,
                     "mu": trial.mu,
                     "branch": trial.sign,
-                    "residual": weyl_residual(trial, params, order),
-                    "bound_rhs": weyl_bound(trial, params, order),
+                    "residual": _residual(kernel, trial.n, trial.k),
+                    "bound_rhs": _bound(kernel, trial.n, trial.k),
                 }
             )
     return rows
@@ -614,6 +644,33 @@ def _aeps_fields(model: PerturbationModel, order: int):
     )
 
 
+def _derived_density(fields, eps: float, params: Params) -> np.ndarray:
+    _, _, _, w11, w12, w22 = fields
+    w21 = np.conj(w12)
+    d = params.delta
+    row1 = (d + eps * w11 + eps * w12.real) ** 2 + (eps * w12.imag) ** 2
+    row2 = (d + eps * w22 + eps * w21.real) ** 2 + (eps * w21.imag) ** 2
+    return row1 + row2 - 2.0 * d * d
+
+
+def _derived(fields, eps: float, params: Params) -> float:
+    return float(np.sum(fields[2] * _derived_density(fields, eps, params)))
+
+
+def _paper(fields, eps: float, params: Params) -> float:
+    _, _, W, w11, w12, w22 = fields
+    d = params.delta
+    e2 = eps * eps
+    integrand = (
+        e2 * w11**2
+        + e2 * (w12**2).real
+        + 4.0 * d * eps * w12.real
+        + e2 * (np.conj(w12) ** 2).real
+        + e2 * w22
+    )
+    return float(np.sum(W * integrand))
+
+
 def a_eps_derived(model: PerturbationModel, eps: float, params: Params, order: int = 120) -> float:
     """Second-order trial energy density integrated over the support.
 
@@ -622,12 +679,7 @@ def a_eps_derived(model: PerturbationModel, eps: float, params: Params, order: i
     + eps^2 (Im w12)^2 and the mirrored row term, minus the free value
     2 delta^2.  This is the variant the trial energies converge to.
     """
-    _, _, W, w11, w12, w22 = _aeps_fields(model, order)
-    w21 = np.conj(w12)
-    d = params.delta
-    row1 = (d + eps * w11 + eps * w12.real) ** 2 + (eps * w12.imag) ** 2
-    row2 = (d + eps * w22 + eps * w21.real) ** 2 + (eps * w21.imag) ** 2
-    return float(np.sum(W * (row1 + row2 - 2.0 * d * d)))
+    return _derived(_aeps_fields(model, order), eps, params)
 
 
 def a_eps_paper(model: PerturbationModel, eps: float, params: Params, order: int = 120) -> float:
@@ -641,24 +693,16 @@ def a_eps_paper(model: PerturbationModel, eps: float, params: Params, order: int
     diagonal entries vanish and w12 is real; the difference is flagged
     by aeps_divergence.
     """
-    _, _, W, w11, w12, w22 = _aeps_fields(model, order)
-    d = params.delta
-    e2 = eps * eps
-    integrand = (
-        e2 * w11**2
-        + e2 * (w12**2).real
-        + 4.0 * d * eps * w12.real
-        + e2 * (np.conj(w12) ** 2).real
-        + e2 * w22
-    )
-    return float(np.sum(W * integrand))
+    return _paper(_aeps_fields(model, order), eps, params)
 
 
 def aeps_divergence(model: PerturbationModel, eps: float, params: Params,
                     order: int = 120, rtol: float = 1e-9) -> dict:
-    """Evaluate both variants and flag a relative gap above rtol."""
-    paper = a_eps_paper(model, eps, params, order)
-    derived = a_eps_derived(model, eps, params, order)
+    """Evaluate both variants on one sampling of the fields and flag a
+    relative gap above rtol."""
+    fields = _aeps_fields(model, order)
+    paper = _paper(fields, eps, params)
+    derived = _derived(fields, eps, params)
     scale = max(abs(paper), abs(derived), 1e-30)
     return {
         "a_eps_paper": paper,
@@ -697,13 +741,10 @@ def trial_energy(model: PerturbationModel, eps: float, params: Params, n: int,
     vanishes identically), so once the plateau of g_n covers the support
     the value equals a_eps_derived exactly.
     """
-    X, Y, W, w11, w12, w22 = _aeps_fields(model, order)
-    w21 = np.conj(w12)
-    d = params.delta
+    fields = _aeps_fields(model, order)
+    X, Y, W = fields[:3]
     g2 = cutoff_g(n, np.hypot(X, Y), profile) ** 2
-    row1 = (d + eps * w11 + eps * w12.real) ** 2 + (eps * w12.imag) ** 2
-    row2 = (d + eps * w22 + eps * w21.real) ** 2 + (eps * w21.imag) ** 2
-    return float(np.sum(W * g2 * (row1 + row2 - 2.0 * d * d)))
+    return float(np.sum(W * g2 * _derived_density(fields, eps, params)))
 
 
 # ---------------------------------------------------------------------------

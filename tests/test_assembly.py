@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from semidirac import assembly
 from semidirac import (
     BoxPotential,
     Grid2D,
@@ -21,7 +26,9 @@ from semidirac import (
     box_perturbation,
     count_within,
     dense_eigs,
+    PerturbationField,
     export_coordinate_text,
+    fiber_operator,
     first_derivative_y,
     gap_eigs,
     lowest_of_square,
@@ -234,3 +241,79 @@ def test_coordinate_text_roundtrip_is_exact():
     assert int(dims[0]) == T.dim and int(dims[1]) == T.dim
     M = read_coordinate_text(text)
     assert abs(M - T.matrix).max() == 0.0
+
+
+def per_entry_text(op) -> str:
+    """The writer that formatted every entry on its own, kept as the oracle
+    for the grouped one."""
+    m = op.matrix.tocoo()
+    lines = ["%%MatrixMarket-compatible", f"{m.shape[0]} {m.shape[1]} {m.nnz}"]
+    for r, c, v in zip(m.row, m.col, m.data):
+        lines.append(f"{r} {c} {v.real:.17g} {v.imag:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_bits(a: sp.spmatrix, b: sp.spmatrix):
+    a, b = sp.csr_matrix(a, dtype=np.complex128), sp.csr_matrix(b, dtype=np.complex128)
+    assert a.shape == b.shape
+    assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data.view(np.uint64), b.data.view(np.uint64))
+
+
+@st.composite
+def exported_operators(draw):
+    """T, H with x-only Gaussian and box potentials, square forms, H_eps, fibers."""
+    params = Params(draw(st.floats(0.5, 2.5)))
+    kind = draw(st.sampled_from(["T", "H-gaussian", "H-box", "square", "H_eps", "fiber"]))
+    if kind == "fiber":
+        return fiber_operator(draw(st.floats(-2.0, 2.0)), params,
+                              draw(st.integers(4, 40)), draw(st.floats(2.0, 20.0)))
+    half = draw(st.floats(2.0, 6.0))
+    y_max = draw(st.floats(2.0, 6.0))
+    grid = Grid2D(-half, half, y_max, draw(st.integers(5, 15)), draw(st.integers(4, 9)))
+    height = draw(st.floats(-2.0, 2.0))
+    gaussian = XOnlyPotential.from_callable(grid, lambda x: height * np.exp(-x * x))
+    if kind == "T":
+        return assemble_T(grid, params)
+    if kind == "H-gaussian":
+        return assemble_H(grid, params, gaussian)
+    if kind == "H-box":
+        a = draw(st.floats(0.1, 1.0))
+        b = draw(st.floats(a + 0.5, min(half, y_max)))
+        return assemble_H(grid, params, BoxPotential(a, b, draw(st.floats(-4.0, 0.0))))
+    if kind == "square":
+        return assemble_square_form(grid, params, gaussian)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (grid.ny, grid.nx)
+    w12 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    field = PerturbationField(grid, rng.standard_normal(shape), w12, np.conj(w12),
+                              rng.standard_normal(shape))
+    return assemble_H_eps(grid, params, field, draw(st.floats(0.1, 2.0)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(op=exported_operators())
+def test_grouped_export_matches_the_per_entry_writer(op):
+    text = export_coordinate_text(op)
+    assert text == per_entry_text(op)
+    assert_same_bits(read_coordinate_text(text), op.matrix)
+
+
+@pytest.mark.parametrize("chunk", [7, 8192])
+def test_grouped_export_keeps_signed_zeros_and_repeats(monkeypatch, chunk):
+    # every sign of zero in both parts, values repeated across rows, and
+    # (at chunk 7) many joined pieces
+    monkeypatch.setattr(assembly, "_EXPORT_CHUNK", chunk)
+    vals = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                     0.0, 1.5 - 2.5j, 1.5 - 2.5j, -1.5, 0.1 + 0.1j, 1e-300, -7.0])
+    rng = np.random.default_rng(5)
+    n, nnz = 400, 3000
+    flat = rng.choice(n * n, nnz, replace=False)
+    M = sp.csr_matrix((rng.choice(vals, nnz), (flat // n, flat % n)), shape=(n, n))
+    op = SimpleNamespace(matrix=M)
+    text = export_coordinate_text(op)
+    assert text == per_entry_text(op)
+    assert_same_bits(read_coordinate_text(text), M)
+    assert " -0 0\n" in text and " 0 -0\n" in text and " -0 -0\n" in text
+    empty = SimpleNamespace(matrix=sp.csr_matrix((3, 3), dtype=np.complex128))
+    assert export_coordinate_text(empty) == per_entry_text(empty)

@@ -113,6 +113,8 @@ def test_top_level_must_be_object():
         # a negative seed and an integer past the float range
         ({"solver": {"mode": "gap", "seed": -1}}, "$.solver.seed", "must be >= 0"),
         ({"params": {"delta": 10**400}}, "$.params.delta", "too large"),
+        # the ladder's half-width is checked before its first rung is built
+        ({"scan": {"axis": "convergence", "values": [8, 16, 32], "observable": "gap-edge", "x_half": 0.0}}, "$.scan.x_half", "must be positive"),
     ],
 )
 def test_rejected_entries_name_their_exact_path(doc, path, message):
@@ -144,6 +146,13 @@ def test_rejected_entries_name_their_exact_path(doc, path, message):
         # k is bounded by the dimension, known once the grid is
         ("spectrum", {"grid": {**BASE_GRID, "nx": 21, "ny": 11},
                       "solver": {"mode": "gap", "k": 10**23}}, "$.solver.k"),
+        # the convergence ladder's first rung is built, and k checked
+        # against it, before any rung is solved
+        ("scan", {"scan": {"axis": "convergence", "values": [5, 9, 17],
+                           "observable": "gap-edge"}}, "$.scan.values"),
+        ("scan", {"scan": {"axis": "convergence", "values": [8, 16, 32],
+                           "observable": "bound-state-lambda"},
+                  "solver": {"mode": "gap", "k": 100000}}, "$.solver.k"),
     ],
 )
 def test_rejected_entries_exit_2_through_the_driver(tmp_path, capsys, command, doc, path):

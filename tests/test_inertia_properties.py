@@ -164,6 +164,33 @@ def conjugation_cases(draw):
     return assemble_H_eps(grid, params, field, draw(st.floats(0.1, 2.0))), symmetric
 
 
+def conjugation_defect(op) -> float:
+    """max |C M - M C| entrywise, for C(u1, u2) = (conj u2, conj u1).
+
+    C z = P conj(z), with P the involution that swaps each interior u1 slot
+    k with its u2 slot n + k - nx (n = dim - m, m = (dim - nx) / 2) and
+    fixes the nx merged edge unknowns, so C M = M C reads P conj(M) P = M.
+    """
+    layout = op.grid if op.grid is not None else op.ygrid
+    m = (op.dim - layout.nx) // 2
+    n = op.dim - m
+    perm = np.concatenate([np.arange(layout.nx), np.arange(n, op.dim), np.arange(layout.nx, n)])
+    swapped = op.matrix.conj()[perm][:, perm]
+    return float(abs(swapped - op.matrix).max())
+
+
+@PROPERTY
+@given(case=conjugation_cases())
+def test_antiunitary_invariant_is_exact(case):
+    op, symmetric = case
+    assert op.sym_defect == 0.0
+    defect = conjugation_defect(op)
+    assert (defect == 0.0) == symmetric
+    if not symmetric:
+        # w11 != w22 breaks it at the scale of the perturbation, not roundoff
+        assert defect > 1e-3
+
+
 @PROPERTY
 @given(case=conjugation_cases())
 def test_conjugation_basis_makes_symmetric_operators_real(case):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,8 @@ from semidirac import (
     weyl_rows,
     weyl_trial,
 )
+from semidirac import quasimode
+from semidirac.cli import cmd_quasimode, parse_config
 from semidirac.quasimode import (
     gauss_1d,
     gauss_2d,
@@ -60,6 +64,41 @@ def test_gauss_rules_are_exact_on_polynomials():
         gauss_1d(1.0, 1.0, 4)
     with pytest.raises(ValueError):
         gauss_1d(0.0, 1.0, 0)
+
+
+@pytest.mark.parametrize("m", [1, 6, 64, 80, 120, 160, 240])
+@pytest.mark.parametrize("a,b", [(0.0, 2.0), (-2.5, 2.5), (1.2, 3.7)])
+def test_gauss_1d_is_the_mapped_leggauss_bit_for_bit(m, a, b):
+    t, w = np.polynomial.legendre.leggauss(m)
+    half = 0.5 * (b - a)
+    for _ in range(2):  # the first call may fill the cache, the second reads it
+        x, wx = gauss_1d(a, b, m)
+        assert np.array_equal(x.view(np.uint64), (a + half * (t + 1.0)).view(np.uint64))
+        assert np.array_equal(wx.view(np.uint64), (half * w).view(np.uint64))
+
+
+def test_cached_unit_rules_refuse_writes():
+    for arr in quasimode._unit_rule(80):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    # the mapped rule is the caller's own array
+    x, w = gauss_1d(0.0, 1.0, 80)
+    x[0] = w[0] = 0.0
+    assert gauss_1d(0.0, 1.0, 80)[0][0] != 0.0
+
+
+def test_quasimode_solves_each_gauss_order_once(monkeypatch):
+    calls = Counter()
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(m):
+        calls[m] += 1
+        return leggauss(m)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    quasimode._unit_rule.cache_clear()
+    cmd_quasimode(parse_config({"params": {"delta": 1.0}}))
+    assert calls and max(calls.values()) == 1
 
 
 def test_mollifier_support_and_derivatives():
@@ -147,6 +186,17 @@ def test_weyl_slopes_scale_like_inverse_n():
             slope = fit_slope(ns, [r["residual"] for r in sel])
             assert slope == pytest.approx(want, rel=1e-9)
             assert -1.05 <= slope <= -0.95
+
+
+@pytest.mark.parametrize("bump", [product_bump(), disk_bump()])
+def test_weyl_rows_equal_per_row_residual_and_bound(bump):
+    mus, ns = [1.0, 2.0, -5.0], [4, 8, 32]
+    rows = weyl_rows(mus, ns, P1, bump, order=60)
+    assert [(r["mu"], r["n"]) for r in rows] == [(mu, n) for mu in mus for n in ns]
+    for row in rows:
+        trial = weyl_trial(row["mu"], row["n"], P1, bump)
+        assert row["residual"] == weyl_residual(trial, P1, order=60)
+        assert row["bound_rhs"] == weyl_bound(trial, P1, order=60)
 
 
 def test_fit_slope_demands_usable_data():
@@ -314,6 +364,9 @@ def test_complex_coupling_splits_the_variants():
         w11=zero, w12=w12, w22=zero, support=(-1.0, 1.0, 0.5, 1.5), label="twisted box"
     )
     rep = aeps_divergence(model, 0.3, P1)
+    # one sampling of the fields serves both variants, bit for bit
+    assert rep["a_eps_paper"] == a_eps_paper(model, 0.3, P1)
+    assert rep["a_eps_derived"] == a_eps_derived(model, 0.3, P1)
     assert rep["diverges"] is True
     assert rep["rel_gap"] > 1e-3
     assert rep["a_eps_paper"] != pytest.approx(rep["a_eps_derived"], rel=1e-6)
