@@ -29,6 +29,7 @@ eigenvalue counts, not continuum multiplicities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -192,6 +193,19 @@ class HermitianOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def real_form(self) -> tuple:
+        """(U^H M U).real and U, U = conjugation_basis(self), if exactly real,
+        else (M, None), as for H_eps with w11 != w22.  Spectrum and inertia
+        are those of M; eigenvectors map back as U z.  Cached, so every
+        solve and count on one operator shares one rotation.
+        """
+        basis = conjugation_basis(self)
+        rotated = (basis.conj().T @ self.matrix @ basis).tocsr()
+        if not rotated.data.imag.any():
+            return rotated.real, basis
+        return self.matrix, None
 
     @property
     def sym_defect(self) -> float:

@@ -28,10 +28,10 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse.linalg import norm as sparse_norm
 
 from . import __version__
 from .assembly import (
-    YGrid,
     assemble_H,
     assemble_H_eps,
     assemble_square_form,
@@ -47,7 +47,7 @@ from .eigensolve import (
     gap_eigs,
     lowest_of_square,
 )
-from .fiber import fiber_edge, fiber_operator, fiber_spectra, union_edge
+from .fiber import fiber_edge, fiber_operator, union_edge
 from .lattice import BoxPotential, Grid2D, NoPotential, Params, XOnlyPotential
 from .quasimode import (
     aeps_divergence,
@@ -59,14 +59,17 @@ from .quasimode import (
     fit_slope,
     product_bump,
     weyl_rows,
+    weyl_trial,
 )
 from .scan import (
     CONVERGENCE_COLUMNS,
     GAP_WINDOW_FRACTION,
     SCAN_COLUMNS,
     SolverConfig,
+    _check_box,
     _check_domains,
     _check_ladder,
+    _check_support,
     _domain_grid,
     _ladder_grid,
     convergence_study,
@@ -404,7 +407,11 @@ class RunConfig:
     grid: Grid2D | None
 
     def potential(self, grid: Grid2D):
-        return _potential(self.canonical["potential"], grid)
+        """The potential on grid; a box that does not fit it is a config error."""
+        pot = _potential(self.canonical["potential"], grid)
+        if isinstance(pot, BoxPotential):
+            _refused_at("$.potential", pot.validate_against, grid)
+        return pot
 
     def perturbation(self):
         b = self.canonical.get("perturbation")
@@ -534,12 +541,13 @@ def _require_grid(cfg: RunConfig) -> Grid2D:
     return cfg.grid
 
 
-def _check_solver_k(solver: SolverConfig, grid: Grid2D) -> None:
-    """solver.k against the operators on grid, by eigensolve's own rule."""
+def _refused_at(path: str, check, *args):
+    """check(*args), a ValueError it raises becoming a config error at path:
+    a precondition that needs the grid or another block exits 2, not 1."""
     try:
-        _check_k(solver.k, grid.reduced_dim)
+        return check(*args)
     except ValueError as exc:
-        raise ConfigError("$.solver.k", str(exc)) from exc
+        raise ConfigError(path, str(exc)) from exc
 
 
 def _build_operator(cfg: RunConfig, which: str, grid: Grid2D):
@@ -575,7 +583,7 @@ def cmd_spectrum(cfg: RunConfig) -> ResultBundle:
     bundle = ResultBundle("spectrum", cfg.canonical)
 
     if mode != "dense":
-        _check_solver_k(cfg.solver(), grid)
+        _refused_at("$.solver.k", _check_k, cfg.solver().k, grid.reduced_dim)
     if mode == "square-form":
         op = _build_operator(cfg, "square-form", grid)
         rep = lowest_of_square(op, **asdict(cfg.solver()))
@@ -614,8 +622,12 @@ def cmd_spectrum(cfg: RunConfig) -> ResultBundle:
 
 def cmd_quasimode(cfg: RunConfig) -> ResultBundle:
     q = cfg.canonical["quasimode"]
-    bundle = ResultBundle("quasimode", cfg.canonical)
     bump = product_bump() if q["bump"] == "product" else disk_bump()
+    for i, mu in enumerate(q["weyl_mus"]):
+        _refused_at(f"$.quasimode.weyl_mus[{i}]", weyl_trial, mu, 1, cfg.params, bump)
+    if len(set(q["weyl_ns"])) < 2:
+        raise ConfigError("$.quasimode.weyl_ns", "need at least two distinct scales to fit a slope")
+    bundle = ResultBundle("quasimode", cfg.canonical)
 
     rows = weyl_rows(q["weyl_mus"], q["weyl_ns"], cfg.params, bump)
     bundle.tables["weyl.csv"] = (WEYL_COLUMNS, rows)
@@ -671,13 +683,13 @@ def cmd_quasimode(cfg: RunConfig) -> ResultBundle:
     return bundle
 
 
-def _fiber_cross_check(cfg: RunConfig, grid: Grid2D, solver: SolverConfig) -> dict:
-    """2D free edge against the fiber union at the same delta."""
+def _fiber_cross_check(cfg: RunConfig, grid: Grid2D) -> dict:
+    """2D free edge (scan.free_edge: no eigensolver) against the fiber union at the same delta."""
     xi = np.array(cfg.canonical["fiber"]["xi_values"], dtype=np.float64)
     if not np.any(xi == 0.0):
         xi = np.concatenate([xi, [0.0]])
     union = union_edge(xi, cfg.params)
-    two_d = free_edge(grid, cfg.params, solver)
+    two_d = free_edge(grid, cfg.params)
     rel = abs(two_d - union) / union
     return {
         "union_edge": union,
@@ -687,40 +699,18 @@ def _fiber_cross_check(cfg: RunConfig, grid: Grid2D, solver: SolverConfig) -> di
     }
 
 
-def _smallest_domain(sc: dict) -> Grid2D:
-    """The domain ladder's first rung; a ladder the probe refuses is a config error."""
-    try:
-        _check_domains(sc["values"])
-        return _domain_grid(sc["values"][0], sc["h"])
-    except ValueError as exc:
-        raise ConfigError("$.scan.values", str(exc)) from exc
-
-
-def _first_rung(sc: dict) -> Grid2D:
-    """The convergence ladder's coarsest grid; one too coarse for Grid2D is a config error."""
-    try:
-        return _ladder_grid(sc["values"][0], sc["x_half"], sc["x_half"])
-    except ValueError as exc:
-        raise ConfigError("$.scan.values", str(exc)) from exc
-
-
 def _domain_potential(cfg: RunConfig, smallest: Grid2D):
     """The domain axis's potential: none, or a box that fits the smallest rung.
 
     Every rung has its own grid, so a potential sampled on one grid
     (xonly_gaussian) has no meaning there.
     """
-    pot = cfg.canonical["potential"]
-    if pot["type"] == "none":
+    kind = cfg.canonical["potential"]["type"]
+    if kind == "none":
         return None
-    if pot["type"] != "box":
+    if kind != "box":
         raise ConfigError("$.potential", "the domain axis accepts only none or box")
-    box = _potential(pot)
-    try:
-        box.validate_against(smallest)
-    except ValueError as exc:
-        raise ConfigError("$.potential", f"{exc} at the smallest domain") from exc
-    return box
+    return cfg.potential(smallest)
 
 
 def cmd_scan(cfg: RunConfig) -> ResultBundle:
@@ -732,10 +722,16 @@ def cmd_scan(cfg: RunConfig) -> ResultBundle:
     solver = cfg.solver()
 
     if axis == "convergence":
-        grid = _first_rung(sc)
-        # gap-edge reads two pairs whatever solver.k says
+        # the ladder's coarsest grid, built before any rung is solved
+        grid = _refused_at("$.scan.values", _ladder_grid,
+                           sc["values"][0], sc["x_half"], sc["x_half"])
+        # gap-edge calls no eigensolver
         if sc["observable"] != "gap-edge":
-            _check_solver_k(solver, grid)
+            _refused_at("$.solver.k", _check_k, solver.k, grid.reduced_dim)
+        if sc["observable"] == "bound-state-lambda":
+            # every rung spans the first rung's domain
+            box = _refused_at("$.scan.box", BoxPotential, *sc["box"], sc["depth"])
+            _refused_at("$.scan.box", box.validate_against, grid)
         study = convergence_study(
             sc["observable"], sc["values"], cfg.params,
             x_half=sc["x_half"], box=tuple(sc["box"]), depth=sc["depth"], solver=solver,
@@ -747,12 +743,19 @@ def cmd_scan(cfg: RunConfig) -> ResultBundle:
         bundle.extra["fitted_order"] = study.fitted_order
         bundle.extra["values"] = list(study.values)
     else:
-        grid = _smallest_domain(sc) if axis == "domain" else _require_grid(cfg)
-        _check_solver_k(solver, grid)
+        if axis == "domain":
+            _refused_at("$.scan.values", _check_domains, sc["values"])
+            grid = _refused_at("$.scan.values", _domain_grid, sc["values"][0], sc["h"])
+        else:
+            grid = _require_grid(cfg)
+        _refused_at("$.solver.k", _check_k, solver.k, grid.reduced_dim)
         if axis == "potential":
+            _refused_at("$.scan", _check_box, sc["a"], sc["b"], grid)
             res = scan_potential(cfg.params, sc["a"], sc["b"], sc["values"], grid, solver)
         elif axis == "epsilon":
-            res = scan_perturbation(cfg.params, cfg.perturbation(), sc["values"], grid, solver)
+            model = cfg.perturbation()
+            _refused_at("$.perturbation", _check_support, model, grid)
+            res = scan_perturbation(cfg.params, model, sc["values"], grid, solver)
         else:
             res = delocalization_probe(
                 cfg.params, sc["values"], h=sc["h"], potential=_domain_potential(cfg, grid),
@@ -764,18 +767,19 @@ def cmd_scan(cfg: RunConfig) -> ResultBundle:
         bundle.extra["meta"] = res.meta
 
     if cfg.grid is not None:
-        cross = _fiber_cross_check(cfg, cfg.grid, solver)
+        cross = _fiber_cross_check(cfg, cfg.grid)
         bundle.extra["fiber_cross_check"] = cross
         bundle.checks["fiber_cross_check"] = cross["within_5pct"]
     return bundle
 
 
-def _inertia_bracket(op, xi: float, m: float, norm: float) -> dict:
+def _inertia_bracket(op, xi: float, m: float) -> dict:
     """Certify m as the fiber's min |lambda| by two inertia counts.
 
     No eigenvalue may lie within m - w of zero and exactly one within
-    m + w, w = 1e-10 ||M|| with ||M|| = max |lambda|: the scale of
-    dense_eigs' residual gate.  The single count at m + w also certifies
+    m + w, w = 1e-10 ||M||_inf of the assembled fiber: the scale of
+    dense_eigs' residual gate, read off the matrix without a solve
+    (||M||_inf >= max |lambda|).  The single count at m + w also certifies
     that the next level sqrt(c^2 + s_1^2) lies outside the bracket.  The
     counts come from the assembled operator, so a wrong identity fails here
     rather than landing in the table.  count_within factors M^2 - r^2 I,
@@ -783,7 +787,7 @@ def _inertia_bracket(op, xi: float, m: float, norm: float) -> dict:
     below about 1e-6 ||M|| cannot be certified and raises.  A radius at or
     below zero holds no eigenvalue and is not factored.
     """
-    w = 1e-10 * norm
+    w = 1e-10 * sparse_norm(op.matrix, np.inf)
     radii = [m - w, m + w]
     bracket = {"xi": xi, "radii": radii,
                "counts": [count_within(op, r)["count"] if r > 0.0 else 0 for r in radii]}
@@ -800,23 +804,18 @@ def _inertia_bracket(op, xi: float, m: float, norm: float) -> dict:
 def cmd_fiber(cfg: RunConfig) -> ResultBundle:
     f = cfg.canonical["fiber"]
     bundle = ResultBundle("fiber", cfg.canonical)
-    edges = [fiber_edge(xi, cfg.params) for xi in f["xi_values"]]
-    spectra = fiber_spectra(edges, YGrid(f["y_max"], f["ny"]))
     rows, brackets = [], []
-    for xi, edge, lam in zip(f["xi_values"], edges, spectra):
-        got = float(np.min(np.abs(lam)))
+    for xi in f["xi_values"]:
+        # the fiber's unpaired eigenvalue is its coupling xi^2 + delta, and
+        # none is smaller in size (fiber module docstring)
+        edge = fiber_edge(xi, cfg.params)
         op = fiber_operator(xi, cfg.params, f["ny"], f["y_max"])
-        brackets.append(_inertia_bracket(op, float(xi), got, float(np.abs(lam).max())))
-        rows.append(
-            {
-                "xi": float(xi),
-                "edge_analytic": edge,
-                "min_abs_lambda": got,
-                "rel_err": abs(got - edge) / edge,
-            }
-        )
+        brackets.append(_inertia_bracket(op, float(xi), edge))
+        rows.append({"xi": float(xi), "edge_analytic": edge, "min_abs_lambda": edge,
+                     "rel_err": 0.0})
     bundle.tables["fiber.csv"] = (FIBER_COLUMNS, rows)
-    bundle.extra["min_abs_lambda_route"] = "fiber_spectra, certified by count_within"
+    bundle.extra["min_abs_lambda_route"] = (
+        "unpaired eigenvalue xi^2 + delta, certified by count_within")
     bundle.extra["inertia_brackets"] = brackets
     xi = np.array(f["xi_values"], dtype=np.float64)
     has_zero = bool(np.any(xi == 0.0))

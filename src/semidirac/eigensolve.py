@@ -1,8 +1,9 @@
 """Eigensolvers and localization diagnostics.
 
 Every route runs in real arithmetic wherever the antiunitary symmetry
-makes the rotated matrix real (_real_form; certificate["arithmetic"]), and
-every sparse route factors a shifted matrix with SuperLU
+makes the rotated matrix real (HermitianOperator.real_form, cached per
+operator; certificate["arithmetic"]), and every sparse route factors a
+shifted matrix with SuperLU
 (scipy.sparse.linalg.splu) and nothing else:
 
 * ``dense_eigs``: full spectrum through LAPACK, the oracle route for
@@ -35,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .assembly import HermitianOperator, conjugation_basis, edge_embedding
+from .assembly import HermitianOperator, edge_embedding
 
 DENSE_CAP_DEFAULT = 4000
 
@@ -72,13 +73,13 @@ class SpectrumReport:
 
 
 def _as_matrix(op):
-    """Accept HermitianOperator, sparse matrix, or dense array.
-
-    Other input is promoted to at least double precision, so the solves
-    run in float64 or complex128 whatever the caller's dtype.
+    """(M, parent, R, U): the matrix, its HermitianOperator and (R, U) = its
+    real_form.  A bare sparse or dense matrix gives (M, None, M, None),
+    promoted to at least double precision so the solves run in float64 or
+    complex128 whatever the caller's dtype.
     """
     if isinstance(op, HermitianOperator):
-        return op.matrix, op
+        return (op.matrix, op, *op.real_form)
     if sp.issparse(op):
         m = op.tocsr()
     else:
@@ -86,7 +87,8 @@ def _as_matrix(op):
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         m = sp.csr_matrix(m)
-    return m.astype(np.result_type(m.dtype, np.float64), copy=False), None
+    m = m.astype(np.result_type(m.dtype, np.float64), copy=False)
+    return m, None, m, None
 
 
 def _inf_norm(m: sp.csr_matrix) -> float:
@@ -166,34 +168,18 @@ def _build_report(matrix, parent, vals, vecs, method, certificate=None):
     return SpectrumReport(vals, vecs, residuals, pr, yd, method, certificate)
 
 
-def _real_form(matrix: sp.csr_matrix, parent):
-    """(U^H M U).real and U, U = conjugation_basis(parent), if exactly real.
-
-    True for every operator the antiunitary symmetry commutes with; H_eps
-    with w11 != w22 and bare matrices (no parent) give (M, None).  Spectrum
-    and inertia are those of M; eigenvectors map back as U z.
-    """
-    if parent is not None:
-        basis = conjugation_basis(parent)
-        rotated = (basis.conj().T @ matrix @ basis).tocsr()
-        if not rotated.data.imag.any():
-            return rotated.real, basis
-    return matrix, None
-
-
 def dense_eigs(op, cap: int = DENSE_CAP_DEFAULT) -> SpectrumReport:
     """Full spectrum by dense Hermitian eigendecomposition (oracle route).
 
-    Refuses dimensions above cap.  LAPACK runs on _real_form(M), in real
+    Refuses dimensions above cap.  LAPACK runs on the real form R, in real
     arithmetic except for H_eps with w11 != w22 and plain complex input;
     certificate["arithmetic"] says which.  Residuals are recomputed from the
     input matrix and must sit at roundoff level, else this raises.
     """
-    matrix, parent = _as_matrix(op)
+    matrix, parent, work, basis = _as_matrix(op)
     n = matrix.shape[0]
     if n > cap:
         raise ValueError(f"dimension {n} exceeds dense solver cap {cap}")
-    work, basis = _real_form(matrix, parent)
     vals, vecs = np.linalg.eigh(work.toarray())
     vecs = vecs if basis is None else basis @ vecs
     certificate = {"arithmetic": "complex" if work.dtype.kind == "c" else "real"}
@@ -253,7 +239,7 @@ def _inertia(matrix: sp.csr_matrix, shift: float) -> dict:
 def count_within(op, radius: float) -> dict:
     """Certified count of eigenvalues with |lambda| < radius.
 
-    Computed as the inertia of R @ R - radius^2 I, R = _real_form(M), real
+    Computed as the inertia of R @ R - radius^2 I, R the real form of M, real
     wherever the antiunitary symmetry allows.  The square is positive
     semidefinite with strictly positive diagonal, and its pivot signs count
     the squared eigenvalues below radius^2.  The certificate carries the
@@ -263,7 +249,7 @@ def count_within(op, radius: float) -> dict:
     """
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be positive, got {radius}")
-    work, _ = _real_form(*_as_matrix(op))
+    work = _as_matrix(op)[2]
     shift = float(radius) ** 2
     window = _inertia((work @ work).tocsr(), shift)
     return {"radius": float(radius), "shift_squared": shift, **window}
@@ -280,7 +266,7 @@ def count_below(op, threshold: float) -> dict:
     """
     if not np.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
-    work, _ = _real_form(*_as_matrix(op))
+    work = _as_matrix(op)[2]
     shift = float(threshold)
     return {"threshold": shift, "shift": shift, **_inertia(work, shift)}
 
@@ -295,7 +281,7 @@ class _SolveBudgetSpent(Exception):
 def _run_shift_invert(matrix, work, basis, sigma, want, tol, max_iter, seed, certificate):
     """Shared driver: factor R - sigma I once, then ARPACK on its inverse.
 
-    (work, basis) = (R, U) = _real_form(M): factors and start vector keep
+    (work, basis) = (R, U), the real form of M: factors and start vector keep
     R's dtype and the vectors map back as U z.  The counted solve enforces
     the cap of max_iter solves and stops the run once it is spent.  ARPACK's
     own maxiter counts restarts, each costing at least one solve, so with
@@ -365,22 +351,21 @@ def gap_eigs(
     inertia, so an empty window returns immediately with a certified zero
     and a certified shortfall raises ConvergenceError.  Asymmetric
     intervals search without a certificate and report count None.  The
-    count and the ARPACK shift-invert at the midpoint share one _real_form
+    count and the ARPACK shift-invert at the midpoint share one real_form
     rotation (certificate["arithmetic"]); max_iter caps the number of
     solves and tol is relative to an infinity-norm estimate of M.  k must
     stay below dim - 1.
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"bad interval [{lo}, {hi}]")
-    matrix, parent = _as_matrix(op)
+    matrix, parent, work, basis = _as_matrix(op)
     n = matrix.shape[0]
     _check_k(k, n)
-    work, basis = _real_form(matrix, parent)
     sigma = 0.5 * (lo + hi)
     certificate: dict = {"interval": [float(lo), float(hi)],
                          "certified": False, "count": None}
     if abs(lo + hi) <= 1e-12 * max(abs(lo), abs(hi)):
-        window = count_within(work, 0.5 * (hi - lo))
+        window = count_within(op, 0.5 * (hi - lo))
         certificate.update(window, certified=True)
         if window["count"] == 0:
             return _build_report(
@@ -429,14 +414,8 @@ def nearest_eigenvalues(
     """
     if not np.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
-    matrix, parent = _as_matrix(op)
-    return _nearest(matrix, parent, _real_form(matrix, parent), sigma, k, tol, max_iter, seed)
-
-
-def _nearest(matrix, parent, real, sigma, k, tol, max_iter, seed) -> SpectrumReport:
-    """nearest_eigenvalues on (matrix, parent) with real = _real_form(matrix, parent)."""
+    matrix, parent, work, basis = _as_matrix(op)
     _check_k(k, matrix.shape[0])
-    work, basis = real
     certificate: dict = {"shift": float(sigma), "certified": False, "count": None}
     vals, vecs, history = _run_shift_invert(
         matrix, work, basis, sigma, k, tol, max_iter, seed, certificate
@@ -463,14 +442,11 @@ def lowest_of_square(
     them then certifies that none was skipped; the certificate keeps that
     inertia record under "below".  Raises ConvergenceError if fewer than k
     pairs converge within max_iter solves or the count disagrees.  Both
-    steps share one _real_form rotation.
+    steps share one real_form rotation.
     """
-    matrix, parent = _as_matrix(op)
-    real = _real_form(matrix, parent)
-    rep = _nearest(matrix, parent, real, 0.0, k, tol, max_iter, seed)
+    rep = nearest_eigenvalues(op, 0.0, k, tol, max_iter, seed)
     top = float(rep.eigenvalues[-1])
-    # the rotated matrix carries no parent, so count_below does not rotate again
-    below = count_below(real[0], top * (1.0 + 1e-9))
+    below = count_below(op, top * (1.0 + 1e-9))
     if rep.k != k or below["count"] != k:
         raise ConvergenceError(
             f"shift-invert at 0 returned {rep.k} of {k} pairs within {max_iter} "

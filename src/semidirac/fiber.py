@@ -13,8 +13,8 @@ edge = xi^2 + delta, and the union over xi touches the gap exactly at
 of the 2D spectrum edge at a tiny fraction of the 2D cost.
 
 The discrete fibers have a closed-form spectrum.  In the real basis of
-the antiunitary symmetry (eigensolve._real_form) a fiber with coupling c
-is exactly
+the antiunitary symmetry (HermitianOperator.real_form) a fiber with
+coupling c is exactly
 
     R = [[c I_ny, B], [B^T, -c I_(ny-1)]],
 
@@ -26,11 +26,14 @@ fiber_spectra computes them once per y grid and serves every coupling
 from that one solve.  Because the x weights are uniform, the x factor of
 T and of an x-only H is the one symmetric matrix Kx + diag(vx); each of
 its eigenvalues mu gives a fiber with c = mu + delta, and the union of
-those fibers is the exact discrete spectrum (separable_spectrum).  The
-identity is an oracle, not a certificate: the fiber table certifies each
-min |lambda| it reads from it by Sylvester inertia on the assembled fiber
-(cli.cmd_fiber), and the tests hold it against eigvalsh and against the
-inertia counts of the 2D assemblies.
+those fibers is the exact discrete spectrum (separable_spectrum).  Since
+sqrt(c^2 + s_i^2) >= |c|, the unpaired c is also the smallest eigenvalue
+in size: the fiber table reads each fiber's min |lambda| as xi^2 + delta,
+and scan.free_edge the free 2D edge as delta + lambda_min(Kx), with no
+solve.  The identity is an oracle, not a certificate: the fiber table
+certifies each m it reads by Sylvester inertia on the assembled fiber
+(cli.cmd_fiber), and the tests hold it against eigvalsh, the inertia
+counts of the 2D assemblies and shift-invert at the 2D edge.
 
 The fiber path never applies potentials: a potential breaks translation
 invariance, and nothing here accepts one.
@@ -51,7 +54,6 @@ from .assembly import (
     first_derivative_y,
     stiffness_x,
 )
-from .eigensolve import _real_form
 from .lattice import Grid2D, Params
 
 
@@ -117,7 +119,7 @@ def fiber_spectra(couplings, ygrid: YGrid) -> np.ndarray:
     """
     c = np.asarray(couplings, dtype=np.float64).reshape(-1, 1)
     op = fiber_operator(0.0, Params(1.0), ygrid.ny, ygrid.y_max)
-    real, basis = _real_form(op.matrix, op)
+    real, basis = op.real_form
     if basis is None:
         raise ValueError("the fiber did not rotate to a real matrix; B cannot be read off")
     s = svdvals(real[: ygrid.ny, ygrid.ny :].toarray())

@@ -12,7 +12,8 @@ an error.  The trial-state criteria behind the predictions are
 sufficient, not necessary, so extra states are expected.
 
 Every eigensolver call takes its k, tol, max_iter and seed from one
-SolverConfig; the grids are the sweeps' own arguments.
+SolverConfig; the grids are the sweeps' own arguments.  The free band
+edge calls none: it is read off the exact separable spectrum.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from .assembly import assemble_H, assemble_H_eps, assemble_square_form, assemble_T
 from .eigensolve import SpectrumReport, gap_eigs, nearest_eigenvalues
+from .fiber import separable_spectrum
 from .lattice import BoxPotential, Grid2D, Params, PotentialSpec
 from .quasimode import PerturbationModel, a_eps_derived, boundstate_window, eps_threshold
 
@@ -184,18 +186,10 @@ def _observe_gap(rec: dict, op, params: Params, solver: SolverConfig) -> None:
 # potential-depth sweep
 
 
-def scan_potential(
-    params: Params, a: float, b: float, depths, grid: Grid2D,
-    solver: SolverConfig = SolverConfig(),
-) -> ScanResult:
-    """Sweep box depth V0 on grid against the trinomial bound-state window.
-
-    Prediction: V0 strictly inside the window q(V0) < 0 forces a gap
-    state.  Observation: a certified in-window eigenvalue whose vector is
-    localized.  Agreement is one-sided (window implies presence).
-    """
+def _check_box(a: float, b: float, grid: Grid2D) -> None:
+    """The box [a, b]^2 lies inside grid, at least 3 box widths from each wall."""
     width = b - a
-    if not (grid.x_min < a < b < grid.x_max and b < grid.y_max):
+    if not (max(grid.x_min, 0.0) < a < b < grid.x_max and b < grid.y_max):
         raise ValueError(
             f"box [{a}, {b}]^2 lies outside the domain "
             f"[{grid.x_min}, {grid.x_max}] x [0, {grid.y_max}]"
@@ -207,6 +201,18 @@ def scan_potential(
             f"({3.0 * width:.3g}); bound-state tails would hit the walls"
         )
 
+
+def scan_potential(
+    params: Params, a: float, b: float, depths, grid: Grid2D,
+    solver: SolverConfig = SolverConfig(),
+) -> ScanResult:
+    """Sweep box depth V0 on grid against the trinomial bound-state window.
+
+    Prediction: V0 strictly inside the window q(V0) < 0 forces a gap
+    state.  Observation: a certified in-window eigenvalue whose vector is
+    localized.  Agreement is one-sided (window implies presence).
+    """
+    _check_box(a, b, grid)
     window = boundstate_window(params, a, b)
     depths = [float(v) for v in depths]
     records = []
@@ -231,6 +237,16 @@ def scan_potential(
 # coupling-strength sweep
 
 
+def _check_support(model: PerturbationModel, grid: Grid2D) -> None:
+    """The perturbation's support lies inside grid."""
+    x0, x1, y0, y1 = model.support
+    if x0 < grid.x_min or x1 > grid.x_max or y0 < 0.0 or y1 > grid.y_max:
+        raise ValueError(
+            f"perturbation support {model.support} is not contained in the "
+            f"domain [{grid.x_min}, {grid.x_max}] x [0, {grid.y_max}]"
+        )
+
+
 def scan_perturbation(
     params: Params, model: PerturbationModel, eps_values, grid: Grid2D,
     solver: SolverConfig = SolverConfig(),
@@ -241,13 +257,7 @@ def scan_perturbation(
     the spread-out trial, so the domain actually used is recorded in the
     meta block.  Agreement is again one-sided.
     """
-    x0, x1, y0, y1 = model.support
-    if x0 < grid.x_min or x1 > grid.x_max or y0 < 0.0 or y1 > grid.y_max:
-        raise ValueError(
-            f"perturbation support {model.support} is not contained in the "
-            f"domain [{grid.x_min}, {grid.x_max}] x [0, {grid.y_max}]"
-        )
-
+    _check_support(model, grid)
     eps_values = [float(e) for e in eps_values]
     records = []
     energies = []
@@ -315,7 +325,7 @@ def convergence_study(
     for nx in ladder:
         grid = _ladder_grid(nx, x_half, x_half)
         if observable == "gap-edge":
-            values.append(free_edge(grid, params, solver))
+            values.append(free_edge(grid, params))
         elif observable == "bound-state-lambda":
             pot = BoxPotential(box[0], box[1], depth)
             op = assemble_H(grid, params, pot)
@@ -421,26 +431,20 @@ def delocalization_probe(
 
 
 def _smallest_abs_pair(op, params: Params, solver: SolverConfig) -> SpectrumReport:
-    """Smallest-|lambda| pairs: in-gap states if any, else the band edge."""
+    """Smallest-|lambda| pairs: in-gap states if any, else the band edge,
+    as the solver.k pairs nearest the shift 0.95 delta just inside the gap."""
     lo, hi = gap_window(params)
     rep = gap_eigs(op, lo, hi, **asdict(solver))
-    return rep if rep.k else _edge_pairs(op, params, solver)
+    return rep if rep.k else nearest_eigenvalues(op, hi, **asdict(solver))
 
 
 # ---------------------------------------------------------------------------
 # band-edge probe
 
 
-def free_edge(grid: Grid2D, params: Params, solver: SolverConfig) -> float:
-    """The free operator's discrete band edge on grid: its smallest |lambda|.
-
-    Only the edge is read, so two pairs are asked for whatever solver.k
-    says; more pairs cost time and leave the edge where it is.
-    """
-    rep = _edge_pairs(assemble_T(grid, params), params, replace(solver, k=2))
-    return float(np.min(np.abs(rep.eigenvalues)))
-
-
-def _edge_pairs(op, params: Params, solver: SolverConfig) -> SpectrumReport:
-    """The solver.k pairs nearest 0.95 delta, a shift just inside the gap."""
-    return nearest_eigenvalues(op, GAP_WINDOW_FRACTION * params.delta, **asdict(solver))
+def free_edge(grid: Grid2D, params: Params) -> float:
+    """The free operator's discrete band edge on grid: its smallest |lambda|,
+    delta + lambda_min(Kx), read off the exact separable spectrum of T
+    (fiber.separable_spectrum): nothing is assembled in 2D and no
+    eigensolver runs."""
+    return float(np.min(np.abs(separable_spectrum(grid, params))))

@@ -30,6 +30,7 @@ from semidirac.cli import (
 )
 
 BASE_GRID = {"x_min": -20.0, "x_max": 20.0, "y_max": 20.0, "nx": 81, "ny": 41}
+SMALL_GRID = {**BASE_GRID, "nx": 21, "ny": 11}
 
 
 def write_config(tmp_path, doc, name="run.json"):
@@ -153,6 +154,29 @@ def test_rejected_entries_name_their_exact_path(doc, path, message):
         ("scan", {"scan": {"axis": "convergence", "values": [8, 16, 32],
                            "observable": "bound-state-lambda"},
                   "solver": {"mode": "gap", "k": 100000}}, "$.solver.k"),
+        # geometry that needs the grid is checked against it before any solve
+        ("spectrum", {"grid": SMALL_GRID, "potential": {"type": "box", "a": 1.0, "b": 30.0, "value": -3.0},
+                      "solver": {"mode": "gap"}}, "$.potential"),
+        ("export-matrix", {"grid": SMALL_GRID,
+                           "potential": {"type": "box", "a": 1.0, "b": 30.0, "value": -3.0}},
+         "$.potential"),
+        ("scan", {"grid": SMALL_GRID, "scan": {"axis": "potential", "values": [-3.0],
+                                               "a": 1.0, "b": 30.0}}, "$.scan"),
+        ("scan", {"grid": SMALL_GRID, "scan": {"axis": "potential", "values": [-3.0],
+                                               "a": 1.0, "b": 6.0}}, "$.scan"),
+        ("scan", {"grid": SMALL_GRID, "scan": {"axis": "potential", "values": [-3.0],
+                                               "a": -2.0, "b": 1.0}}, "$.scan"),
+        ("scan", {"grid": SMALL_GRID,
+                  "perturbation": {"type": "box", "amplitude": -1.0, "box": [-0.5, 0.5, 1.0, 30.0]},
+                  "scan": {"axis": "epsilon", "values": [0.5]}}, "$.perturbation"),
+        ("scan", {"scan": {"axis": "convergence", "values": [21, 41, 81],
+                           "observable": "bound-state-lambda", "box": [1.0, 30.0]}}, "$.scan.box"),
+        ("scan", {"scan": {"axis": "convergence", "values": [21, 41, 81],
+                           "observable": "bound-state-lambda", "box": [-1.0, 2.0]}}, "$.scan.box"),
+        # a Weyl energy in the gap, or a slope fitted to one distinct scale
+        ("quasimode", {"quasimode": {"weyl_mus": [0.5]}}, "$.quasimode.weyl_mus[0]"),
+        ("quasimode", {"quasimode": {"weyl_ns": [8]}}, "$.quasimode.weyl_ns"),
+        ("quasimode", {"quasimode": {"weyl_ns": [8, 8]}}, "$.quasimode.weyl_ns"),
     ],
 )
 def test_rejected_entries_exit_2_through_the_driver(tmp_path, capsys, command, doc, path):
@@ -441,7 +465,8 @@ def test_fiber_table_is_certified_by_inertia(tmp_path, capsys, monkeypatch, doc,
     assert main(["fiber", "--config", cfg, "--out", str(out)]) == 0
     capsys.readouterr()
     detail = read_summary(out)["detail"]
-    assert detail["min_abs_lambda_route"] == "fiber_spectra, certified by count_within"
+    assert detail["min_abs_lambda_route"] == (
+        "unpaired eigenvalue xi^2 + delta, certified by count_within")
     brackets = detail["inertia_brackets"]
     assert [b["xi"] for b in brackets] == doc["fiber"]["xi_values"]
     for b, edge in zip(brackets, edges):
@@ -452,8 +477,8 @@ def test_fiber_table_is_certified_by_inertia(tmp_path, capsys, monkeypatch, doc,
 
 
 def test_fiber_table_refuses_a_spectrum_the_inertia_contradicts(tmp_path, capsys, monkeypatch):
-    exact = semidirac.cli.fiber_spectra
-    monkeypatch.setattr(semidirac.cli, "fiber_spectra", lambda c, y: exact(c, y) + 1e-6)
+    exact = semidirac.cli.fiber_edge
+    monkeypatch.setattr(semidirac.cli, "fiber_edge", lambda xi, p: exact(xi, p) + 1e-6)
     cfg = write_config(tmp_path, {"params": {"delta": 1.0}, "fiber": {"ny": 80}})
     out = tmp_path / "out"
     assert main(["fiber", "--config", cfg, "--out", str(out)]) == 3
@@ -462,6 +487,36 @@ def test_fiber_table_refuses_a_spectrum_the_inertia_contradicts(tmp_path, capsys
     assert summary["checks"] == {"converged": False}
     assert summary["detail"]["history_tail"][0]["counts"] == [1, 1]
     assert not (out / "fiber.csv").exists()
+
+
+def test_fiber_table_rotates_each_fiber_once(tmp_path, capsys, monkeypatch):
+    """At the defaults, 21 fibers: one conjugation basis and two inertia
+    counts each, and no fiber_spectra solve."""
+    import semidirac.fiber
+
+    calls = {"conjugation_basis": 0, "count_within": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    def no_spectra(*args, **kwargs):
+        raise AssertionError("the fiber table must not call fiber_spectra")
+
+    # every binding of the basis is counted, wherever a module imported it
+    for module in [m for n, m in sys.modules.items() if n.startswith("semidirac.")]:
+        if hasattr(module, "conjugation_basis"):
+            counted(module, "conjugation_basis")
+    counted(semidirac.cli, "count_within")
+    monkeypatch.setattr(semidirac.fiber, "fiber_spectra", no_spectra)
+    cfg = write_config(tmp_path, {"params": {"delta": 1.0}})
+    assert main(["fiber", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert calls == {"conjugation_basis": 21, "count_within": 42}
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
@@ -533,7 +588,7 @@ def test_scan_reruns_are_byte_identical(tmp_path, capsys):
 def test_convergence_scan_obeys_the_solver_block(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "params": {"delta": 1.0},
-        "scan": {"axis": "convergence", "values": [21, 41, 81], "observable": "gap-edge"},
+        "scan": {"axis": "convergence", "values": [21, 41, 81], "observable": "bound-state-lambda"},
         "solver": {"mode": "gap", "max_iter": 1, "tol": 1e-14},
     })
     out = tmp_path / "out"

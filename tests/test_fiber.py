@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from semidirac import (
     Grid2D,
     Params,
-    SolverConfig,
     XOnlyPotential,
     assemble_H,
     assemble_T,
@@ -24,8 +23,9 @@ from semidirac import (
     separable_spectrum,
     union_edge,
 )
-from semidirac.assembly import YGrid
-from semidirac.scan import GAP_WINDOW_FRACTION, free_edge
+from semidirac.assembly import HermitianOperator, YGrid
+from semidirac.cli import _fiber_cross_check, parse_config
+from semidirac.scan import GAP_WINDOW_FRACTION, convergence_study, free_edge
 
 P1 = Params(1.0)
 
@@ -136,9 +136,7 @@ def test_fiber_spectra_rows_follow_their_couplings():
 
 def test_fiber_spectra_refuses_an_unrotated_fiber(monkeypatch):
     """B is read off the real form; a fiber that stays complex has none."""
-    import semidirac.fiber
-
-    monkeypatch.setattr(semidirac.fiber, "_real_form", lambda matrix, parent: (matrix, None))
+    monkeypatch.setattr(HermitianOperator, "real_form", property(lambda op: (op.matrix, None)))
     with pytest.raises(ValueError, match="did not rotate"):
         fiber_spectra([1.0], YGrid(20.0, 8))
 
@@ -170,4 +168,28 @@ def test_separable_oracle_on_the_gaussian_well(nx, ny):
     assert np.max(np.abs(near.eigenvalues - want)) <= 1e-10 * np.max(np.abs(want))
 
     edge = float(np.min(np.abs(separable_spectrum(grid, P1))))
-    assert abs(free_edge(grid, P1, SolverConfig()) - edge) <= 1e-10 * edge
+    shift_invert = nearest_eigenvalues(assemble_T(grid, P1), GAP_WINDOW_FRACTION * P1.delta, k=2)
+    assert abs(float(np.min(np.abs(shift_invert.eigenvalues))) - edge) <= 1e-10 * edge
+
+
+def test_free_edge_runs_no_eigensolver(monkeypatch):
+    """The free edge, the gap-edge ladder and the scan's fiber cross-check
+    read the separable identity: scan assembles no T and calls no solver."""
+    import semidirac.scan
+
+    grid, params = Grid2D(-9.0, 14.0, 14.0, 93, 57), Params(2.0)
+    shift_invert = nearest_eigenvalues(assemble_T(grid, params), GAP_WINDOW_FRACTION * params.delta, k=2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the free edge must not assemble T or call an eigensolver")
+
+    for name in ("nearest_eigenvalues", "gap_eigs", "assemble_T"):
+        monkeypatch.setattr(semidirac.scan, name, refuse)
+    edge = free_edge(grid, params)
+    assert abs(float(np.min(np.abs(shift_invert.eigenvalues))) - edge) <= 1e-10 * edge
+    study = convergence_study("gap-edge", [21, 41, 81], P1)
+    assert all(v > 1.0 for v in study.values) and study.fitted_order > 0.0
+    cfg = parse_config({"params": {"delta": 2.0}, "grid": {
+        "x_min": -9.0, "x_max": 14.0, "y_max": 14.0, "nx": 93, "ny": 57}})
+    cross = _fiber_cross_check(cfg, cfg.grid)
+    assert cross["two_d_min_abs_lambda"] == edge and cross["within_5pct"]

@@ -29,7 +29,6 @@ from semidirac import (
     nearest_eigenvalues,
 )
 from semidirac.assembly import conjugation_basis
-from semidirac.eigensolve import _as_matrix, _real_form
 
 # fixed draws, so a failure reproduces on every run and machine
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
@@ -225,7 +224,7 @@ def test_sparse_routes_run_real_exactly_where_the_symmetry_holds(
     # a threshold on a diagonal entry of the factored matrix leaves an exactly
     # zero diagonal pivot, which count_below refuses (the fibers' real form
     # carries +-(delta + xi^2) on its diagonal)
-    work, _ = _real_form(*_as_matrix(op))
+    work, _ = op.real_form
     assume(np.min(np.abs(work.diagonal() - threshold)) > 1e-8)
 
     within = count_within(op, radius)
