@@ -521,18 +521,8 @@ class ResultBundle:
 
 
 def _eigen_rows(rep) -> list[dict]:
-    rows = []
-    for i in range(rep.k):
-        rows.append(
-            {
-                "index": i,
-                "lambda": float(rep.eigenvalues[i]),
-                "residual": float(rep.residuals[i]),
-                "participation_ratio": float(rep.participation[i]),
-                "y_decay_rate": float(rep.y_decay[i]),
-            }
-        )
-    return rows
+    cols = zip(rep.eigenvalues, rep.residuals, rep.participation, rep.y_decay)
+    return [dict(zip(EIGENVALUE_COLUMNS, (i, *map(float, c)))) for i, c in enumerate(cols)]
 
 
 def _require_grid(cfg: RunConfig) -> Grid2D:
@@ -562,6 +552,7 @@ def _build_operator(cfg: RunConfig, which: str, grid: Grid2D):
         model = cfg.perturbation()
         if model is None:
             raise ConfigError("$.perturbation", "H_eps needs a perturbation block")
+        _refused_at("$.perturbation", _check_support, model, grid)
         eps = cfg.canonical.get("solver", {}).get("epsilon", _SOLVER.keys["epsilon"][1])
         return assemble_H_eps(grid, cfg.params, model.sample_on(grid), eps)
     pot = cfg.potential(grid)
@@ -586,7 +577,7 @@ def cmd_spectrum(cfg: RunConfig) -> ResultBundle:
         _refused_at("$.solver.k", _check_k, cfg.solver().k, grid.reduced_dim)
     if mode == "square-form":
         op = _build_operator(cfg, "square-form", grid)
-        rep = lowest_of_square(op, **asdict(cfg.solver()))
+        rep = lowest_of_square(op, cfg.solver().k)
         bundle.checks["bottom_above_gap_square"] = bool(
             rep.eigenvalues[0] >= cfg.params.delta**2 - 0.05
         )
@@ -656,18 +647,8 @@ def cmd_quasimode(cfg: RunConfig) -> ResultBundle:
     if model is None:
         # coincidence reference: unit-area box, so int w12 = -1, int w12^2 = 1
         model = box_perturbation(-1.0, (-0.5, 0.5, 1.0, 2.0))
-    arows = []
-    for eps in q["eps_values"]:
-        rep = aeps_divergence(model, eps, cfg.params)
-        arows.append(
-            {
-                "eps": float(eps),
-                "a_eps_paper": rep["a_eps_paper"],
-                "a_eps_derived": rep["a_eps_derived"],
-                "rel_gap": rep["rel_gap"],
-                "diverges": rep["diverges"],
-            }
-        )
+    arows = [{"eps": float(eps), **aeps_divergence(model, eps, cfg.params)}
+             for eps in q["eps_values"]]
     bundle.tables["aeps.csv"] = (AEPS_COLUMNS, arows)
     try:
         thr = eps_threshold(model, cfg.params)
@@ -725,11 +706,10 @@ def cmd_scan(cfg: RunConfig) -> ResultBundle:
         # the ladder's coarsest grid, built before any rung is solved
         grid = _refused_at("$.scan.values", _ladder_grid,
                            sc["values"][0], sc["x_half"], sc["x_half"])
-        # gap-edge calls no eigensolver
-        if sc["observable"] != "gap-edge":
-            _refused_at("$.solver.k", _check_k, solver.k, grid.reduced_dim)
+        # the one observable that reads the solver block; every rung spans
+        # the first rung's domain
         if sc["observable"] == "bound-state-lambda":
-            # every rung spans the first rung's domain
+            _refused_at("$.solver.k", _check_k, solver.k, grid.reduced_dim)
             box = _refused_at("$.scan.box", BoxPotential, *sc["box"], sc["depth"])
             _refused_at("$.scan.box", box.validate_against, grid)
         study = convergence_study(

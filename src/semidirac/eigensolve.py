@@ -20,8 +20,8 @@ shifted matrix with SuperLU
   solve of the shifted matrix, counted against a max_iter budget of
   solves.  Every returned pair is re-checked as ||M x - lambda x|| <=
   tol * ||M||_inf.
-* ``lowest_of_square``: shift-invert at zero for the positive square-form
-  operators, whose result is certified by ``count_below``.
+* ``lowest_of_square``: the bottom of a square form from its Kronecker-sum
+  identity (fiber.square_form_pairs), certified by one ``count_below``.
 
 Determinism: all randomized starts come from a caller-seeded generator,
 matrix-vector products are sequential, and eigenvector phases are fixed so
@@ -36,7 +36,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .assembly import HermitianOperator, edge_embedding
+from .assembly import SQUARE_FORM, HermitianOperator, edge_embedding
+from .fiber import square_form_pairs
 
 DENSE_CAP_DEFAULT = 4000
 
@@ -428,30 +429,31 @@ def nearest_eigenvalues(
     return _build_report(matrix, parent, vals, vecs, "nearest", certificate)
 
 
-def lowest_of_square(
-    op,
-    k: int = 1,
-    tol: float = 1e-8,
-    max_iter: int = 800,
-    seed: int = 0,
-) -> SpectrumReport:
-    """k smallest eigenpairs of a positive form, with a certified count.
+def lowest_of_square(op: HermitianOperator, k: int = 1) -> SpectrumReport:
+    """k smallest eigenpairs of an assembled square form, with a certified count.
 
-    Shift-invert at zero returns the eigenvalues nearest zero, which for a
-    positive form are the lowest ones.  count_below just above the k-th of
-    them then certifies that none was skipped; the certificate keeps that
-    inertia record under "below".  Raises ConvergenceError if fewer than k
-    pairs converge within max_iter solves or the count disagrees.  Both
-    steps share one real_form rotation.
+    The pairs come from fiber.square_form_pairs, with no shift-invert solve
+    (certificate["iterations"] is 0).  Each is re-checked as ||M v - lambda v||
+    <= 1e-10 ||M||_inf, the dense oracle's roundoff bound, and count_below
+    midway between lambda_k and lambda_(k+1) must find exactly k eigenvalues
+    (kept under "below").  Either failure raises ConvergenceError.
     """
-    rep = nearest_eigenvalues(op, 0.0, k, tol, max_iter, seed)
-    top = float(rep.eigenvalues[-1])
-    below = count_below(op, top * (1.0 + 1e-9))
-    if rep.k != k or below["count"] != k:
+    if not isinstance(op, HermitianOperator) or op.kind != SQUARE_FORM:
+        raise ValueError("lowest_of_square needs an assembled square form")
+    _check_k(k, op.dim)
+    vals, vecs = square_form_pairs(op, k + 1)
+    rep = _build_report(op.matrix, op, vals[:k], vecs[:, :k], "square_lowest")
+    worst, bound = rep.residuals.max(), 1e-10 * _inf_norm(op.matrix)
+    if worst > bound:
         raise ConvergenceError(
-            f"shift-invert at 0 returned {rep.k} of {k} pairs within {max_iter} "
-            f"iterations up to {top}, "
-            f"but {below['count']} eigenvalues lie below {below['threshold']}"
+            f"identity pair residual {worst:.3e} above 1e-10 * ||M||_inf = {bound:.3e}")
+    below = count_below(op, 0.5 * float(vals[k - 1] + vals[k]))
+    if below["count"] != k:
+        raise ConvergenceError(
+            f"the identity puts {k} eigenvalues below {below['threshold']}, "
+            f"but inertia counts {below['count']}",
+            [below],
         )
-    certificate = {**rep.certificate, "certified": True, "count": k, "below": below}
-    return replace(rep, method="square_lowest", certificate=certificate)
+    certificate = {"certified": True, "count": k, "iterations": 0,
+                   "arithmetic": below["arithmetic"], "below": below}
+    return replace(rep, certificate=certificate)

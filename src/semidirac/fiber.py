@@ -1,4 +1,4 @@
-"""Momentum-fiber reduction of the free half-plane operator.
+"""Separable reductions: momentum fibers, and the square form as a Kronecker sum.
 
 With V = 0 the operator commutes with x translations, so a Fourier
 transform in x turns it into a family of 1D half-line operators
@@ -35,8 +35,13 @@ certifies each m it reads by Sylvester inertia on the assembled fiber
 (cli.cmd_fiber), and the tests hold it against eigvalsh, the inertia
 counts of the 2D assemblies and shift-invert at the 2D edge.
 
-The fiber path never applies potentials: a potential breaks translation
-invariance, and nothing here accepts one.
+The square form separates the same way: in the reduced layout (y outer,
+x inner) it is exactly Y (x) I + I (x) S^2, with S = Kx + diag(delta + vx)
+and Y the weight-scaled forward-difference y stiffness folded onto the
+2 ny - 1 edge-identified unknowns.  Its eigenpairs are gamma_j + s_i^2 and
+psi_j (x) phi_i (Horn and Johnson, Topics in Matrix Analysis, 4.4; Lynch,
+Rice and Thomas, Numer. Math. 6, 185, 1964): square_form_pairs reads them,
+and eigensolve.lowest_of_square certifies them on the assembled form.
 """
 
 from __future__ import annotations
@@ -138,3 +143,21 @@ def separable_spectrum(grid: Grid2D, params: Params, vx=None) -> np.ndarray:
     main = kx.diagonal() + (0.0 if vx is None else np.asarray(vx, dtype=np.float64))
     mu = eigvalsh_tridiagonal(main, kx.diagonal(1))
     return np.sort(fiber_spectra(mu + params.delta, YGrid(grid.y_max, grid.ny)), axis=None)
+
+
+def square_form_pairs(op: HermitianOperator, count: int):
+    """The count lowest eigenpairs of an assembled square form, ascending,
+    from its Kronecker-sum identity (module docstring).
+
+    Both factors are read off M: M[::nx, ::nx] = Y + S^2[0, 0] I and
+    M[:nx, :nx] = Y[0, 0] I + S^2, so gamma_j + s_i^2 is the sum of their
+    eigenvalues less M[0, 0].  The count lowest sums take j and i among
+    the count lowest of each factor.
+    """
+    m, nx = op.matrix, op.grid.nx
+    gamma, psi = np.linalg.eigh(m[::nx, ::nx].toarray())
+    s2, phi = np.linalg.eigh(m[:nx, :nx].toarray())
+    sums = np.add.outer(gamma[:count], s2[:count] - m[0, 0]).ravel()
+    pick = np.argsort(sums, kind="stable")[:count]
+    j, i = np.divmod(pick, min(count, nx))
+    return sums[pick], (psi[:, None, j] * phi[None, :, i]).reshape(-1, count)

@@ -18,12 +18,12 @@ edge calls none: it is read off the exact separable spectrum.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .assembly import assemble_H, assemble_H_eps, assemble_square_form, assemble_T
-from .eigensolve import SpectrumReport, gap_eigs, nearest_eigenvalues
+from .eigensolve import SpectrumReport, gap_eigs, lowest_of_square, nearest_eigenvalues
 from .fiber import separable_spectrum
 from .lattice import BoxPotential, Grid2D, Params, PotentialSpec
 from .quasimode import PerturbationModel, a_eps_derived, boundstate_window, eps_threshold
@@ -64,7 +64,7 @@ def is_localized(participation: float, y_decay: float) -> bool:
 @dataclass(frozen=True)
 class SolverConfig:
     """The settings of every eigensolver call a sweep makes, passed on
-    whole as ``**asdict(solver)``; a probe that needs a fixed k replaces it."""
+    whole as ``**asdict(solver)``."""
 
     k: int = 6
     tol: float = 1e-8
@@ -312,7 +312,8 @@ def convergence_study(
     gap-edge: the free edge (free_edge), approaching the band edge.
     bound-state-lambda: the gap eigenvalue of the box well [a, b]^2 at
     depth, nearest 0.  square-form-min: the bottom of the free square
-    form, approaching delta^2 plus the finite-domain offset.
+    form (lowest_of_square, no solver block), approaching delta^2 plus
+    the finite-domain offset.
     """
     ladder = [int(n) for n in ladder]
     _check_ladder(ladder)
@@ -332,15 +333,8 @@ def convergence_study(
             rep = nearest_eigenvalues(op, 0.0, **asdict(solver))
             values.append(float(np.min(np.abs(rep.eigenvalues))))
         else:
-            # the free form's bottom sits in the wall-quantized edge ladder,
-            # where a shift just below delta^2 separates it far better than
-            # lowest_of_square's shift at zero does
             op = assemble_square_form(grid, params, None)
-            sigma = (GAP_WINDOW_FRACTION * params.delta) ** 2
-            rep = nearest_eigenvalues(
-                op, sigma, **asdict(replace(solver, k=max(solver.k, 2)))
-            )
-            values.append(float(np.min(rep.eigenvalues)))
+            values.append(float(lowest_of_square(op, k=1).eigenvalues[0]))
 
     hs = [2.0 * x_half / (n - 1) for n in ladder]
     diffs = [abs(v0 - v1) for v0, v1 in zip(values, values[1:])]

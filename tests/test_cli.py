@@ -177,6 +177,10 @@ def test_rejected_entries_name_their_exact_path(doc, path, message):
         ("quasimode", {"quasimode": {"weyl_mus": [0.5]}}, "$.quasimode.weyl_mus[0]"),
         ("quasimode", {"quasimode": {"weyl_ns": [8]}}, "$.quasimode.weyl_ns"),
         ("quasimode", {"quasimode": {"weyl_ns": [8, 8]}}, "$.quasimode.weyl_ns"),
+        # an exported H_eps is refused where the epsilon axis refuses it
+        ("export-matrix", {"grid": SMALL_GRID, "export": {"operator": "H_eps"},
+                           "perturbation": {"type": "box", "amplitude": -1.0, "box": [-0.5, 0.5, 1.0, 30.0]}},
+         "$.perturbation"),
     ],
 )
 def test_rejected_entries_exit_2_through_the_driver(tmp_path, capsys, command, doc, path):
@@ -389,6 +393,51 @@ def test_starved_solver_exits_3_with_diagnostics(tmp_path, capsys):
     assert "history_tail" in summary["detail"]
 
 
+def square_form_config(tmp_path, height):
+    return write_config(tmp_path, {
+        "params": {"delta": 1.0},
+        "grid": BASE_GRID,
+        "potential": {"type": "xonly_gaussian", "height": height},
+        "solver": {"mode": "square-form", "k": 1},
+    }, name=f"square{height}.json")
+
+
+@pytest.mark.parametrize("height,bottom,above", [(1.0, 1.0520331811061, True), (-1.0, 0.41869621675788, False)])
+def test_square_form_bottom_check_reads_the_bottom(tmp_path, capsys, height, bottom, above):
+    """At height -1, delta + v(0) = 0 and the bottom falls to 0.4187, below
+    delta^2 - 0.05, so bottom_above_gap_square must read false there; the
+    benchmark's certify op (height 1) reads true."""
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", square_form_config(tmp_path, height), "--out", str(out)]) == 0
+    capsys.readouterr()
+    summary = read_summary(out)
+    assert summary["checks"]["bottom_above_gap_square"] is above
+    assert summary["checks"]["hermitian_exact"] is True
+    rows = (out / "eigenvalues.csv").read_text(encoding="utf-8").splitlines()
+    assert len(rows) == 2
+    assert float(rows[1].split(",")[1]) == pytest.approx(bottom, rel=1e-10)
+
+
+def test_square_form_skipped_pair_exits_3(tmp_path, capsys, monkeypatch):
+    """An identity that skips its lowest pair is caught by the count."""
+    import semidirac.eigensolve
+
+    exact = semidirac.eigensolve.square_form_pairs
+
+    def skipping(op, count):
+        vals, vecs = exact(op, count + 1)
+        return vals[1:], vecs[:, 1:]
+
+    monkeypatch.setattr(semidirac.eigensolve, "square_form_pairs", skipping)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", square_form_config(tmp_path, 1.0), "--out", str(out)]) == 3
+    assert "but inertia counts 2" in capsys.readouterr().err
+    summary = read_summary(out)
+    assert summary["checks"] == {"converged": False}
+    assert summary["detail"]["history_tail"][0]["count"] == 2
+    assert not (out / "eigenvalues.csv").exists()
+
+
 def test_validate_config_prints_canonical_and_writes_nothing(tmp_path, capsys):
     doc = {"params": {"delta": 1.5}, "solver": {"mode": "gap"}}
     cfg = write_config(tmp_path, doc)
@@ -520,31 +569,37 @@ def test_fiber_table_rotates_each_fiber_once(tmp_path, capsys, monkeypatch):
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """The same fiber table and spectrum bytes under 1 and 2 OpenBLAS
-    threads; the thread count is set in each child's environment only."""
+    """The same fiber table and spectrum bytes (gap and square-form mode)
+    under 1 and 2 OpenBLAS threads; the thread count is set in each
+    child's environment only."""
     configs = {
         "fiber": {"params": {"delta": 1.0}, "fiber": {"ny": 120}},
         "spectrum": {"params": {"delta": 1.0}, "grid": {**BASE_GRID, "nx": 31, "ny": 17},
                      "potential": {"type": "box", "a": 1.0, "b": 4.0, "value": -3.0},
                      "solver": {"mode": "gap"}},
+        "spectrum-square": {"params": {"delta": 1.0}, "grid": {**BASE_GRID, "nx": 101, "ny": 51},
+                            "potential": {"type": "xonly_gaussian", "height": 1.0},
+                            "solver": {"mode": "square-form", "k": 3}},
     }
     src = str(Path(semidirac.cli.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     outputs = {}
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
-        for command, doc in configs.items():
-            cfg = write_config(tmp_path, doc, f"{command}.json")
-            out = tmp_path / f"{command}-{threads}"
+        for name, doc in configs.items():
+            command = name.split("-")[0]
+            cfg = write_config(tmp_path, doc, f"{name}.json")
+            out = tmp_path / f"{name}-{threads}"
             subprocess.run(
                 [sys.executable, "-m", "semidirac.cli", command, "--config", cfg, "--out", str(out)],
                 env=env, check=True, capture_output=True,
             )
             table = "fiber.csv" if command == "fiber" else "eigenvalues.csv"
-            outputs[command, threads] = (out / table).read_bytes()
-    for command in configs:
-        assert outputs[command, "1"] == outputs[command, "2"]
+            outputs[name, threads] = (out / table).read_bytes()
+    for name in configs:
+        assert outputs[name, "1"] == outputs[name, "2"]
     assert outputs["spectrum", "1"].count(b"\n") > 1
+    assert outputs["spectrum-square", "1"].count(b"\n") == 4
 
 
 def scan_doc():
@@ -595,6 +650,25 @@ def test_convergence_scan_obeys_the_solver_block(tmp_path, capsys):
     assert main(["scan", "--config", cfg, "--out", str(out)]) == 3
     assert "solver:" in capsys.readouterr().err
     assert read_summary(out)["checks"]["converged"] is False
+
+
+def test_square_form_ladder_reads_no_solver_setting(tmp_path, capsys):
+    """square-form-min reads the separable identity, so a solver block it
+    could not run (an oversized k, a one-solve budget) changes nothing."""
+    values = {}
+    for name, solver in (("default", {"mode": "gap"}),
+                         ("starved", {"mode": "gap", "k": 100000, "max_iter": 1, "tol": 1e-14})):
+        cfg = write_config(tmp_path, {
+            "params": {"delta": 1.0},
+            "scan": {"axis": "convergence", "values": [21, 41, 81], "observable": "square-form-min"},
+            "solver": solver,
+        }, name=f"{name}.json")
+        out = tmp_path / name
+        assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
+        values[name] = read_summary(out)["detail"]["values"]
+    capsys.readouterr()
+    assert values["starved"] == values["default"]
+    assert all(v > 1.0 for v in values["default"])
 
 
 def test_domain_scan_runs_the_box_well(tmp_path, capsys):

@@ -114,13 +114,76 @@ def test_lowest_of_square_matches_dense_oracle():
     g = Grid2D(-3.0, 3.0, 3.0, 13, 9)
     S = assemble_square_form(g, P1, XOnlyPotential(np.ones(13)))
     ref = dense_eigs(S)
-    rep = lowest_of_square(S, k=2, tol=1e-9, seed=0)
+    rep = lowest_of_square(S, k=2)
     assert np.max(np.abs(rep.eigenvalues[:2] - ref.eigenvalues[:2])) < 1e-7
     assert count_below(S, float(ref.eigenvalues[2]) * 0.999999)["count"] == 2
     assert rep.certificate["certified"] and rep.certificate["below"]["count"] == 2
-    # a short result is refused, not returned with fewer than k pairs
-    with pytest.raises(ConvergenceError, match="within 20 iterations"):
-        lowest_of_square(S, k=3, tol=1e-9, max_iter=20, seed=0)
+
+
+def gaussian_square_form(nx, ny, height=1.0):
+    g = Grid2D(-20.0, 20.0, 20.0, nx, ny)
+    return assemble_square_form(g, P1, XOnlyPotential.from_callable(g, lambda x: height * np.exp(-x * x)))
+
+
+def test_lowest_of_square_runs_no_eigensolver(monkeypatch):
+    """The bottom comes from the Kronecker-sum identity: ARPACK agrees with
+    it past the dense cap, but lowest_of_square runs no shift-invert solve
+    and keeps one count_below record equal to k, midway to the next level."""
+    import semidirac.eigensolve
+
+    S = gaussian_square_form(81, 41)
+    arpack = nearest_eigenvalues(S, 0.0, k=3).eigenvalues
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lowest_of_square must not run ARPACK")
+
+    monkeypatch.setattr(semidirac.eigensolve, "eigsh", refuse)
+    monkeypatch.setattr(semidirac.eigensolve, "_run_shift_invert", refuse)
+    rep = lowest_of_square(S, k=2)
+    assert np.max(np.abs(rep.eigenvalues - arpack[:2])) <= 1e-10 * arpack[1]
+    cert = rep.certificate
+    assert cert["iterations"] == 0 and cert["certified"] and cert["count"] == 2
+    assert cert["below"]["count"] == 2 and cert["arithmetic"] == "real"
+    assert arpack[1] < cert["below"]["threshold"] < arpack[2]
+
+
+def test_lowest_of_square_refuses_a_skipped_pair(monkeypatch):
+    """An identity that skips its lowest pair still returns true eigenpairs,
+    so only the count can catch it."""
+    import semidirac.eigensolve
+
+    exact = semidirac.eigensolve.square_form_pairs
+
+    def skipping(op, count):
+        vals, vecs = exact(op, count + 1)
+        return vals[1:], vecs[:, 1:]
+
+    monkeypatch.setattr(semidirac.eigensolve, "square_form_pairs", skipping)
+    with pytest.raises(ConvergenceError, match="but inertia counts 2") as info:
+        lowest_of_square(gaussian_square_form(41, 21), k=1)
+    assert info.value.history[0]["count"] == 2
+
+
+def test_lowest_of_square_refuses_a_wrong_vector(monkeypatch):
+    import semidirac.eigensolve
+
+    exact = semidirac.eigensolve.square_form_pairs
+
+    def rolled(op, count):
+        vals, vecs = exact(op, count)
+        return vals, np.roll(vecs, 1, axis=0)
+
+    monkeypatch.setattr(semidirac.eigensolve, "square_form_pairs", rolled)
+    with pytest.raises(ConvergenceError, match="identity pair residual"):
+        lowest_of_square(gaussian_square_form(41, 21), k=1)
+
+
+def test_lowest_of_square_needs_a_square_form():
+    g = Grid2D(-3.0, 3.0, 3.0, 13, 9)
+    with pytest.raises(ValueError, match="square form"):
+        lowest_of_square(assemble_T(g, P1))
+    with pytest.raises(ValueError, match="k must lie"):
+        lowest_of_square(assemble_square_form(g, P1, None), k=0)
 
 
 def test_starved_solver_raises_with_history():

@@ -12,6 +12,7 @@ from semidirac import (
     Params,
     XOnlyPotential,
     assemble_H,
+    assemble_square_form,
     assemble_T,
     dense_eigs,
     dispersion,
@@ -24,6 +25,7 @@ from semidirac import (
     union_edge,
 )
 from semidirac.assembly import HermitianOperator, YGrid
+from semidirac.fiber import square_form_pairs
 from semidirac.cli import _fiber_cross_check, parse_config
 from semidirac.scan import GAP_WINDOW_FRACTION, convergence_study, free_edge
 
@@ -121,6 +123,23 @@ def test_separable_spectra_equal_the_assembled_ones(x_min, width, y_max, nx, ny,
     assert_spectrum(assemble_T(grid, params), separable_spectrum(grid, params))
     v = np.array(vx[:nx])
     assert_spectrum(assemble_H(grid, params, XOnlyPotential(v)), separable_spectrum(grid, params, v))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    x_min=st.floats(-10.0, 0.0), width=st.floats(1.0, 20.0), y_max=st.floats(1.0, 20.0),
+    nx=st.integers(4, 10), ny=st.integers(4, 10), delta=st.floats(0.1, 3.0),
+    vx=st.lists(st.floats(-5.0, 5.0), min_size=10, max_size=10),
+)
+def test_square_form_is_the_kronecker_sum_of_its_factors(x_min, width, y_max, nx, ny, delta, vx):
+    """All dim pairs of the identity rebuild the assembled square form."""
+    grid = Grid2D(x_min, x_min + width, y_max, nx, ny)
+    op = assemble_square_form(grid, Params(delta), XOnlyPotential(np.array(vx[:nx])))
+    vals, vecs = square_form_pairs(op, op.dim)
+    assert_spectrum(op, vals)
+    m = op.matrix.toarray()
+    assert np.max(np.abs(vecs @ np.diag(vals) @ vecs.T - m)) <= 1e-12 * np.max(np.abs(vals))
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(op.dim))) <= 1e-12
 
 
 def test_fiber_spectra_rows_follow_their_couplings():

@@ -111,7 +111,7 @@ def test_lowest_of_square_certifies_in_real_arithmetic(op, k):
     lam = np.linalg.eigvalsh(op.matrix.toarray())
     # the k-th eigenvalue separated from the next, so the count is sharp
     assume(lam[k] - lam[k - 1] > 1e-6 * lam[k])
-    rep = lowest_of_square(op, k=k, tol=1e-11)
+    rep = lowest_of_square(op, k=k)
     assert np.max(np.abs(rep.eigenvalues - lam[:k])) < 1e-8
     assert rep.certificate["arithmetic"] == "real"
     assert rep.certificate["below"]["arithmetic"] == "real"
