@@ -603,6 +603,8 @@ def cmd_spectrum(cfg: RunConfig) -> ResultBundle:
             bundle.checks["certified"] = bool(cert.get("certified", False))
             bundle.checks["gap_empty"] = bool(count == 0) if count is not None else bool(rep.k == 0)
             bundle.extra["in_window_count"] = int(count) if count is not None else rep.k
+            if "solve_fill" in cert:
+                bundle.extra["solve_fill"] = cert["solve_fill"]
 
     bundle.checks["hermitian_exact"] = bool(op.sym_defect == 0.0)
     bundle.tables["eigenvalues.csv"] = (EIGENVALUE_COLUMNS, _eigen_rows(rep))
@@ -745,6 +747,7 @@ def cmd_scan(cfg: RunConfig) -> ResultBundle:
         bundle.checks["all_agree"] = res.all_agree()
         bundle.extra["axis"] = res.axis
         bundle.extra["meta"] = res.meta
+        bundle.extra["solve_fill"] = [rec["solve_fill"] for rec in res.records]
 
     if cfg.grid is not None:
         cross = _fiber_cross_check(cfg, cfg.grid)

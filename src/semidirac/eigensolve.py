@@ -3,23 +3,24 @@
 Every route runs in real arithmetic wherever the antiunitary symmetry
 makes the rotated matrix real (HermitianOperator.real_form, cached per
 operator; certificate["arithmetic"]), and every sparse route factors a
-shifted matrix with SuperLU
-(scipy.sparse.linalg.splu) and nothing else:
+shifted matrix with SuperLU (scipy.sparse.linalg.splu) and nothing else,
+always in the symmetric minimum-degree order (MMD on A + A^T):
 
 * ``dense_eigs``: full spectrum through LAPACK, the oracle route for
   cross-checking the sparse routes on small problems; every reported pair
   is re-verified by an explicit matrix-vector product.
 * ``count_within`` / ``count_below``: certified eigenvalue counts from the
-  pivot signs of a diagonal-pivoted sparse LU in a symmetric fill-reducing
-  order (Sylvester inertia).  Each certificate carries its evidence: the
-  symmetric pivot order, the smallest pivot, the growth max|L|, the fill
-  and the shift that was factored.  A singular factor or a broken
+  pivot signs of a diagonal-pivoted sparse LU in that order (Sylvester
+  inertia).  Each certificate carries its evidence: the symmetric pivot
+  order, the smallest pivot, the growth max|L|, the fill and the shift
+  that was factored.  A singular factor or a broken
   symmetric order raises ConvergenceError; the shift is never moved.
 * ``gap_eigs`` / ``nearest_eigenvalues``: ARPACK shift-invert
-  (scipy.sparse.linalg.eigsh) whose inverse is the partial-pivoting LU
-  solve of the shifted matrix, counted against a max_iter budget of
-  solves.  Every returned pair is re-checked as ||M x - lambda x|| <=
-  tol * ||M||_inf.
+  (scipy.sparse.linalg.eigsh) whose inverse is the LU solve of R - sigma I,
+  counted against a max_iter budget of solves.  This factor shares the
+  counts' order but not their diagonal pivots: SuperLU's threshold
+  pivoting stays on, and the certificate records its fill (solve_fill).
+  Every returned pair is re-checked as ||M x - lambda x|| <= tol * ||M||_inf.
 * ``lowest_of_square``: the bottom of a square form from its Kronecker-sum
   identity (fiber.square_form_pairs), certified by one ``count_below``.
 
@@ -197,12 +198,20 @@ def dense_eigs(op, cap: int = DENSE_CAP_DEFAULT) -> SpectrumReport:
 # ---------------------------------------------------------------------------
 # sparse LU of the shifted matrix: inertia counts and shift-invert solves
 
-def _factor(matrix: sp.csr_matrix, shift: float, **options):
-    """SuperLU factors of matrix - shift I, which must be nonsingular."""
+def _factor(matrix: sp.csr_matrix, shift: float, diag_pivot_thresh: float = 1.0):
+    """SuperLU factors of matrix - shift I, which must be nonsingular.
+
+    Every factor is taken in the symmetric minimum-degree order (MMD on
+    A + A^T, SuperLU's symmetric mode): on these operators it carries about
+    half the fill of scipy's default COLAMD order.  diag_pivot_thresh keeps
+    SuperLU's default, threshold partial pivoting; the inertia counts pass
+    0.0 for diagonal pivots.
+    """
     n = matrix.shape[0]
     shifted = (matrix - shift * sp.identity(n, format="csr", dtype=matrix.dtype)).tocsc()
     try:
-        return splu(shifted, **options), shifted
+        return splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=diag_pivot_thresh,
+                    options={"SymmetricMode": True}), shifted
     except RuntimeError as exc:
         raise ConvergenceError(
             f"shifted matrix is singular at shift {shift}: {exc}"
@@ -212,15 +221,13 @@ def _factor(matrix: sp.csr_matrix, shift: float, **options):
 def _inertia(matrix: sp.csr_matrix, shift: float) -> dict:
     """Number of eigenvalues of a Hermitian matrix below shift, with evidence.
 
-    Factors matrix - shift I with diagonal pivots in a symmetric fill-reducing
-    order, so P A P^T = L U with U = D L^H and, by Sylvester's law of
-    inertia, the count is the number of negative pivots in diag(U).  Any
-    off-diagonal pivot breaks the symmetric order and raises.
+    Factors matrix - shift I in _factor's symmetric order with diagonal
+    pivots (diag_pivot_thresh=0.0), so P A P^T = L U with U = D L^H and, by
+    Sylvester's law of inertia, the count is the number of negative pivots
+    in diag(U).  Any off-diagonal pivot breaks the symmetric order and
+    raises.
     """
-    lu, shifted = _factor(
-        matrix, shift, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
+    lu, shifted = _factor(matrix, shift, diag_pivot_thresh=0.0)
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise ConvergenceError(
             f"pivoting left the symmetric order at shift {shift}; "
@@ -283,10 +290,14 @@ def _run_shift_invert(matrix, work, basis, sigma, want, tol, max_iter, seed, cer
     """Shared driver: factor R - sigma I once, then ARPACK on its inverse.
 
     (work, basis) = (R, U), the real form of M: factors and start vector keep
-    R's dtype and the vectors map back as U z.  The counted solve enforces
-    the cap of max_iter solves and stops the run once it is spent.  ARPACK's
-    own maxiter counts restarts, each costing at least one solve, so with
-    maxiter = max_iter the solve budget always runs out first.  ARPACK
+    R's dtype and the vectors map back as U z.  The factor shares only its
+    column order with the inertia counts (_factor): it keeps SuperLU's
+    threshold partial pivoting, so a zero diagonal entry of R - sigma I does
+    not stop it, and certificate["solve_fill"] records its nnz(L + U) /
+    nnz(R - sigma I).  The counted solve enforces the cap of max_iter solves
+    and stops the run once it is spent.  ARPACK's own maxiter counts
+    restarts, each costing at least one solve, so with maxiter = max_iter
+    the solve budget always runs out first.  ARPACK
     accepts a Ritz pair (theta, x) of the inverse once its residual is below
     tol_a * |theta|, which bounds ||M x - lambda x|| by tol_a * (||M|| +
     |sigma|); tol_a is scaled so that bound is tol * ||M||_inf.  Each pair is
@@ -296,7 +307,7 @@ def _run_shift_invert(matrix, work, basis, sigma, want, tol, max_iter, seed, cer
     n = matrix.shape[0]
     normest = max(_inf_norm(matrix), np.finfo(float).tiny)
     tol_resid = tol * normest
-    lu, _ = _factor(work, sigma)
+    lu, shifted = _factor(work, sigma)
     history: list[dict] = []
     solves = 0
 
@@ -321,7 +332,7 @@ def _run_shift_invert(matrix, work, basis, sigma, want, tol, max_iter, seed, cer
         vals, vecs = np.zeros(0), np.zeros((n, 0), dtype=work.dtype)
         history.append({"iter": solves, "stopped": "solve budget spent"})
     vecs = vecs if basis is None else basis @ vecs
-    certificate.update(iterations=solves,
+    certificate.update(iterations=solves, solve_fill=lu.nnz / shifted.nnz,
                        arithmetic="complex" if work.dtype.kind == "c" else "real")
     residuals = np.linalg.norm(matrix @ vecs - vecs * vals[None, :], axis=0)
     for lam, resid in zip(vals, residuals):

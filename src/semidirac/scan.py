@@ -157,7 +157,8 @@ def _check_ladder(ladder) -> None:
 
 def _observe_gap(rec: dict, op, params: Params, solver: SolverConfig) -> None:
     """Fill a sweep record with the certified in-window count, localization
-    stats of the converged pairs and the one-sided agreement verdict."""
+    stats of the converged pairs, the one-sided agreement verdict and the
+    shift-invert factor's fill (None for a certified empty window)."""
     lo, hi = gap_window(params)
     rep = gap_eigs(op, lo, hi, **asdict(solver))
     cert = rep.certificate or {}
@@ -179,6 +180,7 @@ def _observe_gap(rec: dict, op, params: Params, solver: SolverConfig) -> None:
         "min_abs_lambda": min_abs,
         "min_participation": min_pr,
         "agreement": bool(not rec["predicted"] or (count > 0 and localized)),
+        "solve_fill": cert.get("solve_fill"),
     })
 
 
@@ -403,6 +405,7 @@ def delocalization_probe(
                 "observed_count": int(rep.k),
                 "min_abs_lambda": float(np.abs(rep.eigenvalues[i])),
                 "min_participation": pr,
+                "solve_fill": rep.certificate["solve_fill"],
             }
         )
 

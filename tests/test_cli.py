@@ -625,6 +625,9 @@ def test_scan_run_with_fiber_cross_check(tmp_path, capsys):
     assert lines[0] == "axis_value,predicted,observed_count,min_abs_lambda,min_participation,agreement"
     assert lines[1].startswith("-3,true,22,")
     assert lines[2].startswith("0,false,0,nan,nan,true")
+    # the shift-invert factor's fill per depth; the empty window runs no solve
+    fill, empty = summary["detail"]["solve_fill"]
+    assert 1.0 < fill <= 7.0 and empty is None
 
 
 def test_scan_reruns_are_byte_identical(tmp_path, capsys):

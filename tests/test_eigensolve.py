@@ -237,6 +237,66 @@ def test_broken_factorizations_raise_naming_the_shift():
         nearest_eigenvalues(D, 2.0)
 
 
+def test_solve_factor_shares_only_the_order_with_the_counts():
+    # -1.0 is a diagonal entry of the rotated fiber: the counts' diagonal
+    # pivots refuse it, while the solve factor's threshold pivoting does not
+    op = fiber_operator(0.0, P1, 4, 2.0)
+    rep = nearest_eigenvalues(op, -1.0, k=1)
+    lam = np.linalg.eigvalsh(op.matrix.toarray())
+    assert abs(rep.eigenvalues[0] - lam[np.argmin(np.abs(lam + 1.0))]) < 1e-12
+    assert rep.eigenvalues[0] == pytest.approx(-1.15304157, abs=1e-8)
+    with pytest.raises(ConvergenceError, match="pivoting left the symmetric order"):
+        count_below(op, -1.0)
+
+
+def test_solve_factor_fill_on_the_box_well():
+    # the symmetric minimum-degree order; the default COLAMD order gives 12.4
+    g = Grid2D(-9.0, 14.0, 14.0, 93, 57)
+    H = assemble_H(g, P2, BoxPotential(1.0, 1.0 + np.pi, -3.0))
+    cert = gap_eigs(H, -1.9, 1.9, k=6, seed=3).certificate
+    assert cert["count"] == 18 and cert["iterations"] > 0
+    assert cert["solve_fill"] <= 7.0
+    # the window count keeps its own fill, of the factor of R^2 - r^2 I
+    assert cert["fill"] != cert["solve_fill"]
+
+
+def test_shift_invert_drops_a_wrong_pair(box_case, monkeypatch):
+    """ARPACK hands back its first vector rolled by one entry."""
+    import semidirac.eigensolve
+
+    exact = semidirac.eigensolve.eigsh
+
+    def corrupted(*args, **kwargs):
+        vals, vecs = exact(*args, **kwargs)
+        vecs[:, 0] = np.roll(vecs[:, 0], 1)
+        return vals, vecs
+
+    monkeypatch.setattr(semidirac.eigensolve, "eigsh", corrupted)
+    H, ref = box_case
+    rep = nearest_eigenvalues(H, 0.4, k=3, tol=1e-10, seed=0)
+    assert rep.k == 2
+    assert rep.residuals.max() <= 1e-10 * np.abs(H.matrix).sum(axis=1).max()
+    lam = ref.eigenvalues
+    assert np.min(np.abs(lam[:, None] - rep.eigenvalues), axis=0).max() < 1e-8
+    # a certified window with one pair short raises the shortfall
+    with pytest.raises(ConvergenceError, match="found 3 of 4 certified") as info:
+        gap_eigs(H, -1.9, 1.9, k=4, tol=1e-10, seed=0)
+    assert max(h["residual"] for h in info.value.history if "residual" in h) > 1e-3
+
+
+def test_dense_residual_gate_fires(monkeypatch):
+    exact = np.linalg.eigh
+
+    def rolled(a):
+        vals, vecs = exact(a)
+        vecs[:, 0] = np.roll(vecs[:, 0], 1)
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", rolled)
+    with pytest.raises(AssertionError, match="dense eigenpair residual"):
+        dense_eigs(random_tridiagonal(40, seed=5))
+
+
 def test_participation_ratio_limits():
     n = 64
     assert participation_ratio(np.ones(n)) == pytest.approx(1.0)
