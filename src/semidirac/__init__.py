@@ -38,6 +38,7 @@ from .eigensolve import (
     y_decay_rate,
 )
 from .fiber import (
+    FiberFamily,
     dispersion,
     fiber_edge,
     fiber_operator,

@@ -32,6 +32,7 @@ from scipy.sparse.linalg import norm as sparse_norm
 
 from . import __version__
 from .assembly import (
+    YGrid,
     assemble_H,
     assemble_H_eps,
     assemble_square_form,
@@ -47,7 +48,7 @@ from .eigensolve import (
     gap_eigs,
     lowest_of_square,
 )
-from .fiber import fiber_edge, fiber_operator, union_edge
+from .fiber import FiberFamily, fiber_edge, union_edge
 from .lattice import BoxPotential, Grid2D, NoPotential, Params, XOnlyPotential
 from .quasimode import (
     aeps_divergence,
@@ -764,11 +765,13 @@ def _inertia_bracket(op, xi: float, m: float) -> dict:
     dense_eigs' residual gate, read off the matrix without a solve
     (||M||_inf >= max |lambda|).  The single count at m + w also certifies
     that the next level sqrt(c^2 + s_1^2) lies outside the bracket.  The
-    counts come from the assembled operator, so a wrong identity fails here
-    rather than landing in the table.  count_within factors M^2 - r^2 I,
-    whose roundoff is about eps ||M||^2 against a margin of 2 m w, so m
-    below about 1e-6 ||M|| cannot be certified and raises.  A radius at or
-    below zero holds no eigenvalue and is not factored.
+    counts come from an assembled matrix, the FiberFamily member at xi,
+    whose coupling the family computes from (xi, params) itself and never
+    takes from m: so a wrong identity fails here rather than landing in
+    the table.  count_within factors M^2 - r^2 I, whose roundoff is about
+    eps ||M||^2 against a margin of 2 m w, so m below about 1e-6 ||M||
+    cannot be certified and raises.  A radius at or below zero holds no
+    eigenvalue and is not factored.
     """
     w = 1e-10 * sparse_norm(op.matrix, np.inf)
     radii = [m - w, m + w]
@@ -788,12 +791,12 @@ def cmd_fiber(cfg: RunConfig) -> ResultBundle:
     f = cfg.canonical["fiber"]
     bundle = ResultBundle("fiber", cfg.canonical)
     rows, brackets = [], []
+    family = FiberFamily(cfg.params, YGrid(float(f["y_max"]), int(f["ny"])))
     for xi in f["xi_values"]:
         # the fiber's unpaired eigenvalue is its coupling xi^2 + delta, and
         # none is smaller in size (fiber module docstring)
         edge = fiber_edge(xi, cfg.params)
-        op = fiber_operator(xi, cfg.params, f["ny"], f["y_max"])
-        brackets.append(_inertia_bracket(op, float(xi), edge))
+        brackets.append(_inertia_bracket(family(xi), float(xi), edge))
         rows.append({"xi": float(xi), "edge_analytic": edge, "min_abs_lambda": edge,
                      "rel_err": 0.0})
     bundle.tables["fiber.csv"] = (FIBER_COLUMNS, rows)

@@ -10,7 +10,11 @@ the full plane give the dispersion relation +-sqrt(kappa^2 + (xi^2+delta)^2),
 so each fiber's continuum spectrum stays outside (-edge, edge) with
 edge = xi^2 + delta, and the union over xi touches the gap exactly at
 +-delta.  The discretized fibers below provide an independent prediction
-of the 2D spectrum edge at a tiny fraction of the 2D cost.
+of the 2D spectrum edge at a tiny fraction of the 2D cost.  Every fiber
+is the same y operator with only the coupling c = xi^2 + delta changed,
+so the assembled fiber is affine in c, M(c) = M_B + c M_J: FiberFamily
+assembles and rotates the two parts once per y grid and serves every
+member from them.
 
 The discrete fibers have a closed-form spectrum.  In the real basis of
 the antiunitary symmetry (HermitianOperator.real_form) a fiber with
@@ -18,22 +22,23 @@ coupling c is exactly
 
     R = [[c I_ny, B], [B^T, -c I_(ny-1)]],
 
-where B, the summation-by-parts derivative in that basis, depends on
-neither xi nor delta.  So R^2 = (c^2 + B B^T) (+) (c^2 + B^T B), and the
-spectrum is {c} together with +-sqrt(c^2 + s_i^2) over the ny - 1 singular
-values s_i of B (Golub and Kahan, SIAM J. Numer. Anal. B 2, 205, 1965):
-fiber_spectra computes them once per y grid and serves every coupling
-from that one solve.  Because the x weights are uniform, the x factor of
-T and of an x-only H is the one symmetric matrix Kx + diag(vx); each of
-its eigenvalues mu gives a fiber with c = mu + delta, and the union of
-those fibers is the exact discrete spectrum (separable_spectrum).  Since
-sqrt(c^2 + s_i^2) >= |c|, the unpaired c is also the smallest eigenvalue
-in size: the fiber table reads each fiber's min |lambda| as xi^2 + delta,
-and scan.free_edge the free 2D edge as delta + lambda_min(Kx), with no
-solve.  The identity is an oracle, not a certificate: the fiber table
-certifies each m it reads by Sylvester inertia on the assembled fiber
-(cli.cmd_fiber), and the tests hold it against eigvalsh, the inertia
-counts of the 2D assemblies and shift-invert at the 2D edge.
+where B, the summation-by-parts derivative in that basis (the
+off-diagonal block of R_B), depends on neither xi nor delta.  So R^2 =
+(c^2 + B B^T) (+) (c^2 + B^T B), and the spectrum is {c} together with
++-sqrt(c^2 + s_i^2) over the ny - 1 singular values s_i of B (Golub and
+Kahan, SIAM J. Numer. Anal. B 2, 205, 1965): fiber_spectra computes them
+once per y grid and serves every coupling from that one solve.  Because
+the x weights are uniform, the x factor of T and of an x-only H is the
+one symmetric matrix Kx + diag(vx); each of its eigenvalues mu gives a
+fiber with c = mu + delta, and the union of those fibers is the exact
+discrete spectrum (separable_spectrum).  Since sqrt(c^2 + s_i^2) >= |c|,
+the unpaired c is also the smallest eigenvalue in size: the fiber table
+reads each fiber's min |lambda| as xi^2 + delta, and scan.free_edge the
+free 2D edge as delta + lambda_min(Kx), with no solve.  The identity is
+an oracle, not a certificate: the fiber table certifies each m it reads
+by Sylvester inertia on the assembled family member (cli.cmd_fiber), and
+the tests hold it against eigvalsh, the inertia counts of the 2D
+assemblies and shift-invert at the 2D edge.
 
 The square form separates the same way: in the reduced layout (y outer,
 x inner) it is exactly Y (x) I + I (x) S^2, with S = Kx + diag(delta + vx)
@@ -46,6 +51,9 @@ and eigensolve.lowest_of_square certifies them on the assembled form.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigvalsh_tridiagonal, svdvals
@@ -56,6 +64,7 @@ from .assembly import (
     YGrid,
     _finish,
     _reduce,
+    conjugation_basis,
     first_derivative_y,
     stiffness_x,
 )
@@ -88,29 +97,67 @@ def union_edge(xi_grid, params: Params) -> float:
     return float(np.min(xs * xs) + params.delta)
 
 
-def fiber_operator(xi: float, params: Params, ny: int, y_max: float) -> HermitianOperator:
-    """Exactly Hermitian discretization of one momentum fiber.
+@dataclass(frozen=True)
+class FiberFamily:
+    """The momentum fibers on one y grid, M(c) = M_B + c M_J (module docstring).
 
     Same ingredients as the 2D assembly: summation-by-parts first
     derivative in y, edge identification u1(0) = u2(0) folding the
     spinor into 2*ny - 1 unknowns, Dirichlet wall at y_max, and the
-    symmetric weight rescaling.  The off-diagonal coupling is the
-    constant xi^2 + delta.
+    symmetric weight rescaling.  The coupling-free part M_B and the unit
+    coupling M_J are each assembled once and rotated by one conjugation
+    basis U; each member carries (R_B + c R_J, U) as its real_form.
     """
-    if not np.isfinite(xi):
-        raise ValueError(f"xi must be finite, got {xi}")
-    if ny < 4:
-        raise ValueError(f"ny must be at least 4, got {ny}")
-    ygrid = YGrid(float(y_max), int(ny))
-    dmat, omega = first_derivative_y(ny, ygrid.hy)
-    womega = sp.diags(omega)
-    a11 = (-1j * (womega @ dmat)).tocsr()
-    a22 = a11.conj().tocsr()
-    coupling = fiber_edge(xi, params)
-    a12 = (coupling * womega).tocsr()
 
-    M, w_red = _reduce(ygrid, a11, a12, a12, a22)
-    return _finish(M, FIRST_ORDER, w_red, params, grid=None, ygrid=ygrid)
+    params: Params
+    ygrid: YGrid
+
+    def _assemble(self, a11, a12) -> HermitianOperator:
+        m, w_red = _reduce(self.ygrid, a11, a12, a12, a11.conj().tocsr())
+        return _finish(m, FIRST_ORDER, w_red, self.params, ygrid=self.ygrid)
+
+    @cached_property
+    def base(self) -> tuple[HermitianOperator, sp.csr_matrix, sp.csr_matrix]:
+        """(M_B, R_B, U): the coupling-free part, its real form and the basis."""
+        dmat, omega = first_derivative_y(self.ygrid.ny, self.ygrid.hy)
+        op = self._assemble((-1j * (sp.diags(omega) @ dmat)).tocsr(), sp.csr_matrix(dmat.shape))
+        basis = conjugation_basis(op)
+        return op, _rotated(op, basis), basis
+
+    @cached_property
+    def unit(self) -> tuple[HermitianOperator, sp.csr_matrix]:
+        """(M_J, R_J): the unit coupling and its real form in the basis of base."""
+        ny = self.ygrid.ny
+        op = self._assemble(sp.csr_matrix((ny, ny)), sp.diags(self.ygrid.node_weights().ravel()))
+        return op, _rotated(op, self.base[2])
+
+    def __call__(self, xi: float) -> HermitianOperator:
+        """The fiber at momentum xi; its coupling is fiber_edge(xi, params)."""
+        if not np.isfinite(xi):
+            raise ValueError(f"xi must be finite, got {xi}")
+        (b, real_b, basis), (j, real_j) = self.base, self.unit
+        c = fiber_edge(xi, self.params)
+        op = HermitianOperator(b.matrix + c * j.matrix, FIRST_ORDER, b.weights,
+                               self.params, ygrid=self.ygrid)
+        # a real multiple of one exactly Hermitian matrix added to another
+        # is exactly Hermitian; the discarded defects are those of the parts
+        object.__setattr__(op, "_sym_defect", max(b.sym_defect, j.sym_defect))
+        object.__setattr__(op, "real_form", (real_b + c * real_j, basis))
+        return op
+
+
+def _rotated(op: HermitianOperator, basis: sp.csr_matrix) -> sp.csr_matrix:
+    """(U^H M U).real, refused unless its imaginary part is exactly zero."""
+    rotated = (basis.conj().T @ op.matrix @ basis).tocsr()
+    if rotated.data.imag.any():
+        raise ValueError("the fiber family did not rotate to a real matrix")
+    return rotated.real
+
+
+def fiber_operator(xi: float, params: Params, ny: int, y_max: float) -> HermitianOperator:
+    """Exactly Hermitian discretization of one momentum fiber: the member
+    of FiberFamily(params, YGrid(y_max, ny)) at xi."""
+    return FiberFamily(params, YGrid(float(y_max), int(ny)))(xi)
 
 
 def fiber_spectra(couplings, ygrid: YGrid) -> np.ndarray:
@@ -119,14 +166,11 @@ def fiber_spectra(couplings, ygrid: YGrid) -> np.ndarray:
     Row i holds the 2 ny - 1 eigenvalues, ascending, of the fiber whose
     coupling (xi^2 + delta for a momentum fiber) is couplings[i]:
     {c} and +-sqrt(c^2 + s^2) over the singular values s of the
-    derivative block B (module docstring).  B is read off one assembled
-    fiber, since it does not depend on the coupling.
+    derivative block B (module docstring), read off the coupling-free
+    real form R_B of the family, so no coupling is assembled.
     """
     c = np.asarray(couplings, dtype=np.float64).reshape(-1, 1)
-    op = fiber_operator(0.0, Params(1.0), ygrid.ny, ygrid.y_max)
-    real, basis = op.real_form
-    if basis is None:
-        raise ValueError("the fiber did not rotate to a real matrix; B cannot be read off")
+    real = FiberFamily(Params(1.0), ygrid).base[1]
     s = svdvals(real[: ygrid.ny, ygrid.ny :].toarray())
     root = np.hypot(c, s)
     return np.sort(np.hstack([-root, c, root]), axis=1)

@@ -68,6 +68,21 @@ def test_hermiticity_is_exact_not_approximate():
         assert d.nnz == 0 or d.max() == 0.0
 
 
+def test_planted_anti_hermitian_entry_is_refused(monkeypatch):
+    """A defect of relative size 1e-6 is a bug, not roundoff."""
+    original = assembly._first_order_blocks
+
+    def planted(grid, params):
+        A11, S, A22, W2 = original(grid, params)
+        A11 = A11.tolil()
+        A11[5, 5] = 1e-6j * abs(A11).max()
+        return A11.tocsr(), S, A22, W2
+
+    monkeypatch.setattr(assembly, "_first_order_blocks", planted)
+    with pytest.raises(AssertionError, match="not Hermitian"):
+        assemble_T(small_grid(), P1)
+
+
 def test_reduced_dimension_counts_merged_edge():
     for nx, ny in ((13, 9), (21, 11)):
         g = Grid2D(-3.0, 3.0, 3.0, nx, ny)

@@ -538,12 +538,13 @@ def test_fiber_table_refuses_a_spectrum_the_inertia_contradicts(tmp_path, capsys
     assert not (out / "fiber.csv").exists()
 
 
-def test_fiber_table_rotates_each_fiber_once(tmp_path, capsys, monkeypatch):
-    """At the defaults, 21 fibers: one conjugation basis and two inertia
-    counts each, and no fiber_spectra solve."""
+def test_fiber_table_rotates_one_family_per_table(tmp_path, capsys, monkeypatch):
+    """At the defaults, 21 fibers: two assembled parts and one conjugation
+    basis for the whole family, two inertia counts each, and no
+    fiber_spectra solve."""
     import semidirac.fiber
 
-    calls = {"conjugation_basis": 0, "count_within": 0}
+    calls = {"_reduce": 0, "conjugation_basis": 0, "count_within": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -556,16 +557,36 @@ def test_fiber_table_rotates_each_fiber_once(tmp_path, capsys, monkeypatch):
     def no_spectra(*args, **kwargs):
         raise AssertionError("the fiber table must not call fiber_spectra")
 
-    # every binding of the basis is counted, wherever a module imported it
+    # every binding of the fold and the basis is counted, wherever a module
+    # imported it
     for module in [m for n, m in sys.modules.items() if n.startswith("semidirac.")]:
-        if hasattr(module, "conjugation_basis"):
-            counted(module, "conjugation_basis")
+        for name in ("_reduce", "conjugation_basis"):
+            if hasattr(module, name):
+                counted(module, name)
     counted(semidirac.cli, "count_within")
     monkeypatch.setattr(semidirac.fiber, "fiber_spectra", no_spectra)
     cfg = write_config(tmp_path, {"params": {"delta": 1.0}})
     assert main(["fiber", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     capsys.readouterr()
-    assert calls == {"conjugation_basis": 21, "count_within": 42}
+    assert calls == {"_reduce": 2, "conjugation_basis": 1, "count_within": 42}
+
+
+def test_fiber_cross_check_fails_on_a_narrow_domain(tmp_path, capsys):
+    """At x half-width 2 the free 2D edge delta + lambda_min(Kx) sits near
+    1.6, far past 5% of the fiber union's delta = 1."""
+    cfg = write_config(tmp_path, {
+        "params": {"delta": 1.0},
+        "grid": {"x_min": -2.0, "x_max": 2.0, "y_max": 6.0, "nx": 21, "ny": 13},
+        "scan": {"axis": "potential", "values": [0.0], "a": 0.1, "b": 0.3},
+    })
+    out = tmp_path / "out"
+    assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    summary = read_summary(out)
+    cross = summary["detail"]["fiber_cross_check"]
+    assert cross["union_edge"] == 1.0 and cross["rel_err"] > 0.05
+    assert cross["within_5pct"] is False
+    assert summary["checks"]["fiber_cross_check"] is False
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):

@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semidirac import (
+    FiberFamily,
     Grid2D,
     Params,
     XOnlyPotential,
     assemble_H,
     assemble_square_form,
     assemble_T,
+    count_within,
     dense_eigs,
     dispersion,
     fiber_edge,
@@ -24,7 +27,13 @@ from semidirac import (
     separable_spectrum,
     union_edge,
 )
-from semidirac.assembly import HermitianOperator, YGrid
+from semidirac.assembly import (
+    FIRST_ORDER,
+    YGrid,
+    _finish,
+    _reduce,
+    first_derivative_y,
+)
 from semidirac.fiber import square_form_pairs
 from semidirac.cli import _fiber_cross_check, parse_config
 from semidirac.scan import GAP_WINDOW_FRACTION, convergence_study, free_edge
@@ -100,6 +109,49 @@ def test_gap_scales_with_delta():
 
 
 # ---------------------------------------------------------------------------
+# the fiber family: one assembly and one rotation per y grid
+
+
+def per_fiber_operator(xi, params, ny, y_max):
+    """The fiber assembled on its own, with its coupling inside the blocks:
+    the oracle for the family's members."""
+    ygrid = YGrid(float(y_max), int(ny))
+    dmat, omega = first_derivative_y(ny, ygrid.hy)
+    womega = sp.diags(omega)
+    a11 = (-1j * (womega @ dmat)).tocsr()
+    a12 = (fiber_edge(xi, params) * womega).tocsr()
+    M, w_red = _reduce(ygrid, a11, a12, a12, a11.conj().tocsr())
+    return _finish(M, FIRST_ORDER, w_red, params, ygrid=ygrid)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    xis=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3), delta=st.floats(0.1, 3.0),
+    ny=st.integers(4, 120), y_max=st.floats(1.0, 40.0),
+)
+def test_family_members_equal_the_per_fiber_assembly(xis, delta, ny, y_max):
+    params = Params(delta)
+    family = FiberFamily(params, YGrid(y_max, ny))
+    for xi in xis:
+        want, got = per_fiber_operator(xi, params, ny, y_max), family(xi)
+        a, b = want.matrix, got.matrix
+        norm = abs(a).sum(axis=1).max()
+        ulp = np.finfo(np.float64).eps * norm
+        assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+        assert np.max(np.abs(a.data - b.data)) <= 4 * ulp
+        assert got.sym_defect == 0.0
+        assert abs(b - b.getH()).max() == 0.0
+        real, basis = got.real_form
+        rotated = (basis.conj().T @ b @ basis).toarray()
+        assert real.dtype == np.float64 and not rotated.imag.any()
+        assert np.max(np.abs(rotated.real - real.toarray())) <= 4 * ulp
+        w = 1e-10 * norm
+        m = fiber_edge(xi, params)
+        for r in (m - w, m + w):
+            assert count_within(got, r)["count"] == count_within(want, r)["count"]
+
+
+# ---------------------------------------------------------------------------
 # the separable oracle: fiber spectra from one y solve
 
 
@@ -155,7 +207,9 @@ def test_fiber_spectra_rows_follow_their_couplings():
 
 def test_fiber_spectra_refuses_an_unrotated_fiber(monkeypatch):
     """B is read off the real form; a fiber that stays complex has none."""
-    monkeypatch.setattr(HermitianOperator, "real_form", property(lambda op: (op.matrix, None)))
+    import semidirac.fiber
+
+    monkeypatch.setattr(semidirac.fiber, "conjugation_basis", lambda op: sp.identity(op.dim))
     with pytest.raises(ValueError, match="did not rotate"):
         fiber_spectra([1.0], YGrid(20.0, 8))
 

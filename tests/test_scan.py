@@ -14,6 +14,7 @@ from semidirac import (
     Params,
     ScanResult,
     SolverConfig,
+    SpectrumReport,
     boundstate_window,
     convergence_study,
     delocalization_probe,
@@ -118,6 +119,24 @@ def test_potential_scan_agreement_is_one_sided():
     rec = res.records[0]
     assert rec["predicted"] is False
     assert rec["agreement"] is True
+
+
+@pytest.mark.parametrize("participation,agreement", [
+    (LOCALIZED_PARTICIPATION, False), (0.5 * LOCALIZED_PARTICIPATION, True)])
+def test_predicted_state_must_be_localized(monkeypatch, participation, agreement):
+    """A predicted record agrees only if an in-window state is localized;
+    a certified count of delocalized states does not do."""
+    import semidirac.scan
+
+    def one_state(op, lo, hi, **solver):
+        return SpectrumReport(np.array([0.5]), np.ones((3, 1)), np.zeros(1),
+                              np.array([participation]), np.array([-1.0]), "shift-invert",
+                              {"count": 1, "certified": True, "solve_fill": 2.0})
+
+    monkeypatch.setattr(semidirac.scan, "gap_eigs", one_state)
+    rec = {"axis_value": -3.0, "predicted": True}
+    semidirac.scan._observe_gap(rec, None, P2, SolverConfig())
+    assert rec["observed_count"] == 1 and rec["agreement"] is agreement
 
 
 def test_potential_scan_placement_guards():
