@@ -21,9 +21,23 @@ inner), then u2 nodes for j >= 1; the merged edge values live in the u1
 block.  Dimension 2*nx*ny - nx.
 
 The central first difference carries the usual lattice doubler branch; its
-dispersion stays outside the spectral gap, but localized eigenvalues inside
-the gap appear in doubled copies.  Counts reported downstream are matrix
-eigenvalue counts, not continuum multiplicities.
+dispersion stays outside the spectral gap.  It also splits T, H and the
+square forms exactly in two: their real form (HermitianOperator.real_form)
+has no entry between its two diagonal blocks (HermitianOperator.blocks).
+In the real basis the x part, diagonal in the row j, keeps the
+conjugation sector (the merged edge and the (e1 + e2)/sqrt(2) columns
+against the i (e1 - e2)/sqrt(2) columns), while the central y difference
+links row j to rows j +- 1 of the other sector; so a first-order block is
+the set where sector xor (j mod 2) is fixed (13041 + 12880 unknowns for T
+at 161x81, 5301 + 5208 for the 93x57 box well), and a square form, with
+no first-order term, splits by sector alone (3321 + 3240 at 81x41).  An
+H_eps with w11 = w22 and real w12 splits the same way; an imaginary w12
+links the sectors within a row, and w11 != w22 leaves no real form, so
+those are one block.  The localized eigenvalues inside the gap come in
+doubled copies, one in each block, up to the copies' discretization
+error (the 93x57 box-well window counts 18, 18, 13, 0 split as 9 + 9,
+9 + 9, 7 + 6, 0 + 0).  Counts reported downstream are matrix eigenvalue
+counts, not continuum multiplicities.
 """
 
 from __future__ import annotations
@@ -206,6 +220,22 @@ class HermitianOperator:
         if not rotated.data.imag.any():
             return rotated.real, basis
         return self.matrix, None
+
+    @cached_property
+    def blocks(self) -> tuple[np.ndarray, ...] | None:
+        """Ascending index sets of the connected components of the real
+        form's pattern, so R[a][:, b] == 0 exactly for any two of them
+        (module docstring), or None off a 2-d grid (the fibers), counted
+        whole.  Cached: the components are found once per operator.
+        """
+        if self.grid is None:
+            return None
+        # imported here, so processes that count no 2-d operator (the fiber
+        # table, the exports) do not load csgraph's extension modules
+        from scipy.sparse.csgraph import connected_components
+
+        count, labels = connected_components(abs(self.real_form[0]), directed=False)
+        return tuple(np.flatnonzero(labels == b) for b in range(count))
 
     @property
     def sym_defect(self) -> float:

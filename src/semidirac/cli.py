@@ -606,6 +606,8 @@ def cmd_spectrum(cfg: RunConfig) -> ResultBundle:
             bundle.extra["in_window_count"] = int(count) if count is not None else rep.k
             if "solve_fill" in cert:
                 bundle.extra["solve_fill"] = cert["solve_fill"]
+            if "block_counts" in cert:
+                bundle.extra["block_counts"] = cert["block_counts"]
 
     bundle.checks["hermitian_exact"] = bool(op.sym_defect == 0.0)
     bundle.tables["eigenvalues.csv"] = (EIGENVALUE_COLUMNS, _eigen_rows(rep))
@@ -749,6 +751,7 @@ def cmd_scan(cfg: RunConfig) -> ResultBundle:
         bundle.extra["axis"] = res.axis
         bundle.extra["meta"] = res.meta
         bundle.extra["solve_fill"] = [rec["solve_fill"] for rec in res.records]
+        bundle.extra["block_counts"] = [rec.get("block_counts") for rec in res.records]
 
     if cfg.grid is not None:
         cross = _fiber_cross_check(cfg, cfg.grid)

@@ -11,10 +11,14 @@ always in the symmetric minimum-degree order (MMD on A + A^T):
   is re-verified by an explicit matrix-vector product.
 * ``count_within`` / ``count_below``: certified eigenvalue counts from the
   pivot signs of a diagonal-pivoted sparse LU in that order (Sylvester
-  inertia).  Each certificate carries its evidence: the symmetric pivot
-  order, the smallest pivot, the growth max|L|, the fill and the shift
-  that was factored.  A singular factor or a broken
-  symmetric order raises ConvergenceError; the shift is never moved.
+  inertia), one decoupled diagonal block of the real form at a time
+  (HermitianOperator.blocks): the inertia of a block-diagonal matrix is
+  the sum of its blocks', and only one block's factor is alive at once.
+  Each certificate carries its evidence: the symmetric pivot order, the
+  smallest pivot, the growth max|L|, the fill, the shift that was
+  factored and the per-block counts.  A singular factor or a broken
+  symmetric order in any block raises ConvergenceError; the shift is
+  never moved.
 * ``gap_eigs`` / ``nearest_eigenvalues``: ARPACK shift-invert
   (scipy.sparse.linalg.eigsh) whose inverse is the LU solve of R - sigma I,
   counted against a max_iter budget of solves.  This factor shares the
@@ -199,7 +203,8 @@ def dense_eigs(op, cap: int = DENSE_CAP_DEFAULT) -> SpectrumReport:
 # sparse LU of the shifted matrix: inertia counts and shift-invert solves
 
 def _factor(matrix: sp.csr_matrix, shift: float, diag_pivot_thresh: float = 1.0):
-    """SuperLU factors of matrix - shift I, which must be nonsingular.
+    """SuperLU factors of matrix - shift I, which must be nonsingular, and
+    that matrix's nnz (the matrix itself is dropped once factored).
 
     Every factor is taken in the symmetric minimum-degree order (MMD on
     A + A^T, SuperLU's symmetric mode): on these operators it carries about
@@ -211,36 +216,63 @@ def _factor(matrix: sp.csr_matrix, shift: float, diag_pivot_thresh: float = 1.0)
     shifted = (matrix - shift * sp.identity(n, format="csr", dtype=matrix.dtype)).tocsc()
     try:
         return splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=diag_pivot_thresh,
-                    options={"SymmetricMode": True}), shifted
+                    options={"SymmetricMode": True}), shifted.nnz
     except RuntimeError as exc:
         raise ConvergenceError(
             f"shifted matrix is singular at shift {shift}: {exc}"
         ) from exc
 
 
-def _inertia(matrix: sp.csr_matrix, shift: float) -> dict:
-    """Number of eigenvalues of a Hermitian matrix below shift, with evidence.
+def _block_inertia(matrix: sp.csr_matrix, shift: float, block: str) -> tuple:
+    """(count, min |pivot|, max |L|, nnz(L + U), nnz(A)) of one block A = matrix - shift I.
 
-    Factors matrix - shift I in _factor's symmetric order with diagonal
-    pivots (diag_pivot_thresh=0.0), so P A P^T = L U with U = D L^H and, by
+    Factors A in _factor's symmetric order with diagonal pivots
+    (diag_pivot_thresh=0.0), so P A P^T = L U with U = D L^H and, by
     Sylvester's law of inertia, the count is the number of negative pivots
     in diag(U).  Any off-diagonal pivot breaks the symmetric order and
-    raises.
+    raises, naming the block.  The factor and its CSC copies die on return.
     """
-    lu, shifted = _factor(matrix, shift, diag_pivot_thresh=0.0)
+    lu, matrix_nnz = _factor(matrix, shift, diag_pivot_thresh=0.0)
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise ConvergenceError(
-            f"pivoting left the symmetric order at shift {shift}; "
+            f"pivoting left the symmetric order at shift {shift} in block {block}; "
             f"the pivot signs do not count eigenvalues"
         )
     pivots = lu.U.diagonal().real
+    multipliers = lu.L.data
+    growth = (np.abs(multipliers).max() if multipliers.dtype.kind == "c"
+              else max(multipliers.max(), -multipliers.min()))
+    return (int(np.count_nonzero(pivots < 0.0)), float(np.abs(pivots).min()),
+            float(growth), lu.nnz, matrix_nnz)
+
+
+def _inertia(op, form, shift: float) -> dict:
+    """Number of eigenvalues of the Hermitian form(R) below shift, with evidence.
+
+    R is the real form of op and form maps R, or one of its decoupled
+    diagonal blocks R_b (HermitianOperator.blocks), to the matrix counted;
+    form(R) is block diagonal with the blocks form(R_b), so its inertia is
+    the sum of theirs.  Each form(R_b) is built, factored by _block_inertia
+    and freed before the next, so one block's factor is alive at a time.
+    Counts add up, min_pivot is the smallest and growth the largest over
+    the blocks, and fill is sum nnz(L + U) / sum nnz(A).  Fibers, bare
+    matrices and a connected 2-d operator are one block, R whole.
+    """
+    work = _as_matrix(op)[2]
+    blocks = op.blocks if isinstance(op, HermitianOperator) else None
+    parts = (None,) if blocks is None or len(blocks) == 1 else blocks
+    stats = [_block_inertia(form(work if idx is None else work[idx][:, idx]), shift,
+                            f"{b} of {len(parts)}")
+             for b, idx in enumerate(parts)]
+    counts, pivots, growths, factor_nnz, matrix_nnz = zip(*stats)
     return {
-        "count": int(np.count_nonzero(pivots < 0.0)),
-        "arithmetic": "complex" if matrix.dtype.kind == "c" else "real",
+        "count": sum(counts),
+        "arithmetic": "complex" if work.dtype.kind == "c" else "real",
         "symmetric_order": True,
-        "min_pivot": float(np.abs(pivots).min()),
-        "growth": float(np.abs(lu.L.data).max()),
-        "fill": lu.nnz / shifted.nnz,
+        "min_pivot": min(pivots),
+        "growth": max(growths),
+        "fill": sum(factor_nnz) / sum(matrix_nnz),
+        "block_counts": list(counts),
     }
 
 
@@ -248,35 +280,38 @@ def count_within(op, radius: float) -> dict:
     """Certified count of eigenvalues with |lambda| < radius.
 
     Computed as the inertia of R @ R - radius^2 I, R the real form of M, real
-    wherever the antiunitary symmetry allows.  The square is positive
-    semidefinite with strictly positive diagonal, and its pivot signs count
-    the squared eigenvalues below radius^2.  The certificate carries the
-    factored shift (shift_squared), "arithmetic" ("real" or "complex"),
-    symmetric_order, the smallest |pivot| (min_pivot), the largest
-    multiplier max|L| (growth) and nnz(L + U) / nnz(A) (fill).
+    wherever the antiunitary symmetry allows, one decoupled block R_b at a
+    time: R_b @ R_b - radius^2 I is formed and factored per block, never
+    the whole square, and one block's factor is alive at a time.  The
+    square is positive semidefinite with strictly positive diagonal, and
+    its pivot signs count the squared eigenvalues below radius^2.  The
+    certificate carries the factored shift (shift_squared), "arithmetic"
+    ("real" or "complex"), symmetric_order, the smallest |pivot|
+    (min_pivot), the largest multiplier max|L| (growth), nnz(L + U) /
+    nnz(A) (fill), each summed or extremal over the blocks, and the count
+    of each block (block_counts; one entry for an operator counted whole).
     """
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be positive, got {radius}")
-    work = _as_matrix(op)[2]
     shift = float(radius) ** 2
-    window = _inertia((work @ work).tocsr(), shift)
+    window = _inertia(op, lambda r: (r @ r).tocsr(), shift)
     return {"radius": float(radius), "shift_squared": shift, **window}
 
 
 def count_below(op, threshold: float) -> dict:
     """Certified count of eigenvalues below a threshold by direct inertia.
 
-    Factors M - threshold I with diagonal pivots and counts negative ones.
-    Intended for operators with strictly positive diagonal (the square-form
-    assemblies); for gap windows of the first-order operator use
-    count_within.  The certificate carries the factored shift and the same
-    evidence as count_within.
+    Factors R_b - threshold I with diagonal pivots and counts negative
+    ones, one decoupled block R_b of the real form at a time, as
+    count_within does.  Intended for operators with strictly positive
+    diagonal (the square-form assemblies); for gap windows of the
+    first-order operator use count_within.  The certificate carries the
+    factored shift and the same evidence as count_within.
     """
     if not np.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
-    work = _as_matrix(op)[2]
     shift = float(threshold)
-    return {"threshold": shift, "shift": shift, **_inertia(work, shift)}
+    return {"threshold": shift, "shift": shift, **_inertia(op, lambda r: r, shift)}
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +342,7 @@ def _run_shift_invert(matrix, work, basis, sigma, want, tol, max_iter, seed, cer
     n = matrix.shape[0]
     normest = max(_inf_norm(matrix), np.finfo(float).tiny)
     tol_resid = tol * normest
-    lu, shifted = _factor(work, sigma)
+    lu, matrix_nnz = _factor(work, sigma)
     history: list[dict] = []
     solves = 0
 
@@ -332,7 +367,7 @@ def _run_shift_invert(matrix, work, basis, sigma, want, tol, max_iter, seed, cer
         vals, vecs = np.zeros(0), np.zeros((n, 0), dtype=work.dtype)
         history.append({"iter": solves, "stopped": "solve budget spent"})
     vecs = vecs if basis is None else basis @ vecs
-    certificate.update(iterations=solves, solve_fill=lu.nnz / shifted.nnz,
+    certificate.update(iterations=solves, solve_fill=lu.nnz / matrix_nnz,
                        arithmetic="complex" if work.dtype.kind == "c" else "real")
     residuals = np.linalg.norm(matrix @ vecs - vecs * vals[None, :], axis=0)
     for lam, resid in zip(vals, residuals):

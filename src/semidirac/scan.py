@@ -157,8 +157,9 @@ def _check_ladder(ladder) -> None:
 
 def _observe_gap(rec: dict, op, params: Params, solver: SolverConfig) -> None:
     """Fill a sweep record with the certified in-window count, localization
-    stats of the converged pairs, the one-sided agreement verdict and the
-    shift-invert factor's fill (None for a certified empty window)."""
+    stats of the converged pairs, the one-sided agreement verdict, the
+    shift-invert factor's fill (None for a certified empty window) and the
+    count of each decoupled block (None for an uncertified window)."""
     lo, hi = gap_window(params)
     rep = gap_eigs(op, lo, hi, **asdict(solver))
     cert = rep.certificate or {}
@@ -181,6 +182,7 @@ def _observe_gap(rec: dict, op, params: Params, solver: SolverConfig) -> None:
         "min_participation": min_pr,
         "agreement": bool(not rec["predicted"] or (count > 0 and localized)),
         "solve_fill": cert.get("solve_fill"),
+        "block_counts": cert.get("block_counts"),
     })
 
 

@@ -361,6 +361,8 @@ def test_spectrum_gap_run_certifies_empty_window(tmp_path, capsys):
     assert summary["checks"]["gap_empty"] is True
     assert summary["checks"]["hermitian_exact"] is True
     assert summary["detail"]["in_window_count"] == 0
+    # one count per decoupled block of the real form (sector xor row parity)
+    assert summary["detail"]["block_counts"] == [0, 0]
     csv = (out / "eigenvalues.csv").read_text(encoding="utf-8")
     assert csv == "index,lambda,residual,participation_ratio,y_decay_rate\n"
     assert summary["config"]["solver"]["interval"] == [-0.95, 0.95]
@@ -649,6 +651,8 @@ def test_scan_run_with_fiber_cross_check(tmp_path, capsys):
     # the shift-invert factor's fill per depth; the empty window runs no solve
     fill, empty = summary["detail"]["solve_fill"]
     assert 1.0 < fill <= 7.0 and empty is None
+    # the 22 well states come as one copy in each decoupled block
+    assert summary["detail"]["block_counts"] == [[11, 11], [0, 0]]
 
 
 def test_scan_reruns_are_byte_identical(tmp_path, capsys):
