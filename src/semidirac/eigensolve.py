@@ -26,7 +26,8 @@ always in the symmetric minimum-degree order (MMD on A + A^T):
   pivoting stays on, and the certificate records its fill (solve_fill).
   Every returned pair is re-checked as ||M x - lambda x|| <= tol * ||M||_inf.
 * ``lowest_of_square``: the bottom of a square form from its Kronecker-sum
-  identity (fiber.square_form_pairs), certified by one ``count_below``.
+  identity (fiber.square_form_pairs: one tridiagonal and one banded LAPACK
+  solve, no dense eigensolver), certified by one ``count_below``.
 
 Determinism: all randomized starts come from a caller-seeded generator,
 matrix-vector products are sequential, and eigenvector phases are fixed so
@@ -478,11 +479,14 @@ def nearest_eigenvalues(
 def lowest_of_square(op: HermitianOperator, k: int = 1) -> SpectrumReport:
     """k smallest eigenpairs of an assembled square form, with a certified count.
 
-    The pairs come from fiber.square_form_pairs, with no shift-invert solve
-    (certificate["iterations"] is 0).  Each is re-checked as ||M v - lambda v||
-    <= 1e-10 ||M||_inf, the dense oracle's roundoff bound, and count_below
-    midway between lambda_k and lambda_(k+1) must find exactly k eigenvalues
-    (kept under "below").  Either failure raises ConvergenceError.
+    The pairs come from fiber.square_form_pairs, which selects them from the
+    banded factors of the identity, with no shift-invert solve and no dense
+    eigensolver (certificate["iterations"] is 0).  The identity stays an
+    oracle checked on the assembled form: each pair is re-checked as
+    ||M v - lambda v|| <= 1e-10 ||M||_inf, the dense oracle's roundoff
+    bound, and count_below midway between lambda_k and lambda_(k+1) must
+    find exactly k eigenvalues (kept under "below").  Either failure
+    raises ConvergenceError.
     """
     if not isinstance(op, HermitianOperator) or op.kind != SQUARE_FORM:
         raise ValueError("lowest_of_square needs an assembled square form")

@@ -47,6 +47,14 @@ and Y the weight-scaled forward-difference y stiffness folded onto the
 psi_j (x) phi_i (Horn and Johnson, Topics in Matrix Analysis, 4.4; Lynch,
 Rice and Thomas, Numer. Math. 6, 185, 1964): square_form_pairs reads them,
 and eigensolve.lowest_of_square certifies them on the assembled form.
+Both factors are banded.  Unfolded into the order u2 rows ny-1..1, the
+edge, u1 rows 1..ny-1, Y is the stiffness of one path through the edge,
+so it is tridiagonal; S is tridiagonal, so S^2 has bandwidth 2.  LAPACK's
+tridiagonal (stebz/stein) and banded (sbevx) drivers return only the
+count lowest pairs of each.  A dense eigh of even a 101-node factor
+enters OpenBLAS's threaded kernels, whose idle worker then spins for
+about 20 ms, so on two cores a dense route cost up to twice its wall
+time in CPU.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigvalsh_tridiagonal, svdvals
+from scipy.linalg import eig_banded, eigh_tridiagonal, eigvalsh_tridiagonal, svdvals
 
 from .assembly import (
     FIRST_ORDER,
@@ -196,12 +204,29 @@ def square_form_pairs(op: HermitianOperator, count: int):
     Both factors are read off M: M[::nx, ::nx] = Y + S^2[0, 0] I and
     M[:nx, :nx] = Y[0, 0] I + S^2, so gamma_j + s_i^2 is the sum of their
     eigenvalues less M[0, 0].  The count lowest sums take j and i among
-    the count lowest of each factor.
+    the count lowest of each factor, which LAPACK selects by index: Y
+    unfolded onto its path (u2 rows ny-1..1, the edge, u1 rows 1..ny-1) is
+    tridiagonal (eigh_tridiagonal) and S^2 has bandwidth 2 (eig_banded).
+    A factor storing an entry off its band raises ValueError.
     """
-    m, nx = op.matrix, op.grid.nx
-    gamma, psi = np.linalg.eigh(m[::nx, ::nx].toarray())
-    s2, phi = np.linalg.eigh(m[:nx, :nx].toarray())
-    sums = np.add.outer(gamma[:count], s2[:count] - m[0, 0]).ravel()
+    m, nx, ny = op.matrix, op.grid.nx, op.grid.ny
+    path = np.r_[np.arange(2 * ny - 2, ny - 1, -1), np.arange(ny)]
+    y = _band(m[::nx, ::nx][path][:, path], 1, "y factor")
+    x = _band(m[:nx, :nx], 2, "x factor")
+    ky, kx = min(count, 2 * ny - 1), min(count, nx)
+    gamma, psi_path = eigh_tridiagonal(y[0], y[1][:-1], select="i", select_range=(0, ky - 1))
+    psi = psi_path[np.argsort(path)]
+    s2, phi = eig_banded(x, lower=True, select="i", select_range=(0, kx - 1))
+    sums = np.add.outer(gamma, s2 - m[0, 0]).ravel()
     pick = np.argsort(sums, kind="stable")[:count]
-    j, i = np.divmod(pick, min(count, nx))
+    j, i = np.divmod(pick, kx)
     return sums[pick], (psi[:, None, j] * phi[None, :, i]).reshape(-1, count)
+
+
+def _band(a: sp.csr_matrix, width: int, name: str) -> np.ndarray:
+    """Lower band storage of the symmetric a, refused if a stores an entry
+    more than width off its diagonal (it would be dropped)."""
+    coo = a.tocoo()
+    if np.any(np.abs(coo.row - coo.col) > width):
+        raise ValueError(f"the square form's {name} stores an entry off its band of width {width}")
+    return np.array([np.pad(a.diagonal(-d), (0, d)) for d in range(width + 1)])

@@ -178,6 +178,42 @@ def test_lowest_of_square_refuses_a_wrong_vector(monkeypatch):
         lowest_of_square(gaussian_square_form(41, 21), k=1)
 
 
+def test_lowest_of_square_refuses_a_rolled_band_vector(monkeypatch):
+    """A wrong x factor vector from LAPACK is caught on the assembled form."""
+    import semidirac.fiber
+
+    exact = semidirac.fiber.eig_banded
+
+    def rolled(*args, **kwargs):
+        vals, vecs = exact(*args, **kwargs)
+        return vals, np.roll(vecs, 1, axis=0)
+
+    monkeypatch.setattr(semidirac.fiber, "eig_banded", rolled)
+    with pytest.raises(ConvergenceError, match="identity pair residual"):
+        lowest_of_square(gaussian_square_form(41, 21), k=1)
+
+
+def test_lowest_of_square_runs_no_dense_eigensolver(monkeypatch):
+    """Both factors go to LAPACK's tridiagonal and banded drivers, so no
+    dense eigensolver runs, not even on the 41- and 81-node factors."""
+    import scipy.linalg
+
+    import semidirac.fiber
+
+    S = gaussian_square_form(81, 41)
+    want = lowest_of_square(S, k=2).eigenvalues
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lowest_of_square must not run a dense eigensolver")
+
+    for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (scipy.linalg, "eigh"),
+                         (scipy.linalg, "eigvalsh"), (semidirac.fiber, "svdvals")):
+        monkeypatch.setattr(module, name, refuse)
+    rep = lowest_of_square(S, k=2)
+    assert np.array_equal(rep.eigenvalues, want)
+    assert rep.certificate["certified"] and rep.certificate["below"]["count"] == 2
+
+
 def test_lowest_of_square_needs_a_square_form():
     g = Grid2D(-3.0, 3.0, 3.0, 13, 9)
     with pytest.raises(ValueError, match="square form"):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -192,6 +194,52 @@ def test_square_form_is_the_kronecker_sum_of_its_factors(x_min, width, y_max, nx
     m = op.matrix.toarray()
     assert np.max(np.abs(vecs @ np.diag(vals) @ vecs.T - m)) <= 1e-12 * np.max(np.abs(vals))
     assert np.max(np.abs(vecs.T @ vecs - np.eye(op.dim))) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    x_min=st.floats(-10.0, 0.0), width=st.floats(1.0, 20.0), y_max=st.floats(1.0, 20.0),
+    nx=st.integers(4, 12), ny=st.integers(4, 12), delta=st.floats(0.1, 3.0),
+    vx=st.lists(st.floats(-5.0, 5.0), min_size=12, max_size=12), data=st.data(),
+)
+def test_square_form_pairs_are_its_lowest_pairs(x_min, width, y_max, nx, ny, delta, vx, data):
+    """The selected band solves give the count lowest pairs, for counts past
+    nx and past 2 ny - 1, and for S indefinite (x-only wells down to -5)."""
+    grid = Grid2D(x_min, x_min + width, y_max, nx, ny)
+    op = assemble_square_form(grid, Params(delta), XOnlyPotential(np.array(vx[:nx])))
+    count = data.draw(st.integers(1, op.dim), label="count")
+    vals, vecs = square_form_pairs(op, count)
+    want = np.linalg.eigvalsh(op.matrix.toarray())
+    assert vals.shape == (count,) and vecs.shape == (op.dim, count)
+    assert np.max(np.abs(vals - want[:count])) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(count))) <= 1e-12
+    norm = abs(op.matrix).sum(axis=1).max()
+    assert np.max(np.linalg.norm(op.matrix @ vecs - vecs * vals, axis=0)) <= 1e-10 * norm
+
+
+def planted(op, row, col):
+    """A copy of the square form whose entries (row, col) and (col, row)
+    are set to 1e-3."""
+    m = op.matrix.tolil(copy=True)
+    m[row, col] = m[col, row] = 1e-3
+    return replace(op, matrix=m.tocsr())
+
+
+def test_square_form_pairs_refuse_an_entry_off_the_y_path():
+    """Unknowns 0 and 2 nx are the edge and u1 row 2 at x node 0, two
+    steps apart on the unfolded y path; the tridiagonal solve would drop
+    their coupling."""
+    op = assemble_square_form(Grid2D(-3.0, 3.0, 3.0, 13, 9), P1, None)
+    square_form_pairs(planted(op, 0, 1), 1)  # x neighbours: inside the x band
+    with pytest.raises(ValueError, match="y factor stores an entry off its band of width 1"):
+        square_form_pairs(planted(op, 0, 2 * 13), 1)
+
+
+def test_square_form_pairs_refuse_an_entry_past_the_x_band():
+    op = assemble_square_form(Grid2D(-3.0, 3.0, 3.0, 13, 9), P1, None)
+    square_form_pairs(planted(op, 0, 2), 1)
+    with pytest.raises(ValueError, match="x factor stores an entry off its band of width 2"):
+        square_form_pairs(planted(op, 0, 3), 1)
 
 
 def test_fiber_spectra_rows_follow_their_couplings():
