@@ -107,16 +107,9 @@ def first_derivative_y(ny: int, hy: float) -> tuple[sp.csr_matrix, np.ndarray]:
     antisymmetric matrix plus a -1/2 entry in the (0, 0) corner.
     """
     half = 0.5 / hy
-    rows, cols, vals = [0, 0], [0, 1], [-1.0 / hy, 1.0 / hy]
-    for j in range(1, ny):
-        rows.append(j)
-        cols.append(j - 1)
-        vals.append(-half)
-        if j + 1 < ny:
-            rows.append(j)
-            cols.append(j + 1)
-            vals.append(half)
-    D = sp.csr_matrix((vals, (rows, cols)), shape=(ny, ny))
+    D = sp.diags([np.full(ny - 1, -half), np.full(ny - 1, half)], [-1, 1], format="lil")
+    D[0, 0], D[0, 1] = -1.0 / hy, 1.0 / hy
+    D = D.tocsr()
     omega = np.full(ny, hy)
     omega[0] = 0.5 * hy
     return D, omega
@@ -131,16 +124,7 @@ def stiffness_x(nx: int, hx: float) -> sp.csr_matrix:
 
 def forward_difference_y(ny: int, hy: float) -> sp.csr_matrix:
     """Cell forward difference, last cell closing onto the top ghost zero."""
-    rows, cols, vals = [], [], []
-    for j in range(ny):
-        rows.append(j)
-        cols.append(j)
-        vals.append(-1.0 / hy)
-        if j + 1 < ny:
-            rows.append(j)
-            cols.append(j + 1)
-            vals.append(1.0 / hy)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(ny, ny))
+    return sp.diags([np.full(ny, -1.0 / hy), np.full(ny - 1, 1.0 / hy)], [0, 1], format="csr")
 
 
 def edge_embedding(grid: Grid2D | YGrid) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -201,6 +185,7 @@ class HermitianOperator:
     kind: str
     weights: np.ndarray
     params: Params
+    sym_defect: float
     grid: Grid2D | None = None
     ygrid: YGrid | None = None
 
@@ -236,10 +221,6 @@ class HermitianOperator:
 
         count, labels = connected_components(abs(self.real_form[0]), directed=False)
         return tuple(np.flatnonzero(labels == b) for b in range(count))
-
-    @property
-    def sym_defect(self) -> float:
-        return float(self.__dict__["_sym_defect"])
 
     def matvec(self, z: np.ndarray) -> np.ndarray:
         return self.matrix @ z
@@ -286,9 +267,7 @@ def _symmetrize(m: sp.spmatrix) -> tuple[sp.csr_matrix, float]:
 
 def _finish(matrix, kind, w_red, params, grid=None, ygrid=None) -> HermitianOperator:
     sym, defect = _symmetrize(matrix)
-    op = HermitianOperator(sym, kind, w_red, params, grid, ygrid)
-    object.__setattr__(op, "_sym_defect", defect)
-    return op
+    return HermitianOperator(sym, kind, w_red, params, float(defect), grid, ygrid)
 
 
 def _first_order_blocks(grid: Grid2D, params: Params):
@@ -372,12 +351,7 @@ def assemble_square_form(
     if potential is None or isinstance(potential, NoPotential):
         vx = np.zeros(grid.nx)
     elif isinstance(potential, XOnlyPotential):
-        if potential.values.shape != (grid.nx,):
-            raise GridMismatchError(
-                f"potential has {potential.values.shape[0]} samples, "
-                f"grid has nx={grid.nx}"
-            )
-        vx = potential.values
+        vx = potential.sample_on(grid)[0]
     else:
         raise ValueError(
             f"square form needs a y-constant potential, got "

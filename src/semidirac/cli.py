@@ -9,6 +9,15 @@ run.  All numeric CSV
 cells print with 17 significant digits and '\\n' endings; identical
 configs reproduce identical CSV bytes.
 
+The CLI parses, maps preconditions to config paths, dispatches and
+writes.  The verdicts in summary.json are decided beside the numerics
+they judge: scan owns the gap-window evidence (window_evidence), the
+convergence verdicts (ConvergenceStudy.checks), the fiber table with its
+inertia brackets (fiber_table) and the fiber cross-check; eigensolve owns
+spectrum_symmetric and bottom_above_gap_square; quasimode owns the Weyl
+slopes and their band (weyl_evidence).  Only one-line comparisons stay
+here: hermitian_exact, gap_empty, and the cutoff and A_eps checks.
+
 Exit codes: 0 success, 2 config or precondition failure, 3 solver
 non-convergence (diagnostics still land in summary.json).
 
@@ -28,11 +37,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse.linalg import norm as sparse_norm
 
 from . import __version__
 from .assembly import (
-    YGrid,
     assemble_H,
     assemble_H_eps,
     assemble_square_form,
@@ -43,12 +50,12 @@ from .eigensolve import (
     DENSE_CAP_DEFAULT,
     ConvergenceError,
     _check_k,
-    count_within,
+    bottom_above_gap_square,
     dense_eigs,
     gap_eigs,
     lowest_of_square,
+    spectrum_symmetric,
 )
-from .fiber import FiberFamily, fiber_edge, union_edge
 from .lattice import BoxPotential, Grid2D, NoPotential, Params, XOnlyPotential
 from .quasimode import (
     aeps_divergence,
@@ -57,13 +64,14 @@ from .quasimode import (
     disk_bump,
     disk_perturbation,
     eps_threshold,
-    fit_slope,
     product_bump,
+    weyl_evidence,
     weyl_rows,
     weyl_trial,
 )
 from .scan import (
     CONVERGENCE_COLUMNS,
+    FIBER_COLUMNS,
     GAP_WINDOW_FRACTION,
     SCAN_COLUMNS,
     SolverConfig,
@@ -75,9 +83,11 @@ from .scan import (
     _ladder_grid,
     convergence_study,
     delocalization_probe,
-    free_edge,
+    fiber_cross_check,
+    fiber_table,
     scan_perturbation,
     scan_potential,
+    window_evidence,
 )
 
 EXIT_OK = 0
@@ -101,7 +111,6 @@ CUTOFF_COLUMNS = (
     "second_deriv_bound_slack",
 )
 AEPS_COLUMNS = ("eps", "a_eps_paper", "a_eps_derived", "rel_gap", "diverges")
-FIBER_COLUMNS = ("xi", "edge_analytic", "min_abs_lambda", "rel_err")
 
 
 class ConfigError(ValueError):
@@ -476,19 +485,16 @@ class ResultBundle:
     extra: dict = field(default_factory=dict)    # free-form, lands in summary
     texts: dict = field(default_factory=dict)    # filename -> raw text payload
 
-    def provenance(self) -> dict:
-        return {
-            "version": __version__,
-            "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "config_sha256": config_hash(self.canonical),
-        }
-
     def summary(self) -> dict:
         doc = {
             "command": self.command,
             "config": self.canonical,
             "checks": self.checks,
-            "provenance": self.provenance(),
+            "provenance": {
+                "version": __version__,
+                "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+                "config_sha256": config_hash(self.canonical),
+            },
         }
         if self.extra:
             doc["detail"] = self.extra
@@ -579,9 +585,7 @@ def cmd_spectrum(cfg: RunConfig) -> ResultBundle:
     if mode == "square-form":
         op = _build_operator(cfg, "square-form", grid)
         rep = lowest_of_square(op, cfg.solver().k)
-        bundle.checks["bottom_above_gap_square"] = bool(
-            rep.eigenvalues[0] >= cfg.params.delta**2 - 0.05
-        )
+        bundle.checks["bottom_above_gap_square"] = bottom_above_gap_square(rep, cfg.params.delta)
     else:
         op = _build_operator(cfg, "H", grid)
         if mode == "dense":
@@ -592,22 +596,16 @@ def cmd_spectrum(cfg: RunConfig) -> ResultBundle:
                     f"this grid gives {op.dim}",
                 )
             rep = dense_eigs(op)
-            lam = rep.eigenvalues
-            bundle.checks["spectrum_symmetric"] = bool(
-                np.max(np.abs(lam + lam[::-1])) <= 1e-8 * max(1.0, np.max(np.abs(lam)))
-            )
+            bundle.checks["spectrum_symmetric"] = spectrum_symmetric(rep)
         else:
             lo, hi = solver["interval"]
             rep = gap_eigs(op, lo, hi, **asdict(cfg.solver()))
-            cert = rep.certificate or {}
-            count = cert.get("count")
-            bundle.checks["certified"] = bool(cert.get("certified", False))
-            bundle.checks["gap_empty"] = bool(count == 0) if count is not None else bool(rep.k == 0)
-            bundle.extra["in_window_count"] = int(count) if count is not None else rep.k
-            if "solve_fill" in cert:
-                bundle.extra["solve_fill"] = cert["solve_fill"]
-            if "block_counts" in cert:
-                bundle.extra["block_counts"] = cert["block_counts"]
+            evidence = window_evidence(rep)
+            bundle.checks["certified"] = evidence["certified"]
+            bundle.checks["gap_empty"] = evidence["count"] == 0
+            bundle.extra["in_window_count"] = evidence["count"]
+            bundle.extra.update({key: evidence[key] for key in ("solve_fill", "block_counts")
+                                 if evidence[key] is not None})
 
     bundle.checks["hermitian_exact"] = bool(op.sym_defect == 0.0)
     bundle.tables["eigenvalues.csv"] = (EIGENVALUE_COLUMNS, _eigen_rows(rep))
@@ -627,26 +625,14 @@ def cmd_quasimode(cfg: RunConfig) -> ResultBundle:
 
     rows = weyl_rows(q["weyl_mus"], q["weyl_ns"], cfg.params, bump)
     bundle.tables["weyl.csv"] = (WEYL_COLUMNS, rows)
-    slopes = {}
-    for mu in q["weyl_mus"]:
-        got = [r for r in rows if r["mu"] == mu]
-        slopes[f"{mu:.17g}"] = fit_slope([r["n"] for r in got], [r["residual"] for r in got])
-    bundle.extra["weyl_slopes"] = slopes
-    bundle.checks["weyl_residuals_below_bound"] = bool(
-        all(r["residual"] <= r["bound_rhs"] * (1.0 + 1e-9) for r in rows)
-    )
-    bundle.checks["weyl_slopes_near_inverse_n"] = bool(
-        all(-1.05 <= s <= -0.95 for s in slopes.values())
-    )
+    bundle.extra["weyl_slopes"], weyl_checks = weyl_evidence(rows)
+    bundle.checks.update(weyl_checks)
 
     cut = [cutoff_row(n) for n in q["cutoff_ns"]]
     bundle.tables["cutoff.csv"] = (CUTOFF_COLUMNS, cut)
-    bundle.checks["cutoff_first_identity"] = bool(
-        all(r["first_deriv_identity_rel_err"] <= 1e-4 for r in cut)
-    )
-    bundle.checks["cutoff_second_bound_slack"] = bool(
-        all(r["second_deriv_bound_slack"] > 0.0 for r in cut)
-    )
+    bundle.checks["cutoff_first_identity"] = all(
+        r["first_deriv_identity_rel_err"] <= 1e-4 for r in cut)
+    bundle.checks["cutoff_second_bound_slack"] = all(r["second_deriv_bound_slack"] > 0.0 for r in cut)
 
     model = cfg.perturbation()
     if model is None:
@@ -662,27 +648,9 @@ def cmd_quasimode(cfg: RunConfig) -> ResultBundle:
     bundle.extra["eps_threshold"] = thr
     bundle.extra["perturbation"] = model.label
     if thr is not None:
-        inside = [r for r in arows if 0.0 < r["eps"] < thr]
-        bundle.checks["aeps_negative_below_threshold"] = bool(
-            all(r["a_eps_derived"] < 0.0 for r in inside)
-        )
+        bundle.checks["aeps_negative_below_threshold"] = all(
+            r["a_eps_derived"] < 0.0 for r in arows if 0.0 < r["eps"] < thr)
     return bundle
-
-
-def _fiber_cross_check(cfg: RunConfig, grid: Grid2D) -> dict:
-    """2D free edge (scan.free_edge: no eigensolver) against the fiber union at the same delta."""
-    xi = np.array(cfg.canonical["fiber"]["xi_values"], dtype=np.float64)
-    if not np.any(xi == 0.0):
-        xi = np.concatenate([xi, [0.0]])
-    union = union_edge(xi, cfg.params)
-    two_d = free_edge(grid, cfg.params)
-    rel = abs(two_d - union) / union
-    return {
-        "union_edge": union,
-        "two_d_min_abs_lambda": two_d,
-        "rel_err": rel,
-        "within_5pct": bool(rel <= 0.05),
-    }
 
 
 def _domain_potential(cfg: RunConfig, smallest: Grid2D):
@@ -722,9 +690,7 @@ def cmd_scan(cfg: RunConfig) -> ResultBundle:
             x_half=sc["x_half"], box=tuple(sc["box"]), depth=sc["depth"], solver=solver,
         )
         bundle.tables["convergence.csv"] = (CONVERGENCE_COLUMNS, study.to_rows())
-        diffs = np.abs(np.diff(study.values))
-        bundle.checks["diffs_shrinking"] = bool(np.all(np.diff(diffs) < 0.0))
-        bundle.checks["order_positive"] = bool(study.fitted_order > 0.0)
+        bundle.checks.update(study.checks())
         bundle.extra["fitted_order"] = study.fitted_order
         bundle.extra["values"] = list(study.values)
     else:
@@ -754,66 +720,16 @@ def cmd_scan(cfg: RunConfig) -> ResultBundle:
         bundle.extra["block_counts"] = [rec.get("block_counts") for rec in res.records]
 
     if cfg.grid is not None:
-        cross = _fiber_cross_check(cfg, cfg.grid)
+        cross = fiber_cross_check(cfg.grid, cfg.params)
         bundle.extra["fiber_cross_check"] = cross
         bundle.checks["fiber_cross_check"] = cross["within_5pct"]
     return bundle
 
 
-def _inertia_bracket(op, xi: float, m: float) -> dict:
-    """Certify m as the fiber's min |lambda| by two inertia counts.
-
-    No eigenvalue may lie within m - w of zero and exactly one within
-    m + w, w = 1e-10 ||M||_inf of the assembled fiber: the scale of
-    dense_eigs' residual gate, read off the matrix without a solve
-    (||M||_inf >= max |lambda|).  The single count at m + w also certifies
-    that the next level sqrt(c^2 + s_1^2) lies outside the bracket.  The
-    counts come from an assembled matrix, the FiberFamily member at xi,
-    whose coupling the family computes from (xi, params) itself and never
-    takes from m: so a wrong identity fails here rather than landing in
-    the table.  count_within factors M^2 - r^2 I, whose roundoff is about
-    eps ||M||^2 against a margin of 2 m w, so m below about 1e-6 ||M||
-    cannot be certified and raises.  A radius at or below zero holds no
-    eigenvalue and is not factored.
-    """
-    w = 1e-10 * sparse_norm(op.matrix, np.inf)
-    radii = [m - w, m + w]
-    bracket = {"xi": xi, "radii": radii,
-               "counts": [count_within(op, r)["count"] if r > 0.0 else 0 for r in radii]}
-    if bracket["counts"] != [0, 1]:
-        raise ConvergenceError(
-            f"fiber xi = {xi}: {bracket['counts'][0]} eigenvalues within {radii[0]!r} "
-            f"and {bracket['counts'][1]} within {radii[1]!r}, expected 0 and 1 "
-            f"around min |lambda| = {m!r}",
-            [bracket],
-        )
-    return bracket
-
-
 def cmd_fiber(cfg: RunConfig) -> ResultBundle:
     f = cfg.canonical["fiber"]
-    bundle = ResultBundle("fiber", cfg.canonical)
-    rows, brackets = [], []
-    family = FiberFamily(cfg.params, YGrid(float(f["y_max"]), int(f["ny"])))
-    for xi in f["xi_values"]:
-        # the fiber's unpaired eigenvalue is its coupling xi^2 + delta, and
-        # none is smaller in size (fiber module docstring)
-        edge = fiber_edge(xi, cfg.params)
-        brackets.append(_inertia_bracket(family(xi), float(xi), edge))
-        rows.append({"xi": float(xi), "edge_analytic": edge, "min_abs_lambda": edge,
-                     "rel_err": 0.0})
-    bundle.tables["fiber.csv"] = (FIBER_COLUMNS, rows)
-    bundle.extra["min_abs_lambda_route"] = (
-        "unpaired eigenvalue xi^2 + delta, certified by count_within")
-    bundle.extra["inertia_brackets"] = brackets
-    xi = np.array(f["xi_values"], dtype=np.float64)
-    has_zero = bool(np.any(xi == 0.0))
-    if has_zero:
-        union = union_edge(xi, cfg.params)
-        bundle.checks["union_edge_is_delta"] = bool(union == cfg.params.delta)
-        bundle.extra["union_edge"] = union
-    bundle.checks["edges_within_5pct"] = bool(all(r["rel_err"] <= 0.05 for r in rows))
-    return bundle
+    rows, checks, detail = fiber_table(cfg.params, f["xi_values"], f["ny"], f["y_max"])
+    return ResultBundle("fiber", cfg.canonical, {"fiber.csv": (FIBER_COLUMNS, rows)}, checks, detail)
 
 
 def cmd_export_matrix(cfg: RunConfig) -> ResultBundle:
@@ -863,8 +779,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="accepted for compatibility; has no effect (must be >= 1)",
         )
         p.add_argument(
-            "--seed", type=int, default=0,
-            help="seed for randomized probes (default 0)",
+            "--seed", type=int, default=None,
+            help="replaces solver.seed when the config has a solver block",
         )
     return parser
 
@@ -882,7 +798,7 @@ def main(argv=None) -> int:
         print(f"config: invalid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.seed < 0:
+    if args.seed is not None and args.seed < 0:
         print("--seed: must be a nonnegative integer", file=sys.stderr)
         return EXIT_CONFIG
     if args.threads < 1:
@@ -895,7 +811,7 @@ def main(argv=None) -> int:
         print(f"config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if "solver" in cfg.canonical and args.seed:
+    if "solver" in cfg.canonical and args.seed is not None:
         cfg.canonical["solver"]["seed"] = args.seed
 
     command = _COMMANDS[args.command]

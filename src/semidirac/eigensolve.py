@@ -29,6 +29,9 @@ always in the symmetric minimum-degree order (MMD on A + A^T):
   identity (fiber.square_form_pairs: one tridiagonal and one banded LAPACK
   solve, no dense eigensolver), certified by one ``count_below``.
 
+``spectrum_symmetric`` and ``bottom_above_gap_square`` judge the dense
+and the square-form reports.
+
 Determinism: all randomized starts come from a caller-seeded generator,
 matrix-vector products are sequential, and eigenvector phases are fixed so
 the first significant component is real positive.
@@ -198,6 +201,13 @@ def dense_eigs(op, cap: int = DENSE_CAP_DEFAULT) -> SpectrumReport:
             f"dense eigenpair residual {worst:.3e} above 1e-10 * ||M|| = {1e-10 * scale:.3e}"
         )
     return report
+
+
+def spectrum_symmetric(rep: SpectrumReport) -> bool:
+    """Whether a full spectrum is symmetric about 0:
+    max |lambda_i + lambda_(n-1-i)| <= 1e-8 max(1, max |lambda|)."""
+    lam = rep.eigenvalues
+    return bool(np.max(np.abs(lam + lam[::-1])) <= 1e-8 * max(1.0, np.max(np.abs(lam))))
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +387,12 @@ def _run_shift_invert(matrix, work, basis, sigma, want, tol, max_iter, seed, cer
     return vals[ok], vecs[:, ok], history
 
 
+def _require_pairs(vals, sigma, max_iter, history) -> None:
+    if not vals.size:
+        raise ConvergenceError(
+            f"no eigenpair converged near {sigma} within {max_iter} iterations", history)
+
+
 def _check_k(k: int, n: int) -> None:
     # ARPACK's complex Hermitian route needs k < n - 1
     if not 1 <= k < n - 1:
@@ -435,11 +451,7 @@ def gap_eigs(
             f"[{lo}, {hi}] within {max_iter} iterations",
             history,
         )
-    if not vals.size:
-        raise ConvergenceError(
-            f"no eigenpair converged near {sigma} within {max_iter} iterations",
-            history,
-        )
+    _require_pairs(vals, sigma, max_iter, history)
     return _build_report(matrix, parent, vals[inside], vecs[:, inside], "gap", certificate)
 
 
@@ -468,11 +480,7 @@ def nearest_eigenvalues(
     vals, vecs, history = _run_shift_invert(
         matrix, work, basis, sigma, k, tol, max_iter, seed, certificate
     )
-    if not vals.size:
-        raise ConvergenceError(
-            f"no eigenpair converged near {sigma} within {max_iter} iterations",
-            history,
-        )
+    _require_pairs(vals, sigma, max_iter, history)
     return _build_report(matrix, parent, vals, vecs, "nearest", certificate)
 
 
@@ -507,3 +515,10 @@ def lowest_of_square(op: HermitianOperator, k: int = 1) -> SpectrumReport:
     certificate = {"certified": True, "count": k, "iterations": 0,
                    "arithmetic": below["arithmetic"], "below": below}
     return replace(rep, certificate=certificate)
+
+
+def bottom_above_gap_square(rep: SpectrumReport, delta: float) -> bool:
+    """Whether a square form's bottom lies at or above delta^2 - 0.05."""
+    # the 0.05 slack is inherited from the first square-form check and has
+    # no derivation yet
+    return bool(rep.eigenvalues[0] >= delta**2 - 0.05)

@@ -36,7 +36,7 @@ the unpaired c is also the smallest eigenvalue in size: the fiber table
 reads each fiber's min |lambda| as xi^2 + delta, and scan.free_edge the
 free 2D edge as delta + lambda_min(Kx), with no solve.  The identity is
 an oracle, not a certificate: the fiber table certifies each m it reads
-by Sylvester inertia on the assembled family member (cli.cmd_fiber), and
+by Sylvester inertia on the assembled family member (scan.fiber_table), and
 the tests hold it against eigvalsh, the inertia counts of the 2D
 assemblies and shift-invert at the 2D edge.
 
@@ -145,11 +145,10 @@ class FiberFamily:
             raise ValueError(f"xi must be finite, got {xi}")
         (b, real_b, basis), (j, real_j) = self.base, self.unit
         c = fiber_edge(xi, self.params)
-        op = HermitianOperator(b.matrix + c * j.matrix, FIRST_ORDER, b.weights,
-                               self.params, ygrid=self.ygrid)
         # a real multiple of one exactly Hermitian matrix added to another
         # is exactly Hermitian; the discarded defects are those of the parts
-        object.__setattr__(op, "_sym_defect", max(b.sym_defect, j.sym_defect))
+        op = HermitianOperator(b.matrix + c * j.matrix, FIRST_ORDER, b.weights, self.params,
+                               max(b.sym_defect, j.sym_defect), ygrid=self.ygrid)
         object.__setattr__(op, "real_form", (real_b + c * real_j, basis))
         return op
 

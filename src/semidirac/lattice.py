@@ -31,6 +31,19 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _freeze_fields(obj, names) -> None:
+    """Replace each named attribute of a frozen dataclass on a grid by a
+    read-only complex copy, refusing a wrong shape or a non-finite entry."""
+    shape = (obj.grid.ny, obj.grid.nx)
+    for name in names:
+        arr = np.array(getattr(obj, name), dtype=np.complex128)
+        if arr.shape != shape:
+            raise GridMismatchError(f"{name} has shape {arr.shape}, grid expects {shape}")
+        if not np.all(np.isfinite(arr.view(np.float64))):
+            raise ValueError(f"{name} contains non-finite values")
+        object.__setattr__(obj, name, _freeze(arr))
+
+
 @dataclass(frozen=True)
 class Params:
     """Model parameters.
@@ -150,16 +163,7 @@ class SpinorField:
     u2: np.ndarray
 
     def __post_init__(self):
-        shape = (self.grid.ny, self.grid.nx)
-        for name in ("u1", "u2"):
-            arr = np.array(getattr(self, name), dtype=np.complex128)
-            if arr.shape != shape:
-                raise GridMismatchError(
-                    f"{name} has shape {arr.shape}, grid expects {shape}"
-                )
-            if not np.all(np.isfinite(arr.view(np.float64))):
-                raise ValueError(f"{name} contains non-finite values")
-            object.__setattr__(self, name, _freeze(arr))
+        _freeze_fields(self, ("u1", "u2"))
 
     @classmethod
     def from_callables(cls, grid: Grid2D, f1, f2=None) -> "SpinorField":
@@ -283,16 +287,7 @@ class PerturbationField(PotentialSpec):
     w22: np.ndarray
 
     def __post_init__(self):
-        shape = (self.grid.ny, self.grid.nx)
-        for name in ("w11", "w12", "w21", "w22"):
-            arr = np.array(getattr(self, name), dtype=np.complex128)
-            if arr.shape != shape:
-                raise GridMismatchError(
-                    f"{name} has shape {arr.shape}, grid expects {shape}"
-                )
-            if not np.all(np.isfinite(arr.view(np.float64))):
-                raise ValueError(f"{name} contains non-finite values")
-            object.__setattr__(self, name, _freeze(arr))
+        _freeze_fields(self, ("w11", "w12", "w21", "w22"))
         for name in ("w11", "w22"):
             if np.any(getattr(self, name).imag != 0.0):
                 raise ValueError(f"{name} must be real-valued")

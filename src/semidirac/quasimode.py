@@ -11,7 +11,8 @@ Contents:
 
 * Weyl trial states (u, +-u) with u = phi_n(x, y) exp(ikx) built from a
   compactly supported bump, whose residual against mu = +-(delta + k^2)
-  decays like 1/n and never exceeds the closed-form bound.
+  decays like 1/n and never exceeds the closed-form bound; weyl_evidence
+  fits each mu's slope and judges both.
 * Separable sine trials on a box well, whose squared energy is an exact
   trinomial in the well depth; its negativity window predicts bound
   states in the gap.
@@ -84,34 +85,28 @@ def gauss_2d(box, mx: int, my: int):
 # compactly supported bumps
 
 
-def mollifier(t):
-    """exp(-1/(1-t^2)) on |t| < 1, extended by zero."""
+def _on_unit_interval(t, f):
+    """f(s, 1 - s^2) at the entries s of t with |s| < 1, zero elsewhere."""
     t = np.asarray(t, dtype=np.float64)
     out = np.zeros_like(t)
     inside = np.abs(t) < 1.0
     s = t[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - s * s))
+    out[inside] = f(s, 1.0 - s * s)
     return out
+
+
+def mollifier(t):
+    """exp(-1/(1-t^2)) on |t| < 1, extended by zero."""
+    return _on_unit_interval(t, lambda s, q: np.exp(-1.0 / q))
 
 
 def mollifier_d1(t):
-    t = np.asarray(t, dtype=np.float64)
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    s = t[inside]
-    q = 1.0 - s * s
-    out[inside] = np.exp(-1.0 / q) * (-2.0 * s / q**2)
-    return out
+    return _on_unit_interval(t, lambda s, q: np.exp(-1.0 / q) * (-2.0 * s / q**2))
 
 
 def mollifier_d2(t):
-    t = np.asarray(t, dtype=np.float64)
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    s = t[inside]
-    q = 1.0 - s * s
-    out[inside] = np.exp(-1.0 / q) * (4.0 * s * s / q**4 - (2.0 + 6.0 * s * s) / q**3)
-    return out
+    return _on_unit_interval(t, lambda s, q: np.exp(-1.0 / q) * (
+        4.0 * s * s / q**4 - (2.0 + 6.0 * s * s) / q**3))
 
 
 @dataclass(frozen=True)
@@ -298,6 +293,9 @@ def weyl_bound(trial: WeylTrial, params: Params, order: int = 80) -> float:
     return _bound(_weyl_kernel(trial.bump, order), trial.n, trial.k)
 
 
+WEYL_SLOPE_BAND = (-1.05, -0.95)
+
+
 def weyl_rows(mus, ns, params: Params, bump: BumpProfile | None = None, order: int = 80):
     """Residual table rows over (mu, n); columns match the weyl CSV schema.
 
@@ -321,6 +319,24 @@ def weyl_rows(mus, ns, params: Params, bump: BumpProfile | None = None, order: i
                 }
             )
     return rows
+
+
+def weyl_evidence(rows) -> tuple[dict, dict]:
+    """(slopes, checks) of a weyl_rows table: each mu, at 17 significant
+    digits, maps to the fit_slope of its residuals against n; the checks ask
+    every residual to sit below its bound (relative slack 1e-9) and every
+    slope to lie in WEYL_SLOPE_BAND, the 1/n decay to within 5%."""
+    by_mu: dict = {}
+    for r in rows:
+        by_mu.setdefault(f"{r['mu']:.17g}", []).append(r)
+    slopes = {mu: fit_slope([r["n"] for r in got], [r["residual"] for r in got])
+              for mu, got in by_mu.items()}
+    lo, hi = WEYL_SLOPE_BAND
+    return slopes, {
+        "weyl_residuals_below_bound": all(
+            r["residual"] <= r["bound_rhs"] * (1.0 + 1e-9) for r in rows),
+        "weyl_slopes_near_inverse_n": all(lo <= s <= hi for s in slopes.values()),
+    }
 
 
 def fit_slope(ns, values) -> float:
@@ -778,29 +794,22 @@ def standard_trials() -> tuple[SpinorTrial, ...]:
     def G(x, y):
         return np.exp(-(x**2) - (y - 1.0) ** 2)
 
-    t1 = SpinorTrial(
-        u1=lambda x, y: y * G(x, y),
-        u1x=lambda x, y: -2.0 * x * y * G(x, y),
-        u1y=lambda x, y: (1.0 - 2.0 * y * (y - 1.0)) * G(x, y),
-        u1xx=lambda x, y: (4.0 * x**2 - 2.0) * y * G(x, y),
-        u2=lambda x, y: y * G(x, y),
-        u2x=lambda x, y: -2.0 * x * y * G(x, y),
-        u2y=lambda x, y: (1.0 - 2.0 * y * (y - 1.0)) * G(x, y),
-        u2xx=lambda x, y: (4.0 * x**2 - 2.0) * y * G(x, y),
-        box=(-7.0, 7.0, 0.0, 8.0),
-        label="edge-vanishing gaussian",
+    def equal_components(u, ux, uy, uxx, label):
+        return SpinorTrial(u, ux, uy, uxx, u, ux, uy, uxx, (-7.0, 7.0, 0.0, 8.0), label)
+
+    t1 = equal_components(
+        lambda x, y: y * G(x, y),
+        lambda x, y: -2.0 * x * y * G(x, y),
+        lambda x, y: (1.0 - 2.0 * y * (y - 1.0)) * G(x, y),
+        lambda x, y: (4.0 * x**2 - 2.0) * y * G(x, y),
+        "edge-vanishing gaussian",
     )
-    t2 = SpinorTrial(
-        u1=G,
-        u1x=lambda x, y: -2.0 * x * G(x, y),
-        u1y=lambda x, y: -2.0 * (y - 1.0) * G(x, y),
-        u1xx=lambda x, y: (4.0 * x**2 - 2.0) * G(x, y),
-        u2=G,
-        u2x=lambda x, y: -2.0 * x * G(x, y),
-        u2y=lambda x, y: -2.0 * (y - 1.0) * G(x, y),
-        u2xx=lambda x, y: (4.0 * x**2 - 2.0) * G(x, y),
-        box=(-7.0, 7.0, 0.0, 8.0),
-        label="edge-flat gaussian",
+    t2 = equal_components(
+        G,
+        lambda x, y: -2.0 * x * G(x, y),
+        lambda x, y: -2.0 * (y - 1.0) * G(x, y),
+        lambda x, y: (4.0 * x**2 - 2.0) * G(x, y),
+        "edge-flat gaussian",
     )
 
     def g(x, y):

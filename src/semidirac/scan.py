@@ -14,6 +14,10 @@ sufficient, not necessary, so extra states are expected.
 Every eigensolver call takes its k, tol, max_iter and seed from one
 SolverConfig; the grids are the sweeps' own arguments.  The free band
 edge calls none: it is read off the exact separable spectrum.
+
+The verdicts on these numerics live here too: window_evidence,
+ConvergenceStudy.checks, fiber_cross_check and the fiber table with its
+inertia brackets (fiber_table; not in fiber, which eigensolve imports).
 """
 
 from __future__ import annotations
@@ -21,10 +25,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from scipy.sparse.linalg import norm as sparse_norm
 
-from .assembly import assemble_H, assemble_H_eps, assemble_square_form, assemble_T
-from .eigensolve import SpectrumReport, gap_eigs, lowest_of_square, nearest_eigenvalues
-from .fiber import separable_spectrum
+from .assembly import YGrid, assemble_H, assemble_H_eps, assemble_square_form, assemble_T
+from .eigensolve import (ConvergenceError, SpectrumReport, count_within, gap_eigs,
+                         lowest_of_square, nearest_eigenvalues)
+from .fiber import FiberFamily, fiber_edge, separable_spectrum, union_edge
 from .lattice import BoxPotential, Grid2D, Params, PotentialSpec
 from .quasimode import PerturbationModel, a_eps_derived, boundstate_window, eps_threshold
 
@@ -42,6 +48,8 @@ SCAN_COLUMNS = (
 )
 
 CONVERGENCE_COLUMNS = ("rung", "observable", "value", "fitted_order")
+
+FIBER_COLUMNS = ("xi", "edge_analytic", "min_abs_lambda", "rel_err")
 
 OBSERVABLES = ("gap-edge", "bound-state-lambda", "square-form-min")
 
@@ -121,11 +129,7 @@ class ConvergenceStudy:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.observable not in OBSERVABLES:
-            raise ValueError(
-                f"unknown observable {self.observable!r}; pick one of {OBSERVABLES}"
-            )
-        _check_ladder(self.ladder)
+        _check_study(self.observable, self.ladder)
         if len(self.values) != len(self.ladder):
             raise ValueError("one value per rung required")
 
@@ -140,6 +144,24 @@ class ConvergenceStudy:
             for r, v in zip(self.ladder, self.values)
         ]
 
+    def checks(self) -> dict:
+        """diffs_shrinking: every successive difference below the one
+        before it; order_positive: a positive fitted order."""
+        d = _successive_diffs(self.values)
+        return {"diffs_shrinking": all(b < a for a, b in zip(d, d[1:])),
+                "order_positive": bool(self.fitted_order > 0.0)}
+
+
+def _successive_diffs(values) -> list:
+    """|v_i - v_(i+1)| down the ladder."""
+    return [abs(v0 - v1) for v0, v1 in zip(values, values[1:])]
+
+
+def _check_study(observable: str, ladder) -> None:
+    if observable not in OBSERVABLES:
+        raise ValueError(f"unknown observable {observable!r}; pick one of {OBSERVABLES}")
+    _check_ladder(ladder)
+
 
 def _check_ladder(ladder) -> None:
     if len(ladder) < 3:
@@ -152,20 +174,30 @@ def _check_ladder(ladder) -> None:
 
 
 # ---------------------------------------------------------------------------
-# gap observation shared by the sweeps
+# gap observation shared by the sweeps and the spectrum command
+
+
+def window_evidence(rep: SpectrumReport) -> dict:
+    """What a gap_eigs report shows of its window: the certified count
+    (rep.k, the pairs found, for an uncertified window), whether it was
+    certified, the shift-invert factor's fill (None when no solve ran) and
+    the count of each decoupled block (None for an uncertified window)."""
+    cert = rep.certificate or {}
+    count = cert.get("count")
+    return {"count": rep.k if count is None else int(count),
+            "certified": bool(cert.get("certified", False)),
+            "solve_fill": cert.get("solve_fill"),
+            "block_counts": cert.get("block_counts")}
 
 
 def _observe_gap(rec: dict, op, params: Params, solver: SolverConfig) -> None:
-    """Fill a sweep record with the certified in-window count, localization
-    stats of the converged pairs, the one-sided agreement verdict, the
-    shift-invert factor's fill (None for a certified empty window) and the
-    count of each decoupled block (None for an uncertified window)."""
+    """Fill a sweep record with window_evidence's count, fill and block
+    counts, localization stats of the converged pairs and the one-sided
+    agreement verdict."""
     lo, hi = gap_window(params)
     rep = gap_eigs(op, lo, hi, **asdict(solver))
-    cert = rep.certificate or {}
-    count = cert.get("count")
-    if count is None:
-        count = rep.k
+    evidence = window_evidence(rep)
+    count = evidence["count"]
     if rep.k:
         min_abs = float(np.min(np.abs(rep.eigenvalues)))
         min_pr = float(np.min(rep.participation))
@@ -177,12 +209,12 @@ def _observe_gap(rec: dict, op, params: Params, solver: SolverConfig) -> None:
         min_pr = float("nan")
         localized = False
     rec.update({
-        "observed_count": int(count),
+        "observed_count": count,
         "min_abs_lambda": min_abs,
         "min_participation": min_pr,
         "agreement": bool(not rec["predicted"] or (count > 0 and localized)),
-        "solve_fill": cert.get("solve_fill"),
-        "block_counts": cert.get("block_counts"),
+        "solve_fill": evidence["solve_fill"],
+        "block_counts": evidence["block_counts"],
     })
 
 
@@ -219,10 +251,8 @@ def scan_potential(
     _check_box(a, b, grid)
     window = boundstate_window(params, a, b)
     depths = [float(v) for v in depths]
-    records = []
-    for v in depths:
-        predicted = window is not None and window[0] < v < window[1]
-        records.append({"axis_value": v, "predicted": bool(predicted)})
+    records = [{"axis_value": v, "predicted": window is not None and window[0] < v < window[1]}
+               for v in depths]
 
     for rec in records:
         pot = BoxPotential(a, b, rec["axis_value"])
@@ -263,12 +293,8 @@ def scan_perturbation(
     """
     _check_support(model, grid)
     eps_values = [float(e) for e in eps_values]
-    records = []
-    energies = []
-    for e in eps_values:
-        a_val = a_eps_derived(model, e, params)
-        energies.append(a_val)
-        records.append({"axis_value": e, "predicted": bool(a_val < 0.0)})
+    energies = [a_eps_derived(model, e, params) for e in eps_values]
+    records = [{"axis_value": e, "predicted": a < 0.0} for e, a in zip(eps_values, energies)]
     try:
         threshold = eps_threshold(model, params)
     except ValueError:
@@ -320,11 +346,7 @@ def convergence_study(
     the finite-domain offset.
     """
     ladder = [int(n) for n in ladder]
-    _check_ladder(ladder)
-    if observable not in OBSERVABLES:
-        raise ValueError(
-            f"unknown observable {observable!r}; pick one of {OBSERVABLES}"
-        )
+    _check_study(observable, ladder)
 
     values = []
     for nx in ladder:
@@ -341,7 +363,7 @@ def convergence_study(
             values.append(float(lowest_of_square(op, k=1).eigenvalues[0]))
 
     hs = [2.0 * x_half / (n - 1) for n in ladder]
-    diffs = [abs(v0 - v1) for v0, v1 in zip(values, values[1:])]
+    diffs = _successive_diffs(values)
     if min(diffs) <= 0.0:
         raise ValueError("successive rungs returned identical values; no order to fit")
     order = float(np.polyfit(np.log(hs[:-1]), np.log(diffs), 1)[0])
@@ -412,12 +434,8 @@ def delocalization_probe(
         )
 
     for i, rec in enumerate(records):
-        if not free:
-            rec["agreement"] = True
-        elif i == 0:
-            rec["agreement"] = True
-        else:
-            rec["agreement"] = bool(prs[i] >= (1.0 - DOMAIN_NOISE_BAND) * prs[i - 1])
+        rec["agreement"] = not free or i == 0 or bool(
+            prs[i] >= (1.0 - DOMAIN_NOISE_BAND) * prs[i - 1])
 
     meta = {
         "h": float(h),
@@ -447,3 +465,75 @@ def free_edge(grid: Grid2D, params: Params) -> float:
     (fiber.separable_spectrum): nothing is assembled in 2D and no
     eigensolver runs."""
     return float(np.min(np.abs(separable_spectrum(grid, params))))
+
+
+def fiber_cross_check(grid: Grid2D, params: Params) -> dict:
+    """The free 2D edge (free_edge: no eigensolver) against the fiber union
+    at the same delta, within 5%.  The union over any momentum grid holding
+    0 is exactly 0.0 + delta (fiber.union_edge), so it is delta itself."""
+    union = float(params.delta)
+    two_d = free_edge(grid, params)
+    rel = abs(two_d - union) / union
+    return {
+        "union_edge": union,
+        "two_d_min_abs_lambda": two_d,
+        "rel_err": rel,
+        "within_5pct": bool(rel <= 0.05),
+    }
+
+
+# ---------------------------------------------------------------------------
+# fiber table
+
+
+def _inertia_bracket(op, xi: float, m: float) -> dict:
+    """Certify m as the fiber's min |lambda| by two inertia counts.
+
+    No eigenvalue may lie within m - w of zero and exactly one within
+    m + w, w = 1e-10 ||M||_inf of the assembled fiber: the scale of
+    dense_eigs' residual gate, read off the matrix without a solve
+    (||M||_inf >= max |lambda|).  The single count at m + w also certifies
+    that the next level sqrt(c^2 + s_1^2) lies outside the bracket.  The
+    counts come from an assembled matrix, the FiberFamily member at xi,
+    whose coupling the family computes from (xi, params) itself and never
+    takes from m: so a wrong identity fails here rather than landing in
+    the table.  count_within factors M^2 - r^2 I, whose roundoff is about
+    eps ||M||^2 against a margin of 2 m w, so m below about 1e-6 ||M||
+    cannot be certified and raises.  A radius at or below zero holds no
+    eigenvalue and is not factored.
+    """
+    w = 1e-10 * sparse_norm(op.matrix, np.inf)
+    radii = [m - w, m + w]
+    bracket = {"xi": xi, "radii": radii,
+               "counts": [count_within(op, r)["count"] if r > 0.0 else 0 for r in radii]}
+    if bracket["counts"] != [0, 1]:
+        raise ConvergenceError(
+            f"fiber xi = {xi}: {bracket['counts'][0]} eigenvalues within {radii[0]!r} "
+            f"and {bracket['counts'][1]} within {radii[1]!r}, expected 0 and 1 "
+            f"around min |lambda| = {m!r}",
+            [bracket],
+        )
+    return bracket
+
+
+def fiber_table(params: Params, xi_values, ny: int, y_max: float) -> tuple[list, dict, dict]:
+    """The fiber table over xi_values on the y grid (y_max, ny): each row
+    (FIBER_COLUMNS) reads the fiber's min |lambda| as its unpaired
+    eigenvalue xi^2 + delta (fiber module docstring), certified by
+    _inertia_bracket.  Returns (rows, checks, detail): the detail names
+    that route and holds the brackets, and union_edge where xi_values
+    hold 0."""
+    family = FiberFamily(params, YGrid(float(y_max), int(ny)))
+    rows, brackets = [], []
+    for xi in xi_values:
+        edge = fiber_edge(xi, params)
+        brackets.append(_inertia_bracket(family(xi), float(xi), edge))
+        rows.append({"xi": float(xi), "edge_analytic": edge, "min_abs_lambda": edge,
+                     "rel_err": 0.0})
+    checks = {"edges_within_5pct": all(r["rel_err"] <= 0.05 for r in rows)}
+    detail = {"min_abs_lambda_route": "unpaired eigenvalue xi^2 + delta, certified by count_within",
+              "inertia_brackets": brackets}
+    if 0.0 in xi_values:
+        detail["union_edge"] = union_edge(xi_values, params)
+        checks["union_edge_is_delta"] = detail["union_edge"] == params.delta
+    return rows, checks, detail

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semidirac.cli
+import semidirac.scan
 from semidirac import Grid2D, Params, SolverConfig, assemble_T, read_coordinate_text
 from semidirac.cli import (
     ConfigError,
@@ -453,6 +454,13 @@ def test_validate_config_prints_canonical_and_writes_nothing(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["solver"]["seed"] == 7
 
 
+@pytest.mark.parametrize("flag,seed", [([], 5), (["--seed", "0"], 0), (["--seed", "3"], 3)])
+def test_seed_flag_replaces_the_config_seed_whenever_given(tmp_path, capsys, flag, seed):
+    cfg = write_config(tmp_path, {"params": {"delta": 1.0}, "solver": {"mode": "gap", "seed": 5}})
+    assert main(["validate-config", "--config", cfg, *flag]) == 0
+    assert json.loads(capsys.readouterr().out)["solver"]["seed"] == seed
+
+
 def test_quasimode_run_coincidence_reference(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "params": {"delta": 1.0},
@@ -510,7 +518,9 @@ def test_fiber_table_is_certified_by_inertia(tmp_path, capsys, monkeypatch, doc,
     def no_dense(*args, **kwargs):
         raise AssertionError("the fiber table must not call dense_eigs")
 
-    monkeypatch.setattr(semidirac.cli, "dense_eigs", no_dense)
+    for module in [m for n, m in sys.modules.items() if n.startswith("semidirac.")]:
+        if hasattr(module, "dense_eigs"):
+            monkeypatch.setattr(module, "dense_eigs", no_dense)
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
     assert main(["fiber", "--config", cfg, "--out", str(out)]) == 0
@@ -528,8 +538,8 @@ def test_fiber_table_is_certified_by_inertia(tmp_path, capsys, monkeypatch, doc,
 
 
 def test_fiber_table_refuses_a_spectrum_the_inertia_contradicts(tmp_path, capsys, monkeypatch):
-    exact = semidirac.cli.fiber_edge
-    monkeypatch.setattr(semidirac.cli, "fiber_edge", lambda xi, p: exact(xi, p) + 1e-6)
+    exact = semidirac.scan.fiber_edge
+    monkeypatch.setattr(semidirac.scan, "fiber_edge", lambda xi, p: exact(xi, p) + 1e-6)
     cfg = write_config(tmp_path, {"params": {"delta": 1.0}, "fiber": {"ny": 80}})
     out = tmp_path / "out"
     assert main(["fiber", "--config", cfg, "--out", str(out)]) == 3
@@ -565,7 +575,7 @@ def test_fiber_table_rotates_one_family_per_table(tmp_path, capsys, monkeypatch)
         for name in ("_reduce", "conjugation_basis"):
             if hasattr(module, name):
                 counted(module, name)
-    counted(semidirac.cli, "count_within")
+    counted(semidirac.scan, "count_within")
     monkeypatch.setattr(semidirac.fiber, "fiber_spectra", no_spectra)
     cfg = write_config(tmp_path, {"params": {"delta": 1.0}})
     assert main(["fiber", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
@@ -756,3 +766,85 @@ def test_spectrum_without_solver_block(tmp_path, capsys):
     cfg = write_config(tmp_path, {"params": {"delta": 1.0}, "grid": BASE_GRID})
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "$.solver" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# output contract: the check names, detail keys and CSV headers of every
+# command and mode, which downstream readers key on
+
+_EIGEN_HEADER = "index,lambda,residual,participation_ratio,y_decay_rate"
+_NARROW_GRID = {"x_min": -2.0, "x_max": 2.0, "y_max": 6.0, "nx": 21, "ny": 13}
+_WELL = {"type": "box", "a": 1.0, "b": 4.0, "value": -3.0}
+
+OUTPUT_CONTRACT = {
+    "spectrum-gap": (
+        "spectrum",
+        {"params": {"delta": 1.0}, "grid": {**BASE_GRID, "nx": 31, "ny": 17},
+         "potential": _WELL, "solver": {"mode": "gap"}},
+        {"certified", "gap_empty", "hermitian_exact"},
+        {"block_counts", "dim", "in_window_count", "mode", "solve_fill"},
+        {"eigenvalues.csv": _EIGEN_HEADER}),
+    "spectrum-gap-empty": (
+        "spectrum", {"params": {"delta": 1.0}, "grid": SMALL_GRID, "solver": {"mode": "gap"}},
+        {"certified", "gap_empty", "hermitian_exact"},
+        {"block_counts", "dim", "in_window_count", "mode"},
+        {"eigenvalues.csv": _EIGEN_HEADER}),
+    "spectrum-dense": (
+        "spectrum", {"params": {"delta": 1.0}, "grid": SMALL_GRID, "solver": {"mode": "dense"}},
+        {"hermitian_exact", "spectrum_symmetric"}, {"dim", "mode"},
+        {"eigenvalues.csv": _EIGEN_HEADER}),
+    "spectrum-square-form": (
+        "spectrum",
+        {"params": {"delta": 1.0}, "grid": SMALL_GRID, "solver": {"mode": "square-form", "k": 2}},
+        {"bottom_above_gap_square", "hermitian_exact"}, {"dim", "mode"},
+        {"eigenvalues.csv": _EIGEN_HEADER}),
+    "scan-potential": (
+        "scan",
+        {"params": {"delta": 1.0}, "grid": _NARROW_GRID,
+         "scan": {"axis": "potential", "values": [-3.0, 0.0], "a": 0.1, "b": 0.3}},
+        {"all_agree", "fiber_cross_check"},
+        {"axis", "block_counts", "fiber_cross_check", "meta", "solve_fill"},
+        {"scan.csv": "axis_value,predicted,observed_count,min_abs_lambda,min_participation,agreement"}),
+    "scan-convergence": (
+        "scan",
+        {"params": {"delta": 1.0},
+         "scan": {"axis": "convergence", "values": [11, 21, 41], "observable": "gap-edge"}},
+        {"diffs_shrinking", "order_positive"}, {"fitted_order", "values"},
+        {"convergence.csv": "rung,observable,value,fitted_order"}),
+    "fiber": (
+        "fiber", {"params": {"delta": 1.0}, "fiber": {"xi_values": [-1.0, 0.0, 0.5], "ny": 40}},
+        {"edges_within_5pct", "union_edge_is_delta"},
+        {"inertia_brackets", "min_abs_lambda_route", "union_edge"},
+        {"fiber.csv": "xi,edge_analytic,min_abs_lambda,rel_err"}),
+    "fiber-without-zero": (
+        "fiber", {"params": {"delta": 1.0}, "fiber": {"xi_values": [-1.0, 0.5], "ny": 40}},
+        {"edges_within_5pct"}, {"inertia_brackets", "min_abs_lambda_route"},
+        {"fiber.csv": "xi,edge_analytic,min_abs_lambda,rel_err"}),
+    "quasimode": (
+        "quasimode",
+        {"params": {"delta": 1.0},
+         "quasimode": {"weyl_ns": [8, 16], "cutoff_ns": [4], "eps_values": [0.5]}},
+        {"aeps_negative_below_threshold", "cutoff_first_identity", "cutoff_second_bound_slack",
+         "weyl_residuals_below_bound", "weyl_slopes_near_inverse_n"},
+        {"eps_threshold", "perturbation", "weyl_slopes"},
+        {"aeps.csv": "eps,a_eps_paper,a_eps_derived,rel_gap,diverges",
+         "cutoff.csv": "n,Ix,Iy,Ixx,first_deriv_identity_rel_err,second_deriv_bound_slack",
+         "weyl.csv": "n,k,mu,branch,residual,bound_rhs"}),
+    "export-matrix": (
+        "export-matrix", {"params": {"delta": 1.0}, "grid": SMALL_GRID},
+        {"hermitian_exact"}, {"dim", "operator"}, {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUT_CONTRACT))
+def test_output_contract(tmp_path, capsys, case):
+    command, doc, checks, detail, headers = OUTPUT_CONTRACT[case]
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    capsys.readouterr()
+    summary = read_summary(out)
+    assert set(summary["checks"]) == checks
+    assert set(summary["detail"]) == detail
+    csvs = {p.name: p.read_text(encoding="utf-8").splitlines()[0] for p in out.glob("*.csv")}
+    assert csvs == headers
+

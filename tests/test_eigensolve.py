@@ -26,7 +26,12 @@ from semidirac import (
     participation_ratio,
     y_decay_rate,
 )
-from semidirac.eigensolve import _fix_phase
+from semidirac.eigensolve import (
+    SpectrumReport,
+    _fix_phase,
+    bottom_above_gap_square,
+    spectrum_symmetric,
+)
 
 P1 = Params(1.0)
 P2 = Params(2.0)
@@ -454,3 +459,26 @@ def test_reports_carry_unit_vectors(box_case):
     H, ref = box_case
     norms = np.linalg.norm(ref.eigenvectors, axis=0)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
+
+
+def _spectrum(vals):
+    vals = np.asarray(vals, dtype=np.float64)
+    n = vals.size
+    return SpectrumReport(vals, np.eye(n), np.zeros(n), np.ones(n), np.zeros(n), "dense")
+
+
+@pytest.mark.parametrize("vals,symmetric", [
+    ([-2.0, -0.5, 0.5, 2.0], True),
+    ([-2.0, 0.0, 2.0 + 1e-9], True),     # within 1e-8 of max(1, max |lambda|)
+    ([-2.0, 0.0, 2.0 + 1e-7], False),
+    ([-1e-3, 1e-3 + 5e-9], True),         # the floor of 1 on the scale
+    ([-1e-3, 1e-3 + 2e-8], False),
+])
+def test_spectrum_symmetric_tolerance(vals, symmetric):
+    assert spectrum_symmetric(_spectrum(vals)) is symmetric
+
+
+@pytest.mark.parametrize("bottom,above", [(3.95, True), (3.9499, False), (4.2, True)])
+def test_bottom_above_gap_square_keeps_its_slack(bottom, above):
+    assert bottom_above_gap_square(_spectrum([bottom, 5.0]), 2.0) is above
+

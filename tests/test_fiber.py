@@ -37,8 +37,8 @@ from semidirac.assembly import (
     first_derivative_y,
 )
 from semidirac.fiber import square_form_pairs
-from semidirac.cli import _fiber_cross_check, parse_config
-from semidirac.scan import GAP_WINDOW_FRACTION, convergence_study, free_edge
+from semidirac.cli import parse_config
+from semidirac.scan import GAP_WINDOW_FRACTION, convergence_study, fiber_cross_check, free_edge
 
 P1 = Params(1.0)
 
@@ -312,5 +312,5 @@ def test_free_edge_runs_no_eigensolver(monkeypatch):
     assert all(v > 1.0 for v in study.values) and study.fitted_order > 0.0
     cfg = parse_config({"params": {"delta": 2.0}, "grid": {
         "x_min": -9.0, "x_max": 14.0, "y_max": 14.0, "nx": 93, "ny": 57}})
-    cross = _fiber_cross_check(cfg, cfg.grid)
+    cross = fiber_cross_check(cfg.grid, cfg.params)
     assert cross["two_d_min_abs_lambda"] == edge and cross["within_5pct"]

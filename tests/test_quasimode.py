@@ -45,6 +45,7 @@ from semidirac.quasimode import (
     mollifier_d1,
     mollifier_d2,
     profile_deriv_integrals,
+    weyl_evidence,
 )
 
 P1 = Params(1.0)
@@ -462,3 +463,24 @@ def test_square_identity_requires_edge_admissibility():
     )
     with pytest.raises(ValueError, match="edge-admissible"):
         square_identity_residual(broken, P1)
+
+
+def _weyl_table(slope, residual_scale=1.0, bound=1.0):
+    return [{"n": n, "mu": mu, "residual": residual_scale * n**slope, "bound_rhs": bound}
+            for mu in (2.0, -5.0) for n in (8, 16, 32)]
+
+
+@pytest.mark.parametrize("slope,in_band", [(-1.0, True), (-0.9, False), (-1.1, False)])
+def test_weyl_slope_band(slope, in_band):
+    slopes, checks = weyl_evidence(_weyl_table(slope))
+    assert list(slopes) == ["2", "-5"]
+    assert all(s == pytest.approx(slope, rel=1e-12) for s in slopes.values())
+    assert checks == {"weyl_residuals_below_bound": True, "weyl_slopes_near_inverse_n": in_band}
+
+
+def test_weyl_residual_above_its_bound_fails():
+    _, checks = weyl_evidence(_weyl_table(-1.0, residual_scale=8.0 * (1.0 + 1e-6)))
+    assert checks["weyl_residuals_below_bound"] is False
+    _, checks = weyl_evidence(_weyl_table(-1.0, residual_scale=8.0))
+    assert checks["weyl_residuals_below_bound"] is True
+

@@ -24,6 +24,8 @@ from semidirac import (
     scan_perturbation,
     scan_potential,
 )
+from semidirac.cli import parse_config
+from semidirac.fiber import union_edge
 from semidirac.scan import (
     CONVERGENCE_COLUMNS,
     DOMAIN_NOISE_BAND,
@@ -31,6 +33,9 @@ from semidirac.scan import (
     LOCALIZED_PARTICIPATION,
     OBSERVABLES,
     SCAN_COLUMNS,
+    fiber_cross_check,
+    fiber_table,
+    window_evidence,
 )
 
 P1 = Params(1.0)
@@ -248,3 +253,65 @@ def test_scan_is_deterministic():
     # nan cells poison dict equality, so compare the printed rows
     assert repr(a.to_rows()) == repr(b.to_rows())
     assert a.meta == b.meta
+
+
+# ---------------------------------------------------------------------------
+# verdicts, judged at this layer
+
+
+@pytest.mark.parametrize("values,order,shrinking,positive", [
+    ((1.0, 1.2, 1.25), 1.0, True, True),
+    ((1.0, 1.1, 1.3), 1.0, False, True),
+    ((1.0, 1.5, 2.0), 1.0, False, True),
+    ((1.0, 1.2, 1.25), -0.5, True, False),
+])
+def test_convergence_verdicts_read_the_successive_differences(values, order, shrinking, positive):
+    study = ConvergenceStudy("gap-edge", (11, 21, 41), values, order)
+    assert study.checks() == {"diffs_shrinking": shrinking, "order_positive": positive}
+
+
+def _report(certificate, k=2):
+    return SpectrumReport(np.linspace(-0.5, 0.5, k), np.ones((3, k)), np.zeros(k),
+                          np.ones(k), np.ones(k), "gap", certificate)
+
+
+def test_window_evidence_falls_back_to_the_pairs_found():
+    certified = window_evidence(_report({"count": 4, "certified": True, "solve_fill": 2.5,
+                                         "block_counts": [2, 2]}))
+    assert certified == {"count": 4, "certified": True, "solve_fill": 2.5,
+                         "block_counts": [2, 2]}
+    uncertified = window_evidence(_report({"count": None, "certified": False, "solve_fill": 3.0}))
+    assert uncertified == {"count": 2, "certified": False, "solve_fill": 3.0,
+                           "block_counts": None}
+    assert window_evidence(_report(None, k=0)) == {
+        "count": 0, "certified": False, "solve_fill": None, "block_counts": None}
+
+
+@pytest.mark.parametrize("xi", [[-1.0, 0.5], [-1.0, 0.0, 0.5]], ids=["without-0", "with-0"])
+def test_fiber_cross_check_does_not_read_the_momentum_grid(xi):
+    """The fiber union over any momentum grid with 0 appended is delta
+    itself, so the cross-check reads params.delta whatever the config's
+    xi values hold."""
+    cfg = parse_config({"params": {"delta": 2.0}, "fiber": {"xi_values": xi}, "grid": {
+        "x_min": -9.0, "x_max": 14.0, "y_max": 14.0, "nx": 93, "ny": 57}})
+    cross = fiber_cross_check(cfg.grid, cfg.params)
+    assert cross["union_edge"] == union_edge(xi + [0.0], cfg.params) == 2.0
+    assert cross == fiber_cross_check(cfg.grid, P2)
+    assert cross["rel_err"] == abs(cross["two_d_min_abs_lambda"] - 2.0) / 2.0
+    assert cross["within_5pct"] is True
+
+
+def test_fiber_cross_check_fails_past_five_percent():
+    cross = fiber_cross_check(Grid2D(-2.0, 2.0, 6.0, 21, 13), P1)
+    assert cross["rel_err"] > 0.05 and cross["within_5pct"] is False
+
+
+def test_fiber_table_reports_union_edge_only_with_zero():
+    rows, checks, detail = fiber_table(P1, [-1.0, 0.0, 0.5], 40, 20.0)
+    assert checks == {"edges_within_5pct": True, "union_edge_is_delta": True}
+    assert detail["union_edge"] == 1.0
+    assert [r["edge_analytic"] for r in rows] == [2.0, 1.0, 1.25]
+    assert [b["counts"] for b in detail["inertia_brackets"]] == [[0, 1]] * 3
+    _, checks, detail = fiber_table(P1, [-1.0, 0.5], 40, 20.0)
+    assert checks == {"edges_within_5pct": True} and "union_edge" not in detail
+
