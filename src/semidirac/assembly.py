@@ -42,6 +42,7 @@ counts, not continuum multiplicities.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -380,55 +381,28 @@ def apply(op: HermitianOperator, u: SpinorField) -> SpinorField:
     return op.vector_to_field(op.matrix @ z)
 
 
-# entries per joined piece of the export body
-_EXPORT_CHUNK = 8192
-
-
-def _texts(values: np.ndarray, spec: str = "") -> np.ndarray:
-    """format(v, spec) of each entry, called once per distinct bit pattern.
-
-    Grouping by bits rather than by value keeps -0.0 apart from 0.0.
-    """
-    values = np.ascontiguousarray(values)
-    bits, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
-    texts = [format(v, spec) for v in bits.view(values.dtype).tolist()]
-    return np.array(texts, dtype=object)[inverse]
-
-
 def export_coordinate_text(op: HermitianOperator) -> str:
-    """Serialize to coordinate text: header, dims line, one entry per line.
+    """op.matrix as Matrix Market coordinate text, written by scipy.io.mmwrite.
 
-    Entries are 0-based (row, col, re, im), emitted in CSR order so equal
-    matrices serialize to equal bytes.  Values are grouped by bit pattern,
-    so each distinct real part, imaginary part and index is formatted
-    once (an operator holds a handful of distinct values), and the body
-    is joined _EXPORT_CHUNK entries at a time.
+    The banner reads "%%MatrixMarket matrix coordinate {complex|real}
+    general", the entries are 1-based (row, col, value) in CSR order, and
+    every value is the shortest text that reads back to the same double,
+    so equal matrices give equal bytes and scipy.io.mmread returns every
+    entry bit for bit (signed zeros and stored zeros included).  Symmetry
+    is general on purpose: a Hermitian file stores only one triangle and
+    does not read back bit-identical.
     """
-    m = op.matrix.tocoo()
-    n = m.nnz
-    rows, cols = _texts(m.row), _texts(m.col)
-    re, im = _texts(m.data.real, ".17g"), _texts(m.data.imag, ".17g")
-    parts = [f"%%MatrixMarket-compatible\n{m.shape[0]} {m.shape[1]} {n}\n"]
-    for s in range(0, n, _EXPORT_CHUNK):
-        sl = slice(s, s + _EXPORT_CHUNK)
-        parts.append("".join(
-            f"{r} {c} {a} {b}\n" for r, c, a, b in zip(
-                rows[sl].tolist(), cols[sl].tolist(), re[sl].tolist(), im[sl].tolist())
-        ))
-    return "".join(parts)
+    # imported here, so processes that export nothing do not load scipy.io
+    import scipy.io
+
+    buffer = io.BytesIO()
+    scipy.io.mmwrite(buffer, op.matrix, symmetry="general")
+    return buffer.getvalue().decode("ascii")
 
 
 def read_coordinate_text(text: str) -> sp.csr_matrix:
-    """Inverse of export_coordinate_text (for round-trip checks), bit for
-    bit: complex(re, im) keeps the sign of a zero real part."""
-    lines = text.strip().split("\n")
-    if not lines[0].startswith("%%MatrixMarket-compatible"):
-        raise ValueError("missing coordinate-format header line")
-    nr, nc, nnz = (int(t) for t in lines[1].split())
-    rows, cols, vals = [], [], []
-    for line in lines[2 : 2 + nnz]:
-        r, c, re, im = line.split()
-        rows.append(int(r))
-        cols.append(int(c))
-        vals.append(complex(float(re), float(im)))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(nr, nc))
+    """Inverse of export_coordinate_text, bit for bit: scipy.io.mmread of
+    the text as a CSR matrix."""
+    import scipy.io
+
+    return scipy.io.mmread(io.StringIO(text)).tocsr()

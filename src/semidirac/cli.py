@@ -582,6 +582,12 @@ def cmd_spectrum(cfg: RunConfig) -> ResultBundle:
 
     if mode != "dense":
         _refused_at("$.solver.k", _check_k, cfg.solver().k, grid.reduced_dim)
+    elif grid.reduced_dim > DENSE_CAP_DEFAULT:
+        raise ConfigError(
+            "$.solver.mode",
+            f"dense mode caps at dimension {DENSE_CAP_DEFAULT}, "
+            f"this grid gives {grid.reduced_dim}",
+        )
     if mode == "square-form":
         op = _build_operator(cfg, "square-form", grid)
         rep = lowest_of_square(op, cfg.solver().k)
@@ -589,12 +595,6 @@ def cmd_spectrum(cfg: RunConfig) -> ResultBundle:
     else:
         op = _build_operator(cfg, "H", grid)
         if mode == "dense":
-            if op.dim > DENSE_CAP_DEFAULT:
-                raise ConfigError(
-                    "$.solver.mode",
-                    f"dense mode caps at dimension {DENSE_CAP_DEFAULT}, "
-                    f"this grid gives {op.dim}",
-                )
             rep = dense_eigs(op)
             bundle.checks["spectrum_symmetric"] = spectrum_symmetric(rep)
         else:
@@ -744,19 +744,12 @@ def cmd_export_matrix(cfg: RunConfig) -> ResultBundle:
     return bundle
 
 
-def cmd_validate_config(cfg: RunConfig) -> ResultBundle:
-    bundle = ResultBundle("validate-config", cfg.canonical)
-    bundle.checks["valid"] = True
-    return bundle
-
-
 _COMMANDS = {
     "spectrum": cmd_spectrum,
     "quasimode": cmd_quasimode,
     "scan": cmd_scan,
     "fiber": cmd_fiber,
     "export-matrix": cmd_export_matrix,
-    "validate-config": cmd_validate_config,
 }
 
 
@@ -770,7 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectral bench for the half-plane semi-Dirac operator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in (*_COMMANDS, "validate-config"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default="./out", help="output directory (default ./out)")
@@ -813,11 +806,13 @@ def main(argv=None) -> int:
 
     if "solver" in cfg.canonical and args.seed is not None:
         cfg.canonical["solver"]["seed"] = args.seed
+    if args.command == "validate-config":
+        sys.stdout.write(canonical_text(cfg.canonical))
+        return EXIT_OK
 
-    command = _COMMANDS[args.command]
     out_dir = Path(args.out)
     try:
-        bundle = command(cfg)
+        bundle = _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -829,10 +824,6 @@ def main(argv=None) -> int:
         diag.write(out_dir, cfg.canonical["output"]["formats"])
         print(f"solver: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-
-    if args.command == "validate-config":
-        sys.stdout.write(canonical_text(cfg.canonical))
-        return EXIT_OK
 
     written = bundle.write(out_dir, cfg.canonical["output"]["formats"])
     for path in written:

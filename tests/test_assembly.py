@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import io
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -252,20 +254,10 @@ def test_coordinate_text_roundtrip_is_exact():
     g = small_grid()
     T = assemble_T(g, P1)
     text = export_coordinate_text(T)
-    dims = text.splitlines()[1].split()
+    dims = next(line for line in text.splitlines() if not line.startswith("%")).split()
     assert int(dims[0]) == T.dim and int(dims[1]) == T.dim
     M = read_coordinate_text(text)
     assert abs(M - T.matrix).max() == 0.0
-
-
-def per_entry_text(op) -> str:
-    """The writer that formatted every entry on its own, kept as the oracle
-    for the grouped one."""
-    m = op.matrix.tocoo()
-    lines = ["%%MatrixMarket-compatible", f"{m.shape[0]} {m.shape[1]} {m.nnz}"]
-    for r, c, v in zip(m.row, m.col, m.data):
-        lines.append(f"{r} {c} {v.real:.17g} {v.imag:.17g}")
-    return "\n".join(lines) + "\n"
 
 
 def assert_same_bits(a: sp.spmatrix, b: sp.spmatrix):
@@ -306,29 +298,31 @@ def exported_operators(draw):
     return assemble_H_eps(grid, params, field, draw(st.floats(0.1, 2.0)))
 
 
+def assert_reads_back(text: str, matrix: sp.spmatrix):
+    """scipy.io.mmread itself and read_coordinate_text both return matrix bit for bit."""
+    assert_same_bits(scipy.io.mmread(io.StringIO(text)), matrix)
+    assert_same_bits(read_coordinate_text(text), matrix)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(op=exported_operators())
-def test_grouped_export_matches_the_per_entry_writer(op):
+def test_export_is_matrix_market_read_back_bit_for_bit(op):
     text = export_coordinate_text(op)
-    assert text == per_entry_text(op)
-    assert_same_bits(read_coordinate_text(text), op.matrix)
+    field = "complex" if op.matrix.dtype.kind == "c" else "real"
+    assert text.startswith(f"%%MatrixMarket matrix coordinate {field} general\n")
+    assert_reads_back(text, op.matrix)
 
 
-@pytest.mark.parametrize("chunk", [7, 8192])
-def test_grouped_export_keeps_signed_zeros_and_repeats(monkeypatch, chunk):
-    # every sign of zero in both parts, values repeated across rows, and
-    # (at chunk 7) many joined pieces
-    monkeypatch.setattr(assembly, "_EXPORT_CHUNK", chunk)
+def test_export_keeps_signed_zeros_and_repeats():
+    # every sign of zero in both parts, values repeated across rows
     vals = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
                      0.0, 1.5 - 2.5j, 1.5 - 2.5j, -1.5, 0.1 + 0.1j, 1e-300, -7.0])
     rng = np.random.default_rng(5)
     n, nnz = 400, 3000
     flat = rng.choice(n * n, nnz, replace=False)
     M = sp.csr_matrix((rng.choice(vals, nnz), (flat // n, flat % n)), shape=(n, n))
-    op = SimpleNamespace(matrix=M)
-    text = export_coordinate_text(op)
-    assert text == per_entry_text(op)
-    assert_same_bits(read_coordinate_text(text), M)
+    text = export_coordinate_text(SimpleNamespace(matrix=M))
+    assert_reads_back(text, M)
     assert " -0 0\n" in text and " 0 -0\n" in text and " -0 -0\n" in text
-    empty = SimpleNamespace(matrix=sp.csr_matrix((3, 3), dtype=np.complex128))
-    assert export_coordinate_text(empty) == per_entry_text(empty)
+    empty = sp.csr_matrix((3, 3), dtype=np.complex128)
+    assert_reads_back(export_coordinate_text(SimpleNamespace(matrix=empty)), empty)

@@ -18,7 +18,16 @@ from hypothesis import strategies as st
 
 import semidirac.cli
 import semidirac.scan
-from semidirac import Grid2D, Params, SolverConfig, assemble_T, read_coordinate_text
+from semidirac import (
+    Grid2D,
+    Params,
+    SolverConfig,
+    assemble_H_eps,
+    assemble_T,
+    box_perturbation,
+    count_within,
+    read_coordinate_text,
+)
 from semidirac.cli import (
     ConfigError,
     RunConfig,
@@ -369,7 +378,12 @@ def test_spectrum_gap_run_certifies_empty_window(tmp_path, capsys):
     assert summary["config"]["solver"]["interval"] == [-0.95, 0.95]
 
 
-def test_dense_mode_refuses_large_grids(tmp_path, capsys):
+def test_dense_mode_refuses_large_grids(tmp_path, capsys, monkeypatch):
+    """The cap is read off the grid, before any operator is assembled."""
+    def unreachable(*args):
+        raise AssertionError("assembled an operator the dense cap refuses")
+
+    monkeypatch.setattr(semidirac.cli, "assemble_H", unreachable)
     cfg = write_config(tmp_path, {
         "params": {"delta": 1.0},
         "grid": BASE_GRID,
@@ -487,6 +501,25 @@ def test_quasimode_run_coincidence_reference(tmp_path, capsys):
     assert float(lines[2].split(",")[2]) == pytest.approx(6.0, abs=1e-12)
 
 
+def test_quasimode_run_with_a_repulsive_perturbation(tmp_path, capsys):
+    """int Re w12 > 0: no coupling makes the energy negative, so there is
+    no threshold and no check below it."""
+    cfg = write_config(tmp_path, {
+        "params": {"delta": 1.0},
+        "perturbation": {"type": "box", "amplitude": 1.0, "box": [-0.5, 0.5, 1.0, 2.0]},
+        "quasimode": {"weyl_ns": [8, 16], "cutoff_ns": [4], "eps_values": [0.5, 2.0]},
+    })
+    out = tmp_path / "out"
+    assert main(["quasimode", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    summary = read_summary(out)
+    assert summary["detail"]["eps_threshold"] is None
+    assert summary["detail"]["perturbation"] == "box(amp=1)"
+    assert "aeps_negative_below_threshold" not in summary["checks"]
+    rows = (out / "aeps.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [float(r.split(",")[2]) > 0.0 for r in rows] == [True, True]
+
+
 def test_fiber_run_hits_analytic_edges(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "params": {"delta": 1.0},
@@ -602,9 +635,9 @@ def test_fiber_cross_check_fails_on_a_narrow_domain(tmp_path, capsys):
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """The same fiber table and spectrum bytes (gap and square-form mode)
-    under 1 and 2 OpenBLAS threads; the thread count is set in each
-    child's environment only."""
+    """The same fiber table, spectrum (gap and square-form mode) and
+    exported matrix bytes under 1 and 2 OpenBLAS threads; the thread count
+    is set in each child's environment only."""
     configs = {
         "fiber": {"params": {"delta": 1.0}, "fiber": {"ny": 120}},
         "spectrum": {"params": {"delta": 1.0}, "grid": {**BASE_GRID, "nx": 31, "ny": 17},
@@ -613,6 +646,7 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         "spectrum-square": {"params": {"delta": 1.0}, "grid": {**BASE_GRID, "nx": 101, "ny": 51},
                             "potential": {"type": "xonly_gaussian", "height": 1.0},
                             "solver": {"mode": "square-form", "k": 3}},
+        "export-matrix": {"params": {"delta": 1.0}, "grid": {**BASE_GRID, "nx": 31, "ny": 17}},
     }
     src = str(Path(semidirac.cli.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -620,19 +654,32 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
         for name, doc in configs.items():
-            command = name.split("-")[0]
+            command = name.removesuffix("-square")
             cfg = write_config(tmp_path, doc, f"{name}.json")
             out = tmp_path / f"{name}-{threads}"
             subprocess.run(
                 [sys.executable, "-m", "semidirac.cli", command, "--config", cfg, "--out", str(out)],
                 env=env, check=True, capture_output=True,
             )
-            table = "fiber.csv" if command == "fiber" else "eigenvalues.csv"
+            table = {"fiber": "fiber.csv", "export-matrix": "matrix.txt"}.get(command, "eigenvalues.csv")
             outputs[name, threads] = (out / table).read_bytes()
     for name in configs:
         assert outputs[name, "1"] == outputs[name, "2"]
     assert outputs["spectrum", "1"].count(b"\n") > 1
     assert outputs["spectrum-square", "1"].count(b"\n") == 4
+    assert outputs["export-matrix", "1"].startswith(b"%%MatrixMarket matrix coordinate complex general\n")
+
+
+def test_importing_the_cli_loads_neither_scipy_io_nor_csgraph():
+    """Both load on first use (an export or read, a block count), so the
+    setup a run pays before its first op holds neither."""
+    src = str(Path(semidirac.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, semidirac.cli; "
+            "print([m for m in ('scipy.io', 'scipy.sparse.csgraph') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          check=True, capture_output=True, text=True)
+    assert done.stdout == "[]\n"
 
 
 def scan_doc():
@@ -722,6 +769,76 @@ def test_domain_scan_runs_the_box_well(tmp_path, capsys):
     assert meta["free"] is False
     # the bound state's footprint shrinks as the domain grows
     assert meta["participation"][1] < 0.5 * meta["participation"][0]
+
+
+def test_domain_scan_without_a_potential_tracks_the_band_edge(tmp_path, capsys):
+    """No potential: the gap stays empty on every rung, so each rung reads
+    the band edge above delta, and the free edge state must not shrink."""
+    cfg = write_config(tmp_path, {
+        "params": {"delta": 1.0},
+        "scan": {"axis": "domain", "values": [6.0, 10.0]},
+    })
+    out = tmp_path / "out"
+    assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    summary = read_summary(out)
+    assert summary["checks"] == {"all_agree": True}
+    assert summary["detail"]["meta"]["free"] is True
+    assert summary["detail"]["block_counts"] == [None, None]
+    rows = [r.split(",") for r in (out / "scan.csv").read_text(encoding="utf-8").splitlines()[1:]]
+    assert [r[1] for r in rows] == ["true", "true"]
+    edges = [float(r[3]) for r in rows]
+    assert 1.0 < edges[1] < edges[0]
+
+
+EPS_GRID = {"x_min": -6.0, "x_max": 6.0, "y_max": 8.0, "nx": 25, "ny": 17}
+EPS_BOX = {"type": "box", "amplitude": -1.0, "box": [-1.0, 1.0, 0.5, 2.5]}
+
+
+def test_epsilon_scan_counts_what_the_library_counts(tmp_path, capsys):
+    """Each row's count is the certified window count of H_eps at that eps."""
+    values = [0.0, 0.5, 2.0]
+    cfg = write_config(tmp_path, {
+        "params": {"delta": 1.0}, "grid": EPS_GRID, "perturbation": EPS_BOX,
+        "scan": {"axis": "epsilon", "values": values},
+    })
+    out = tmp_path / "out"
+    assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    summary = read_summary(out)
+    assert summary["detail"]["axis"] == "epsilon"
+    # eps* = -4 delta int w12 / (2 int w12^2) = 2 for a unit-amplitude box
+    assert summary["detail"]["meta"]["eps_threshold"] == pytest.approx(2.0, rel=1e-12)
+    grid, params = Grid2D(**EPS_GRID), Params(1.0)
+    field = box_perturbation(-1.0, tuple(EPS_BOX["box"])).sample_on(grid)
+    want = [count_within(assemble_H_eps(grid, params, field, eps), 0.95)["count"] for eps in values]
+    rows = [r.split(",") for r in (out / "scan.csv").read_text(encoding="utf-8").splitlines()[1:]]
+    assert [float(r[0]) for r in rows] == values
+    assert [int(r[2]) for r in rows] == want
+    assert want[0] == 0 and want[2] > want[1] > 0
+    assert [sum(b) for b in summary["detail"]["block_counts"]] == want
+
+
+def assert_same_bits(a, b):
+    a, b = a.tocsr(), b.tocsr()
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data.view(np.uint64), b.data.view(np.uint64))
+
+
+def test_export_matrix_writes_h_eps_at_the_solver_epsilon(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "params": {"delta": 1.0}, "grid": EPS_GRID, "perturbation": EPS_BOX,
+        "solver": {"mode": "gap", "epsilon": 0.7}, "export": {"operator": "H_eps"},
+    })
+    out = tmp_path / "out"
+    assert main(["export-matrix", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert read_summary(out)["detail"]["operator"] == "H_eps"
+    grid = Grid2D(**EPS_GRID)
+    field = box_perturbation(-1.0, tuple(EPS_BOX["box"])).sample_on(grid)
+    want = assemble_H_eps(grid, Params(1.0), field, 0.7).matrix
+    assert_same_bits(read_coordinate_text((out / "matrix.txt").read_text(encoding="utf-8")), want)
 
 
 def test_export_matrix_roundtrip(tmp_path, capsys):

@@ -32,6 +32,7 @@ from semidirac.eigensolve import (
     bottom_above_gap_square,
     spectrum_symmetric,
 )
+from semidirac.scan import window_evidence
 
 P1 = Params(1.0)
 P2 = Params(2.0)
@@ -105,6 +106,25 @@ def test_gap_eigs_matches_dense_oracle(box_case):
     lam = ref.eigenvalues
     want = np.sort(lam[np.argsort(np.abs(lam))[: rep.k]])
     assert np.max(np.abs(np.sort(rep.eigenvalues) - want)) < 1e-8
+
+
+def test_gap_eigs_searches_an_asymmetric_window_uncertified(box_case):
+    """A window off centre gets no count: certified False, count None and
+    the note, while the pairs found are the dense ones inside it (k covers
+    them all, so the two nearest outside are found and dropped)."""
+    H, ref = box_case
+    lo, hi = -0.5, 1.5
+    lam = ref.eigenvalues
+    want = np.sort(lam[(lo <= lam) & (lam <= hi)])
+    rep = gap_eigs(H, lo, hi, k=want.size + 2, tol=1e-10, seed=0)
+    assert rep.certificate["certified"] is False
+    assert rep.certificate["count"] is None
+    assert "symmetric about zero" in rep.certificate["note"]
+    assert rep.k == want.size == 9
+    assert np.max(np.abs(np.sort(rep.eigenvalues) - want)) < 1e-8
+    evidence = window_evidence(rep)
+    assert evidence["count"] == rep.k
+    assert evidence["certified"] is False and evidence["block_counts"] is None
 
 
 def test_nearest_matches_dense_oracle(box_case):
