@@ -313,14 +313,17 @@ def test_export_is_matrix_market_read_back_bit_for_bit(op):
     assert_reads_back(text, op.matrix)
 
 
-def test_export_keeps_signed_zeros_and_repeats():
-    # every sign of zero in both parts, values repeated across rows
+@pytest.mark.parametrize("nnz", [7, 8192])
+def test_grouped_export_keeps_signed_zeros_and_repeats(nnz):
+    # every sign of zero in both parts and values repeated across rows, in an
+    # export of a few entries and in one of thousands
     vals = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
                      0.0, 1.5 - 2.5j, 1.5 - 2.5j, -1.5, 0.1 + 0.1j, 1e-300, -7.0])
     rng = np.random.default_rng(5)
-    n, nnz = 400, 3000
+    n = 400
     flat = rng.choice(n * n, nnz, replace=False)
-    M = sp.csr_matrix((rng.choice(vals, nnz), (flat // n, flat % n)), shape=(n, n))
+    data = rng.permutation(np.resize(vals, nnz))
+    M = sp.csr_matrix((data, (flat // n, flat % n)), shape=(n, n))
     text = export_coordinate_text(SimpleNamespace(matrix=M))
     assert_reads_back(text, M)
     assert " -0 0\n" in text and " 0 -0\n" in text and " -0 -0\n" in text
