@@ -39,7 +39,6 @@ from .eigensolve import (
 )
 from .fiber import (
     FiberFamily,
-    dispersion,
     fiber_edge,
     fiber_operator,
     fiber_spectra,
@@ -60,14 +59,11 @@ from .lattice import (
     sample,
 )
 from .quasimode import (
-    BoxTrial,
     BumpProfile,
     CutoffProfile,
     PerturbationModel,
     SpinorTrial,
-    WeylTrial,
     a_eps_derived,
-    a_eps_paper,
     aeps_divergence,
     box_energy_analytic,
     box_energy_numeric,
@@ -85,10 +81,8 @@ from .quasimode import (
     square_identity_residual,
     standard_trials,
     trial_energy,
-    weyl_bound,
-    weyl_residual,
+    weyl_momentum,
     weyl_rows,
-    weyl_trial,
 )
 from .scan import (
     ConvergenceStudy,

@@ -66,13 +66,12 @@ from .quasimode import (
     eps_threshold,
     product_bump,
     weyl_evidence,
+    weyl_momentum,
     weyl_rows,
-    weyl_trial,
 )
 from .scan import (
     CONVERGENCE_COLUMNS,
     FIBER_COLUMNS,
-    GAP_WINDOW_FRACTION,
     SCAN_COLUMNS,
     SolverConfig,
     _check_box,
@@ -85,6 +84,7 @@ from .scan import (
     delocalization_probe,
     fiber_cross_check,
     fiber_table,
+    gap_window,
     scan_perturbation,
     scan_potential,
     window_evidence,
@@ -299,8 +299,8 @@ _SOLVER = Block(
         "max_iter": (_integer, _SOLVER_DEFAULTS["max_iter"]),
         "seed": (_integer, _SOLVER_DEFAULTS["seed"]),
         "epsilon": (_number, 1.0),
-        "interval": (_shaped("lo", "hi", ordered=True), lambda c: [
-            s * GAP_WINDOW_FRACTION * c["params"]["delta"] for s in (-1.0, 1.0)]),
+        "interval": (_shaped("lo", "hi", ordered=True),
+                     lambda c: list(gap_window(Params(**c["params"])))),
     },
     rules=(
         ("$.solver.k", _must(lambda s, c: s["k"] >= 1, "must be >= 1")),
@@ -618,7 +618,7 @@ def cmd_quasimode(cfg: RunConfig) -> ResultBundle:
     q = cfg.canonical["quasimode"]
     bump = product_bump() if q["bump"] == "product" else disk_bump()
     for i, mu in enumerate(q["weyl_mus"]):
-        _refused_at(f"$.quasimode.weyl_mus[{i}]", weyl_trial, mu, 1, cfg.params, bump)
+        _refused_at(f"$.quasimode.weyl_mus[{i}]", weyl_momentum, mu, cfg.params)
     if len(set(q["weyl_ns"])) < 2:
         raise ConfigError("$.quasimode.weyl_ns", "need at least two distinct scales to fit a slope")
     bundle = ResultBundle("quasimode", cfg.canonical)

@@ -79,13 +79,6 @@ from .assembly import (
 from .lattice import Grid2D, Params
 
 
-def dispersion(xi: float, kappa: float, params: Params) -> tuple[float, float]:
-    """Plane-wave eigenvalues (lambda_plus, lambda_minus) at momenta (xi, kappa)."""
-    edge = xi * xi + params.delta
-    lam = float(np.hypot(kappa, edge))
-    return lam, -lam
-
-
 def fiber_edge(xi: float, params: Params) -> float:
     """Analytic spectral edge xi^2 + delta of one fiber."""
     return xi * xi + params.delta

@@ -11,17 +11,20 @@ Contents:
 
 * Weyl trial states (u, +-u) with u = phi_n(x, y) exp(ikx) built from a
   compactly supported bump, whose residual against mu = +-(delta + k^2)
-  decays like 1/n and never exceeds the closed-form bound; weyl_evidence
-  fits each mu's slope and judges both.
+  decays like 1/n and never exceeds the closed-form bound.  weyl_rows
+  tabulates residual and bound over (mu, n) with k = weyl_momentum(mu);
+  weyl_evidence fits each mu's slope and judges both.
 * Separable sine trials on a box well, whose squared energy is an exact
-  trinomial in the well depth; its negativity window predicts bound
-  states in the gap.
+  trinomial in the well depth (box_energy_analytic, checked against the
+  quadrature of box_energy_numeric); its negativity window
+  (boundstate_window) predicts bound states in the gap.
 * The logarithmic annular cutoff g_n and its derivative integrals, which
   quantify how cheaply a trial can be spread to infinity in 2D.
 * The second-order perturbation energy A_eps for an off-diagonal
-  Hermitian multiplication perturbation, in two variants (as printed and
-  as rederived), the threshold eps where it first turns negative, and
-  the g_n-localized trial energies that converge to it.
+  Hermitian multiplication perturbation: aeps_divergence sets the
+  variant as printed beside the rederived one, a_eps_derived; then the
+  threshold eps where it first turns negative, and the g_n-localized
+  trial energies that converge to it.
 * The square identity ||Tu||^2 = ||dy u||^2 + ||dxx u||^2
   + 2 delta ||dx u||^2 + delta^2 ||u||^2 on edge-admissible spinors.
   (The first-order term is the y-derivative alone: expanding the rows
@@ -218,37 +221,13 @@ def disk_bump(center=(0.0, 2.0), radius: float = 1.0) -> BumpProfile:
 # Weyl trials at mu = +-(delta + k^2)
 
 
-@dataclass(frozen=True)
-class WeylTrial:
-    """Spinor (u, sign*u), u = phi_n exp(ikx), phi_n = phi(./n)/n."""
-
-    mu: float
-    n: int
-    k: float
-    sign: int
-    bump: BumpProfile
-
-
-def weyl_trial(mu: float, n: int, params: Params, bump: BumpProfile | None = None) -> WeylTrial:
+def weyl_momentum(mu: float, params: Params) -> float:
+    """Momentum k of the Weyl trials at mu = +-(delta + k^2); mu in the gap is refused."""
     if abs(mu) < params.delta:
         raise ValueError(
             f"mu = {mu} lies inside the spectral gap (-{params.delta}, {params.delta})"
         )
-    if n < 1:
-        raise ValueError(f"scale n must be a positive integer, got {n}")
-    if bump is None:
-        bump = product_bump()
-    k = float(np.sqrt(abs(mu) - params.delta))
-    return WeylTrial(mu=float(mu), n=int(n), k=k, sign=1 if mu > 0 else -1, bump=bump)
-
-
-def _check_branch(trial: WeylTrial, params: Params) -> None:
-    want = trial.sign * (params.delta + trial.k**2)
-    if abs(trial.mu - want) > 1e-12 * max(abs(trial.mu), 1.0):
-        raise ValueError(
-            f"trial is inconsistent with delta={params.delta}: "
-            f"mu={trial.mu} but sign*(delta+k^2)={want}"
-        )
+    return float(np.sqrt(abs(mu) - params.delta))
 
 
 def _weyl_kernel(bump: BumpProfile, order: int):
@@ -271,51 +250,41 @@ def _bound(kernel, n: int, k: float) -> float:
     return float(np.sqrt(2.0 * (ny2 + 4.0 * k * k * nx2) / n**2 + 2.0 * nxx2 / n**4))
 
 
-def weyl_residual(trial: WeylTrial, params: Params, order: int = 80) -> float:
-    """|| (T - mu) psi_n || by quadrature of the closed-form integrand.
-
-    After the exact substitution (x, y) = (nX, nY) the integrand lives on
-    the base support; derivatives of phi are analytic.  Both branches
-    give the same value: the sign flips swap the two rows.
-    """
-    _check_branch(trial, params)
-    return _residual(_weyl_kernel(trial.bump, order), trial.n, trial.k)
-
-
-def weyl_bound(trial: WeylTrial, params: Params, order: int = 80) -> float:
-    """Closed-form bound sqrt(2||dy phi_n||^2 + 2||dxx phi_n||^2 + 8k^2||dx phi_n||^2).
-
-    For real profiles the residual attains this value exactly (the cross
-    terms cancel between the two rows), so the two only differ by
-    quadrature accumulation order.
-    """
-    _check_branch(trial, params)
-    return _bound(_weyl_kernel(trial.bump, order), trial.n, trial.k)
-
-
 WEYL_SLOPE_BAND = (-1.05, -0.95)
 
 
 def weyl_rows(mus, ns, params: Params, bump: BumpProfile | None = None, order: int = 80):
     """Residual table rows over (mu, n); columns match the weyl CSV schema.
 
-    The bump's partials and norms are evaluated once for the whole table.
+    Row (mu, n) is the spinor (u, branch * u), u = phi_n exp(ikx) with
+    phi_n = phi(./n)/n, k = weyl_momentum(mu) and branch the sign of mu.
+    residual is ||(T - mu) psi_n|| by quadrature of the closed-form
+    integrand: after the exact substitution (x, y) = (nX, nY) it lives on
+    the base support, and the derivatives of phi are analytic.  Both
+    branches give the same value: the sign flip swaps the two rows.
+    bound_rhs is the closed form sqrt(2||dy phi_n||^2 + 2||dxx phi_n||^2
+    + 8k^2||dx phi_n||^2).  For real profiles the residual attains it
+    exactly (the cross terms cancel between the two rows), so the two only
+    differ by quadrature accumulation order.  The bump's partials and
+    norms are evaluated once for the whole table.
     """
     if bump is None:
         bump = product_bump()
     kernel = _weyl_kernel(bump, order)
     rows = []
     for mu in mus:
-        for n in ns:
-            trial = weyl_trial(mu, n, params, bump)
+        k = weyl_momentum(mu, params)
+        for n in map(int, ns):
+            if n < 1:
+                raise ValueError(f"scale n must be a positive integer, got {n}")
             rows.append(
                 {
-                    "n": trial.n,
-                    "k": trial.k,
-                    "mu": trial.mu,
-                    "branch": trial.sign,
-                    "residual": _residual(kernel, trial.n, trial.k),
-                    "bound_rhs": _bound(kernel, trial.n, trial.k),
+                    "n": n,
+                    "k": k,
+                    "mu": float(mu),
+                    "branch": 1 if mu > 0 else -1,
+                    "residual": _residual(kernel, n, k),
+                    "bound_rhs": _bound(kernel, n, k),
                 }
             )
     return rows
@@ -354,28 +323,11 @@ def fit_slope(ns, values) -> float:
 # separable sine trials on a box well
 
 
-@dataclass(frozen=True)
-class BoxTrial:
-    """Ground sine mode of [a, b] in each variable, psi = u(x) u(y)."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not self.b > self.a:
-            raise ValueError(f"empty box [{self.a}, {self.b}]")
-
-    @property
-    def lambda1(self) -> float:
-        return float(np.pi**2 / (self.b - self.a) ** 2)
-
-    def mode(self, z):
-        L = self.b - self.a
-        return np.sqrt(2.0 / L) * np.sin(np.pi * (z - self.a) / L)
-
-    def mode_d1(self, z):
-        L = self.b - self.a
-        return np.sqrt(2.0 / L) * (np.pi / L) * np.cos(np.pi * (z - self.a) / L)
+def _box_lambda1(a: float, b: float) -> float:
+    """pi^2/(b - a)^2, the ground value of -d^2/dz^2 on [a, b] with zero ends."""
+    if not b > a:
+        raise ValueError(f"empty box [{a}, {b}]")
+    return float(np.pi**2 / (b - a) ** 2)
 
 
 def box_energy_analytic(a: float, b: float, v0: float, params: Params) -> float:
@@ -386,18 +338,21 @@ def box_energy_analytic(a: float, b: float, v0: float, params: Params) -> float:
     2 v0^2 + 4 (lambda1 + delta) v0 + 2 lambda1 + 4 delta lambda1
     + 2 lambda1^2.
     """
-    lam = BoxTrial(a, b).lambda1
+    lam = _box_lambda1(a, b)
     d = params.delta
     return 2.0 * v0**2 + 4.0 * (lam + d) * v0 + 2.0 * lam + 4.0 * d * lam + 2.0 * lam**2
 
 
 def box_energy_numeric(a: float, b: float, v0: float, params: Params, order: int = 60) -> float:
-    """Same energy by tensor quadrature with analytic sine-mode derivatives."""
-    trial = BoxTrial(a, b)
-    lam, d = trial.lambda1, params.delta
+    """Same energy by tensor quadrature of psi = u(x) u(y), u the ground
+    sine mode of [a, b], with its derivative taken analytically."""
+    lam, d = _box_lambda1(a, b), params.delta
+    L = b - a
     X, Y, W = gauss_2d((a, b, a, b), order, order)
-    ux, uy = trial.mode(X), trial.mode(Y)
-    dpsi_y = ux * trial.mode_d1(Y)
+    c = np.sqrt(2.0 / L)
+    ux, uy = c * np.sin(np.pi * (X - a) / L), c * np.sin(np.pi * (Y - a) / L)
+    uy_d1 = c * (np.pi / L) * np.cos(np.pi * (Y - a) / L)
+    dpsi_y = ux * uy_d1
     psi = ux * uy
     integrand = (
         2.0 * dpsi_y**2 + 2.0 * ((lam + d + v0) * psi) ** 2 - 2.0 * d**2 * psi**2
@@ -412,7 +367,7 @@ def boundstate_window(params: Params, a: float, b: float):
     Returns None when lambda1 >= delta^2 (box too small for this delta:
     the trinomial stays positive and predicts nothing).
     """
-    lam = BoxTrial(a, b).lambda1
+    lam = _box_lambda1(a, b)
     d = params.delta
     disc = d * d - lam
     if disc <= 0.0:
@@ -698,24 +653,19 @@ def a_eps_derived(model: PerturbationModel, eps: float, params: Params, order: i
     return _derived(_aeps_fields(model, order), eps, params)
 
 
-def a_eps_paper(model: PerturbationModel, eps: float, params: Params, order: int = 120) -> float:
-    """The energy as printed: eps^2 times the algebraic squares of the
-    entries (w12^2, not |w12|^2, and the w22 term enters unsquared)
-    plus the 4 delta eps Re w12 cross term.
-
-    For Hermitian entries the w12^2 + w21^2 pair sums to the real
-    quantity 2 Re(w12^2), which differs from 2 |w12|^2 as soon as w12
-    has an imaginary part.  Agrees with a_eps_derived exactly when the
-    diagonal entries vanish and w12 is real; the difference is flagged
-    by aeps_divergence.
-    """
-    return _paper(_aeps_fields(model, order), eps, params)
-
-
 def aeps_divergence(model: PerturbationModel, eps: float, params: Params,
                     order: int = 120, rtol: float = 1e-9) -> dict:
-    """Evaluate both variants on one sampling of the fields and flag a
-    relative gap above rtol."""
+    """A_eps as printed and as rederived (a_eps_derived) on one sampling
+    of the fields, with a flag for a relative gap above rtol.
+
+    The printed energy is eps^2 times the algebraic squares of the
+    entries (w12^2, not |w12|^2, and the w22 term enters unsquared) plus
+    the 4 delta eps Re w12 cross term.  For Hermitian entries the
+    w12^2 + w21^2 pair sums to the real quantity 2 Re(w12^2), which
+    differs from 2 |w12|^2 as soon as w12 has an imaginary part, so the
+    variants agree exactly only when the diagonal entries vanish and w12
+    is real.
+    """
     fields = _aeps_fields(model, order)
     paper = _paper(fields, eps, params)
     derived = _derived(fields, eps, params)

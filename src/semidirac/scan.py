@@ -32,7 +32,7 @@ from .eigensolve import (ConvergenceError, SpectrumReport, count_within, gap_eig
                          lowest_of_square, nearest_eigenvalues)
 from .fiber import FiberFamily, fiber_edge, separable_spectrum, union_edge
 from .lattice import BoxPotential, Grid2D, Params, PotentialSpec
-from .quasimode import PerturbationModel, a_eps_derived, boundstate_window, eps_threshold
+from .quasimode import PerturbationModel, a_eps_derived, boundstate_window, eps_threshold, fit_slope
 
 GAP_WINDOW_FRACTION = 0.95
 LOCALIZED_PARTICIPATION = 0.2
@@ -366,7 +366,7 @@ def convergence_study(
     diffs = _successive_diffs(values)
     if min(diffs) <= 0.0:
         raise ValueError("successive rungs returned identical values; no order to fit")
-    order = float(np.polyfit(np.log(hs[:-1]), np.log(diffs), 1)[0])
+    order = fit_slope(hs[:-1], diffs)
     meta = {"x_half": x_half, "h": hs, "delta": params.delta}
     if observable == "bound-state-lambda":
         meta["box"] = [float(box[0]), float(box[1])]

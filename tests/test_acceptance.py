@@ -34,7 +34,7 @@ from semidirac.fiber import (
 )
 from semidirac.quasimode import (
     a_eps_derived,
-    a_eps_paper,
+    aeps_divergence,
     box_energy_analytic,
     box_energy_numeric,
     boundstate_window,
@@ -194,7 +194,8 @@ def test_06_perturbation_criterion():
     assert gaps[2] <= 0.05
 
     half = 0.5 * thr
-    assert abs(a_eps_paper(disk, half, P1) - a_eps_derived(disk, half, P1)) <= 1e-12
+    rep = aeps_divergence(disk, half, P1)
+    assert abs(rep["a_eps_paper"] - rep["a_eps_derived"]) <= 1e-12
     grid = Grid2D(-20.0, 20.0, 40.0, 81, 61)
     res = scan_perturbation(P1, disk, [half], grid)
     rec = res.records[0]

@@ -1,4 +1,4 @@
-"""Momentum fibers: dispersion, edges, and the reduced operators."""
+"""Momentum fibers: edges and the reduced operators."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from semidirac import (
     assemble_T,
     count_within,
     dense_eigs,
-    dispersion,
     fiber_edge,
     fiber_operator,
     fiber_spectra,
@@ -41,15 +40,6 @@ from semidirac.cli import parse_config
 from semidirac.scan import GAP_WINDOW_FRACTION, convergence_study, fiber_cross_check, free_edge
 
 P1 = Params(1.0)
-
-
-def test_dispersion_closed_form():
-    lam_p, lam_m = dispersion(0.5, 0.3, P1)
-    assert lam_p == pytest.approx(1.285496013218244, rel=1e-15)
-    assert lam_m == -lam_p
-    assert dispersion(0.0, 0.0, P1) == (1.0, -1.0)
-    # branch magnitude is hypot(kappa, xi^2 + delta)
-    assert dispersion(2.0, -1.5, P1)[0] == pytest.approx(np.hypot(1.5, 5.0))
 
 
 def test_fiber_edge_quadratic_in_xi():

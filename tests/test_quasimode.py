@@ -13,7 +13,6 @@ from semidirac import (
     PerturbationModel,
     SpinorTrial,
     a_eps_derived,
-    a_eps_paper,
     aeps_divergence,
     box_energy_analytic,
     box_energy_numeric,
@@ -31,10 +30,8 @@ from semidirac import (
     square_identity_residual,
     standard_trials,
     trial_energy,
-    weyl_bound,
-    weyl_residual,
+    weyl_momentum,
     weyl_rows,
-    weyl_trial,
 )
 from semidirac import quasimode
 from semidirac.cli import cmd_quasimode, parse_config
@@ -139,37 +136,32 @@ def test_bump_normalization_and_partials(bump):
 
 
 def test_weyl_trial_validation():
-    assert weyl_trial(1.0, 4, P1).k == 0.0
-    assert weyl_trial(-5.0, 4, P1).sign == -1
-    assert weyl_trial(5.0, 4, P1).k == pytest.approx(2.0)
+    assert weyl_momentum(1.0, P1) == 0.0
+    assert weyl_momentum(-5.0, P1) == pytest.approx(2.0)
+    assert weyl_momentum(6.0, P2) == pytest.approx(2.0)
+    rows = weyl_rows([5.0, -5.0], [4], P1, order=20)
+    assert [(r["k"], r["branch"]) for r in rows] == [(2.0, 1), (2.0, -1)]
     with pytest.raises(ValueError, match="gap"):
-        weyl_trial(0.5, 4, P1)
-    with pytest.raises(ValueError):
-        weyl_trial(2.0, 0, P1)
-
-
-def test_weyl_rejects_mismatched_branch_parameters():
-    trial = weyl_trial(2.0, 8, P1)
-    with pytest.raises(ValueError, match="inconsistent"):
-        weyl_residual(trial, P2)
-    with pytest.raises(ValueError, match="inconsistent"):
-        weyl_bound(trial, P2)
+        weyl_momentum(0.5, P1)
+    with pytest.raises(ValueError, match="gap"):
+        weyl_rows([2.0, -0.5], [4], P1, order=20)
+    with pytest.raises(ValueError, match="positive integer"):
+        weyl_rows([2.0], [4, 0], P1, order=20)
 
 
 @pytest.mark.parametrize("mu", [1.0, 2.0, 5.0, -1.0, -2.0, -5.0])
 @pytest.mark.parametrize("n", [4, 16])
 def test_weyl_residual_never_exceeds_bound(mu, n):
-    trial = weyl_trial(mu, n, P1)
-    r = weyl_residual(trial, P1)
-    b = weyl_bound(trial, P1)
-    assert 0.0 < r <= b * (1.0 + 1e-9)
+    for bump in (product_bump(), disk_bump()):
+        (row,) = weyl_rows([mu], [n], P1, bump)
+        assert 0.0 < row["residual"] <= row["bound_rhs"] * (1.0 + 1e-9)
 
 
 def test_weyl_bound_saturates_at_band_edge():
     # k = 0 kills the cross term, so the bound is tight there
-    for n in (8, 32):
-        trial = weyl_trial(1.0, n, P1)
-        assert weyl_residual(trial, P1) == pytest.approx(weyl_bound(trial, P1), rel=1e-12)
+    for row in weyl_rows([1.0], [8, 32], P1):
+        assert row["k"] == 0.0
+        assert row["residual"] == pytest.approx(row["bound_rhs"], rel=1e-12)
 
 
 def test_weyl_slopes_scale_like_inverse_n():
@@ -187,17 +179,6 @@ def test_weyl_slopes_scale_like_inverse_n():
             slope = fit_slope(ns, [r["residual"] for r in sel])
             assert slope == pytest.approx(want, rel=1e-9)
             assert -1.05 <= slope <= -0.95
-
-
-@pytest.mark.parametrize("bump", [product_bump(), disk_bump()])
-def test_weyl_rows_equal_per_row_residual_and_bound(bump):
-    mus, ns = [1.0, 2.0, -5.0], [4, 8, 32]
-    rows = weyl_rows(mus, ns, P1, bump, order=60)
-    assert [(r["mu"], r["n"]) for r in rows] == [(mu, n) for mu in mus for n in ns]
-    for row in rows:
-        trial = weyl_trial(row["mu"], row["n"], P1, bump)
-        assert row["residual"] == weyl_residual(trial, P1, order=60)
-        assert row["bound_rhs"] == weyl_bound(trial, P1, order=60)
 
 
 def test_fit_slope_demands_usable_data():
@@ -341,7 +322,8 @@ def test_box_model_energy_closed_form():
         for eps in (0.0, 0.1, 1.0, 3.0):
             want = 2.0 * eps**2 - 4.0 * delta * eps
             assert a_eps_derived(model, eps, p) == pytest.approx(want, abs=1e-12)
-            assert a_eps_paper(model, eps, p) == pytest.approx(want, abs=1e-12)
+            paper = aeps_divergence(model, eps, p)["a_eps_paper"]
+            assert paper == pytest.approx(want, abs=1e-12)
     assert a_eps_derived(model, 0.1, P1) == pytest.approx(-0.38, abs=1e-12)
 
 
@@ -365,8 +347,7 @@ def test_complex_coupling_splits_the_variants():
         w11=zero, w12=w12, w22=zero, support=(-1.0, 1.0, 0.5, 1.5), label="twisted box"
     )
     rep = aeps_divergence(model, 0.3, P1)
-    # one sampling of the fields serves both variants, bit for bit
-    assert rep["a_eps_paper"] == a_eps_paper(model, 0.3, P1)
+    # the derived variant is a_eps_derived bit for bit
     assert rep["a_eps_derived"] == a_eps_derived(model, 0.3, P1)
     assert rep["diverges"] is True
     assert rep["rel_gap"] > 1e-3

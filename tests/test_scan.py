@@ -247,6 +247,13 @@ def test_convergence_study_rejects_bad_ladders():
         convergence_study("gap-edge", [9, 17], P1)
 
 
+def test_convergence_study_refuses_rungs_without_change(monkeypatch):
+    # a zero difference has no logarithm, so no order can be fitted
+    monkeypatch.setattr("semidirac.scan.free_edge", lambda grid, params: 1.0)
+    with pytest.raises(ValueError, match="identical values"):
+        convergence_study("gap-edge", [9, 17, 33], P1)
+
+
 def test_scan_is_deterministic():
     a = depth_scan()
     b = depth_scan()
