@@ -55,12 +55,10 @@ from .lattice import (
     PotentialSpec,
     SpinorField,
     XOnlyPotential,
-    inner_product,
     sample,
 )
 from .quasimode import (
     BumpProfile,
-    CutoffProfile,
     PerturbationModel,
     SpinorTrial,
     a_eps_derived,
@@ -71,13 +69,13 @@ from .quasimode import (
     boundstate_window,
     cutoff_derivative_integrals,
     cutoff_g,
+    cutoff_profile,
     cutoff_row,
     disk_bump,
     disk_perturbation,
     eps_threshold,
     fit_slope,
     product_bump,
-    smoothstep_profile,
     square_identity_residual,
     standard_trials,
     trial_energy,

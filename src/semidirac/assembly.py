@@ -223,9 +223,6 @@ class HermitianOperator:
         count, labels = connected_components(abs(self.real_form[0]), directed=False)
         return tuple(np.flatnonzero(labels == b) for b in range(count))
 
-    def matvec(self, z: np.ndarray) -> np.ndarray:
-        return self.matrix @ z
-
     def vector_to_field(self, z: np.ndarray) -> SpinorField:
         """Undo the weighting and the edge identification (2-d layout only)."""
         if self.grid is None:

@@ -72,6 +72,7 @@ from .quasimode import (
 from .scan import (
     CONVERGENCE_COLUMNS,
     FIBER_COLUMNS,
+    OBSERVABLES,
     SCAN_COLUMNS,
     SolverConfig,
     _check_box,
@@ -130,8 +131,10 @@ class ConfigError(ValueError):
 # parser like any input.  A Tagged block picks its table by the value of
 # its tag key.  After a block's keys are walked, its rules run in order,
 # and a ValueError from rule(block, canonical) becomes a ConfigError at the
-# rule's path.  The library constructors run as rules, block by block, so
-# a config with several faults reports the first one in walk order.
+# rule's path; a rule may raise its own ConfigError to name one array
+# entry, and that passes unchanged.  The library constructors run as rules,
+# block by block, so a config with several faults reports the first one in
+# walk order.
 
 _REQUIRED = object()
 _OMITTED = object()
@@ -181,6 +184,8 @@ def _walk(doc, path: str, schema, root: dict | None = None) -> dict:
     for where, rule in schema.rules:
         try:
             rule(canon, root)
+        except ConfigError:
+            raise
         except ValueError as exc:
             raise ConfigError(where, str(exc)) from exc
     return canon
@@ -265,6 +270,21 @@ def _must(ok, message: str):
         if not ok(block, root):
             raise ValueError(message.format(**block))
     return rule
+
+
+def _refused_at(path: str, check, *args):
+    """check(*args), a ValueError it raises becoming a config error at path:
+    a precondition that needs the grid or another block exits 2, not 1."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+def _weyl_mus_outside_gap(q: dict, root: dict) -> None:
+    params = Params(**root["params"])
+    for i, mu in enumerate(q["weyl_mus"]):
+        _refused_at(f"$.quasimode.weyl_mus[{i}]", weyl_momentum, mu, params)
 
 
 def _potential(b: dict, grid: Grid2D | None = None):
@@ -363,8 +383,7 @@ _SCHEMA = Block({
         ),
         "convergence": Block(
             {"values": (_rungs, _REQUIRED),
-             "observable": (_choice("gap-edge", "bound-state-lambda", "square-form-min"),
-                            _REQUIRED),
+             "observable": (_choice(*OBSERVABLES), _REQUIRED),
              "x_half": (_number, _CONVERGENCE_DEFAULTS["x_half"]),
              "depth": (_number, _CONVERGENCE_DEFAULTS["depth"]),
              "box": (_shaped("a", "b", ordered=True), list(_CONVERGENCE_DEFAULTS["box"]))},
@@ -386,7 +405,11 @@ _SCHEMA = Block({
         "cutoff_ns": (_scales, [4, 16, 64]),
         "eps_values": (_numbers, [0.0, 0.25, 0.5, 0.75, 1.0]),
         "bump": (_choice("product", "disk"), "product"),
-    }), {}),
+    }, rules=(
+        ("$.quasimode.weyl_mus", _weyl_mus_outside_gap),
+        ("$.quasimode.weyl_ns", _must(lambda q, c: len(set(q["weyl_ns"])) >= 2,
+                                      "need at least two distinct scales to fit a slope")),
+    )), {}),
     "fiber": (Block(
         {"xi_values": (_numbers, [round(v, 12) for v in np.linspace(-2.0, 2.0, 21)]),
          "ny": (_integer, 400), "y_max": (_number, 40.0)},
@@ -538,15 +561,6 @@ def _require_grid(cfg: RunConfig) -> Grid2D:
     return cfg.grid
 
 
-def _refused_at(path: str, check, *args):
-    """check(*args), a ValueError it raises becoming a config error at path:
-    a precondition that needs the grid or another block exits 2, not 1."""
-    try:
-        return check(*args)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
-
-
 def _build_operator(cfg: RunConfig, which: str, grid: Grid2D):
     if which == "square-form":
         pot = cfg.potential(grid)
@@ -617,10 +631,6 @@ def cmd_spectrum(cfg: RunConfig) -> ResultBundle:
 def cmd_quasimode(cfg: RunConfig) -> ResultBundle:
     q = cfg.canonical["quasimode"]
     bump = product_bump() if q["bump"] == "product" else disk_bump()
-    for i, mu in enumerate(q["weyl_mus"]):
-        _refused_at(f"$.quasimode.weyl_mus[{i}]", weyl_momentum, mu, cfg.params)
-    if len(set(q["weyl_ns"])) < 2:
-        raise ConfigError("$.quasimode.weyl_ns", "need at least two distinct scales to fit a slope")
     bundle = ResultBundle("quasimode", cfg.canonical)
 
     rows = weyl_rows(q["weyl_mus"], q["weyl_ns"], cfg.params, bump)

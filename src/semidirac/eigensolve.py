@@ -178,18 +178,18 @@ def _build_report(matrix, parent, vals, vecs, method, certificate=None):
     return SpectrumReport(vals, vecs, residuals, pr, yd, method, certificate)
 
 
-def dense_eigs(op, cap: int = DENSE_CAP_DEFAULT) -> SpectrumReport:
+def dense_eigs(op) -> SpectrumReport:
     """Full spectrum by dense Hermitian eigendecomposition (oracle route).
 
-    Refuses dimensions above cap.  LAPACK runs on the real form R, in real
-    arithmetic except for H_eps with w11 != w22 and plain complex input;
-    certificate["arithmetic"] says which.  Residuals are recomputed from the
+    Refuses dimensions above DENSE_CAP_DEFAULT.  LAPACK runs on the real
+    form R, in real arithmetic except for H_eps with w11 != w22 and plain
+    complex input; certificate["arithmetic"] says which.  Residuals are recomputed from the
     input matrix and must sit at roundoff level, else this raises.
     """
     matrix, parent, work, basis = _as_matrix(op)
     n = matrix.shape[0]
-    if n > cap:
-        raise ValueError(f"dimension {n} exceeds dense solver cap {cap}")
+    if n > DENSE_CAP_DEFAULT:
+        raise ValueError(f"dimension {n} exceeds dense solver cap {DENSE_CAP_DEFAULT}")
     vals, vecs = np.linalg.eigh(work.toarray())
     vecs = vecs if basis is None else basis @ vecs
     certificate = {"arithmetic": "complex" if work.dtype.kind == "c" else "real"}

@@ -172,9 +172,9 @@ class SpinorField:
         a2 = a1 if f2 is None else sample(grid, f2)
         return cls(grid, a1, a2)
 
-    def bc_admissible(self, atol: float = 0.0) -> bool:
-        """True iff the two components agree on the y = 0 row."""
-        return bool(np.all(np.abs(self.u1[0, :] - self.u2[0, :]) <= atol))
+    def bc_admissible(self) -> bool:
+        """True iff the two components agree exactly on the y = 0 row."""
+        return bool(np.array_equal(self.u1[0, :], self.u2[0, :]))
 
     def flatten(self) -> np.ndarray:
         """Component-major layout: all of u1 (j outer, i inner), then u2."""
@@ -189,21 +189,6 @@ class SpinorField:
             )
         shape = (grid.ny, grid.nx)
         return cls(grid, vec[:n].reshape(shape), vec[n:].reshape(shape))
-
-    def norm_sq(self) -> float:
-        return inner_product(self, self).real
-
-
-def inner_product(u: SpinorField, v: SpinorField) -> complex:
-    """Weighted L2 pairing sum_ij w_ij (conj(u1) v1 + conj(u2) v2).
-
-    Conjugate-linear in the first argument.  Positive definite: the weights
-    are strictly positive on every node.
-    """
-    if u.grid != v.grid:
-        raise GridMismatchError(f"grids differ: {u.grid} vs {v.grid}")
-    w = u.grid.node_weights()
-    return complex(np.sum(w * (np.conj(u.u1) * v.u1 + np.conj(u.u2) * v.u2)))
 
 
 class PotentialSpec:

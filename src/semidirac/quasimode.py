@@ -1,9 +1,11 @@
 """Quadrature-side checks: trial states evaluated from closed forms.
 
 Everything in this module works with analytic expressions integrated by
-Gauss-Legendre rules; the unit rule of each order is computed once and
-cached (read-only), and only its map onto the interval runs per call.
-Nothing here touches the assembled matrices; the point is to have an
+Gauss-Legendre rules.  Each quantity has one fixed order, a constant
+written where it is used; the unit rule of each order is computed once
+and cached (read-only), and only its map onto the interval runs per
+call.  The bumps and the cutoff profile are fixed shapes too.  Nothing
+here touches the assembled matrices; the point is to have an
 independent route to the same physics so the grid side and the analytic
 side can be compared without shared failure modes.
 
@@ -18,7 +20,8 @@ Contents:
   trinomial in the well depth (box_energy_analytic, checked against the
   quadrature of box_energy_numeric); its negativity window
   (boundstate_window) predicts bound states in the gap.
-* The logarithmic annular cutoff g_n and its derivative integrals, which
+* The logarithmic annular cutoff g_n, built on one profile (a degree-7
+  smoothstep between CUTOFF_KNOTS), and its derivative integrals, which
   quantify how cheaply a trial can be spread to infinity in 2D.
 * The second-order perturbation energy A_eps for an off-diagonal
   Hermitian multiplication perturbation: aeps_divergence sets the
@@ -71,14 +74,14 @@ def gauss_1d(a: float, b: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     return a + half * (t + 1.0), half * w
 
 
-def gauss_2d(box, mx: int, my: int):
-    """Tensor Gauss-Legendre rule on box = (x0, x1, y0, y1).
+def gauss_2d(box, m: int):
+    """Tensor Gauss-Legendre rule of order m per axis on box = (x0, x1, y0, y1).
 
     Returns (X, Y, W) flattened; sum(W * f(X, Y)) approximates the integral.
     """
     x0, x1, y0, y1 = box
-    xs, wx = gauss_1d(x0, x1, mx)
-    ys, wy = gauss_1d(y0, y1, my)
+    xs, wx = gauss_1d(x0, x1, m)
+    ys, wy = gauss_1d(y0, y1, m)
     X, Y = np.meshgrid(xs, ys)
     W = np.outer(wy, wx)
     return X.ravel(), Y.ravel(), W.ravel()
@@ -129,8 +132,8 @@ class BumpProfile:
     label: str
 
 
-def _normalize_bump(f, fx, fy, fxx, support, label, order=160) -> BumpProfile:
-    X, Y, W = gauss_2d(support, order, order)
+def _normalize_bump(f, fx, fy, fxx, support, label) -> BumpProfile:
+    X, Y, W = gauss_2d(support, 160)
     nrm2 = float(np.sum(W * f(X, Y) ** 2))
     c = np.sqrt(0.5 / nrm2)
     return BumpProfile(
@@ -143,20 +146,16 @@ def _normalize_bump(f, fx, fy, fxx, support, label, order=160) -> BumpProfile:
     )
 
 
-def product_bump(x_halfwidth: float = 2.5, center=(0.0, 2.0)) -> BumpProfile:
-    """Separable mollifier bump m((x-cx)/wx) * m(y-cy), y-halfwidth 1.
+def product_bump() -> BumpProfile:
+    """Separable mollifier bump m((x-cx)/wx) * m(y-cy) centred at
+    (cx, cy) = (0, 2), x-halfwidth wx = 2.5 and y-halfwidth 1.
 
     The wide-in-x shape keeps the second x-derivative small relative to
     the first-order terms, so the 1/n residual decay of the Weyl trials
     is visible already at n = 8 without contamination from the 1/n^2
     curvature term.
     """
-    cx, cy = center
-    wx = float(x_halfwidth)
-    if wx <= 0.0:
-        raise ValueError(f"x_halfwidth must be positive, got {wx}")
-    if cy - 1.0 < 0.0:
-        raise ValueError(f"support dips below the edge: center y = {cy}")
+    cx, cy, wx = 0.0, 2.0, 2.5
 
     def f(x, y):
         return mollifier((x - cx) / wx) * mollifier(y - cy)
@@ -174,19 +173,14 @@ def product_bump(x_halfwidth: float = 2.5, center=(0.0, 2.0)) -> BumpProfile:
     return _normalize_bump(f, fx, fy, fxx, support, f"product(wx={wx:g})")
 
 
-def disk_bump(center=(0.0, 2.0), radius: float = 1.0) -> BumpProfile:
-    """Radial mollifier m(r/R) on a disk.
+def disk_bump() -> BumpProfile:
+    """Radial mollifier m(r/R) on the disk of radius R = 1 about (0, 2).
 
     Kept as an alternative profile; its curvature integral is large
     enough that the 1/n Weyl slope only emerges at larger n than the
     default product bump needs.
     """
-    cx, cy = center
-    R = float(radius)
-    if R <= 0.0:
-        raise ValueError(f"radius must be positive, got {R}")
-    if cy - R < 0.0:
-        raise ValueError(f"disk dips below the edge: center y = {cy}, radius {R}")
+    cx, cy, R = 0.0, 2.0, 1.0
     m2_at_0 = float(mollifier_d2(np.array([0.0]))[0])
 
     def parts(x, y):
@@ -230,10 +224,10 @@ def weyl_momentum(mu: float, params: Params) -> float:
     return float(np.sqrt(abs(mu) - params.delta))
 
 
-def _weyl_kernel(bump: BumpProfile, order: int):
+def _weyl_kernel(bump: BumpProfile):
     """Weights, the partials (fy, fx, fxx) of the bump on the rule, and
     their squared norms: everything a Weyl row needs that is free of (n, k)."""
-    X, Y, W = gauss_2d(bump.support, order, order)
+    X, Y, W = gauss_2d(bump.support, 80)
     parts = (bump.fy(X, Y), bump.fx(X, Y), bump.fxx(X, Y))
     return W, parts, tuple(float(np.sum(W * g**2)) for g in parts)
 
@@ -253,7 +247,7 @@ def _bound(kernel, n: int, k: float) -> float:
 WEYL_SLOPE_BAND = (-1.05, -0.95)
 
 
-def weyl_rows(mus, ns, params: Params, bump: BumpProfile | None = None, order: int = 80):
+def weyl_rows(mus, ns, params: Params, bump: BumpProfile | None = None):
     """Residual table rows over (mu, n); columns match the weyl CSV schema.
 
     Row (mu, n) is the spinor (u, branch * u), u = phi_n exp(ikx) with
@@ -270,7 +264,7 @@ def weyl_rows(mus, ns, params: Params, bump: BumpProfile | None = None, order: i
     """
     if bump is None:
         bump = product_bump()
-    kernel = _weyl_kernel(bump, order)
+    kernel = _weyl_kernel(bump)
     rows = []
     for mu in mus:
         k = weyl_momentum(mu, params)
@@ -343,12 +337,12 @@ def box_energy_analytic(a: float, b: float, v0: float, params: Params) -> float:
     return 2.0 * v0**2 + 4.0 * (lam + d) * v0 + 2.0 * lam + 4.0 * d * lam + 2.0 * lam**2
 
 
-def box_energy_numeric(a: float, b: float, v0: float, params: Params, order: int = 60) -> float:
+def box_energy_numeric(a: float, b: float, v0: float, params: Params) -> float:
     """Same energy by tensor quadrature of psi = u(x) u(y), u the ground
     sine mode of [a, b], with its derivative taken analytically."""
     lam, d = _box_lambda1(a, b), params.delta
     L = b - a
-    X, Y, W = gauss_2d((a, b, a, b), order, order)
+    X, Y, W = gauss_2d((a, b, a, b), 60)
     c = np.sqrt(2.0 / L)
     ux, uy = c * np.sin(np.pi * (X - a) / L), c * np.sin(np.pi * (Y - a) / L)
     uy_d1 = c * (np.pi / L) * np.cos(np.pi * (Y - a) / L)
@@ -380,83 +374,47 @@ def boundstate_window(params: Params, a: float, b: float):
 # annular logarithmic cutoff
 
 
-@dataclass(frozen=True)
-class CutoffProfile:
-    """Transition profile g on [0, 1] with g = 0 below lo and g = 1 above hi."""
-
-    g: Callable
-    gp: Callable
-    gpp: Callable
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.lo < self.hi <= 1.0:
-            raise ValueError(f"bad knots: lo = {self.lo}, hi = {self.hi}")
-        for t, want in ((0.0, 0.0), (1.0, 1.0)):
-            got = float(np.asarray(self.g(np.array([t])))[0])
-            if abs(got - want) > 1e-12:
-                raise ValueError(f"profile must satisfy g({t}) = {want}, got {got}")
+# The profile g of the cutoff rises from 0 to 1 between these knots in t.
+CUTOFF_KNOTS = (1.0 / 9.0, 0.5)
 
 
-def smoothstep_profile(lo: float = 1.0 / 9.0, hi: float = 0.5) -> CutoffProfile:
-    """Degree-7 smoothstep between the knots; C^3 across both junctions.
+def _tau(t):
+    """(tau, h): t mapped onto [0, 1] across the knots (clipped), and the knot gap h."""
+    lo, hi = CUTOFF_KNOTS
+    h = hi - lo
+    return np.clip((np.asarray(t, dtype=np.float64) - lo) / h, 0.0, 1.0), h
+
+
+def cutoff_profile(t):
+    """g(t): degree-7 smoothstep between CUTOFF_KNOTS, 0 below and 1 above.
 
     s(tau) = 35 tau^4 - 84 tau^5 + 70 tau^6 - 20 tau^7 has three vanishing
-    derivatives at each end, enough smoothness for every integral used
-    here while keeping all derivative integrals exact rationals.
+    derivatives at each end, so g is C^3 across both knots: enough
+    smoothness for every integral used here while keeping all derivative
+    integrals exact rationals.
     """
-    h = hi - lo
-
-    def tau_of(t):
-        return np.clip((np.asarray(t, dtype=np.float64) - lo) / h, 0.0, 1.0)
-
-    def g(t):
-        s = tau_of(t)
-        return s**4 * (35.0 - 84.0 * s + 70.0 * s**2 - 20.0 * s**3)
-
-    def gp(t):
-        s = tau_of(t)
-        return 140.0 * s**3 * (1.0 - s) ** 3 / h
-
-    def gpp(t):
-        s = tau_of(t)
-        return 420.0 * s**2 * (1.0 - s) ** 2 * (1.0 - 2.0 * s) / h**2
-
-    return CutoffProfile(g=g, gp=gp, gpp=gpp, lo=lo, hi=hi)
+    s, _ = _tau(t)
+    return s**4 * (35.0 - 84.0 * s + 70.0 * s**2 - 20.0 * s**3)
 
 
-def profile_deriv_integrals(profile: CutoffProfile, order: int = 64) -> tuple[float, float]:
-    """(integral of g'^2, integral of g''^2) over the transition interval."""
-    t, w = gauss_1d(profile.lo, profile.hi, order)
-    return float(np.sum(w * profile.gp(t) ** 2)), float(np.sum(w * profile.gpp(t) ** 2))
+def _profile_d1(t):
+    s, h = _tau(t)
+    return 140.0 * s**3 * (1.0 - s) ** 3 / h
 
 
-def _check_plateaus(profile: CutoffProfile) -> None:
-    """Reject profiles that are not flat outside their transition band.
-
-    The radial quadrature below integrates only over t in [lo, hi]; a
-    profile that still moves on the plateaus would silently lose mass.
-    """
-    for lo, hi, level, name in (
-        (0.0, profile.lo, 0.0, "outer"),
-        (profile.hi, 1.0, 1.0, "inner"),
-    ):
-        if hi - lo <= 0.0:
-            continue
-        t = np.linspace(lo, hi, 33)
-        if np.max(np.abs(profile.g(t) - level)) > 1e-12 or np.max(np.abs(profile.gp(t))) > 1e-12:
-            raise ValueError(f"profile violates the {name} plateau g = {level} on [{lo}, {hi}]")
-    t = np.linspace(profile.lo, profile.hi, 257)
-    g = profile.g(t)
-    if np.min(g) < -1e-12 or np.max(g) > 1.0 + 1e-12:
-        raise ValueError("profile leaves [0, 1] on the transition band")
+def _profile_d2(t):
+    s, h = _tau(t)
+    return 420.0 * s**2 * (1.0 - s) ** 2 * (1.0 - 2.0 * s) / h**2
 
 
-def cutoff_g(n: int, r, profile: CutoffProfile | None = None):
+def profile_deriv_integrals() -> tuple[float, float]:
+    """(integral of g'^2, integral of g''^2) between the knots."""
+    t, w = gauss_1d(*CUTOFF_KNOTS, 64)
+    return float(np.sum(w * _profile_d1(t) ** 2)), float(np.sum(w * _profile_d2(t) ** 2))
+
+
+def cutoff_g(n: int, r):
     """g_n(r): 1 up to r = n, g(ln(n^2/r)/ln n) out to r = n^2, then 0."""
-    if profile is None:
-        profile = smoothstep_profile()
     if n < 2:
         raise ValueError(f"cutoff scale n must be >= 2, got {n}")
     r = np.asarray(r, dtype=np.float64)
@@ -464,13 +422,11 @@ def cutoff_g(n: int, r, profile: CutoffProfile | None = None):
     out[r <= n] = 1.0
     mid = (r > n) & (r < n**2)
     t = np.log(n**2 / r[mid]) / np.log(n)
-    out[mid] = profile.g(t)
+    out[mid] = cutoff_profile(t)
     return out
 
 
-def cutoff_derivative_integrals(
-    n: int, profile: CutoffProfile | None = None, quad_order: int = 240
-) -> tuple[float, float, float]:
+def cutoff_derivative_integrals(n: int) -> tuple[float, float, float]:
     """(Ix, Iy, Ixx) for g_n over the half-plane by radial quadrature.
 
     Ix = int |dx g_n|^2 and Iy likewise are equal by the quarter-turn
@@ -479,18 +435,15 @@ def cutoff_derivative_integrals(
     there the integrand is analytic, and the log substitution keeps the
     node count independent of n.
     """
-    if profile is None:
-        profile = smoothstep_profile()
     if n < 2:
         raise ValueError(f"cutoff scale n must be >= 2, got {n}")
-    _check_plateaus(profile)
+    lo, hi = CUTOFF_KNOTS
     ln = np.log(float(n))
     # active band in s = ln r: g varies for t in [lo, hi], t = 2 - s/ln n
-    s_lo, s_hi = (2.0 - profile.hi) * ln, (2.0 - profile.lo) * ln
-    s, w = gauss_1d(s_lo, s_hi, quad_order)
+    s, w = gauss_1d((2.0 - hi) * ln, (2.0 - lo) * ln, 240)
     t = 2.0 - s / ln
     r = np.exp(s)
-    gp, gpp = profile.gp(t), profile.gpp(t)
+    gp, gpp = _profile_d1(t), _profile_d2(t)
     G1 = -gp / (r * ln)
     G2 = gpp / (r**2 * ln**2) + gp / (r**2 * ln)
     int_G1sq_r = float(np.sum(w * G1**2 * r**2))   # int G'^2 r dr
@@ -502,7 +455,7 @@ def cutoff_derivative_integrals(
     return ix, ix, ixx
 
 
-def cutoff_row(n: int, profile: CutoffProfile | None = None, order: int = 240) -> dict:
+def cutoff_row(n: int) -> dict:
     """Derivative integrals of g_n with their closed-form checks attached.
 
     first_deriv_identity_rel_err compares Ix against the exact identity
@@ -511,11 +464,9 @@ def cutoff_row(n: int, profile: CutoffProfile | None = None, order: int = 240) -
     int g'^2; both quantities must come out nonnegative for the spreading
     argument to close.
     """
-    if profile is None:
-        profile = smoothstep_profile()
-    ix, iy, ixx = cutoff_derivative_integrals(n, profile, order)
+    ix, iy, ixx = cutoff_derivative_integrals(n)
     ln = np.log(float(n))
-    ip2, ipp2 = profile_deriv_integrals(profile)
+    ip2, ipp2 = profile_deriv_integrals()
     ident = 0.5 * np.pi * ip2 / ln
     bound = (0.75 * np.pi) * ipp2 / (n**2 * ln**3) + np.pi * ip2 / (n**2 * ln)
     return {
@@ -603,8 +554,9 @@ def box_perturbation(amplitude: float, box) -> PerturbationModel:
     )
 
 
-def _aeps_fields(model: PerturbationModel, order: int):
-    X, Y, W = gauss_2d(model.support, order, order)
+def _aeps_fields(model: PerturbationModel):
+    """The A_eps rule on the support, and the entries w11, w12, w22 sampled on it."""
+    X, Y, W = gauss_2d(model.support, 120)
     return (
         X,
         Y,
@@ -642,7 +594,7 @@ def _paper(fields, eps: float, params: Params) -> float:
     return float(np.sum(W * integrand))
 
 
-def a_eps_derived(model: PerturbationModel, eps: float, params: Params, order: int = 120) -> float:
+def a_eps_derived(model: PerturbationModel, eps: float, params: Params) -> float:
     """Second-order trial energy density integrated over the support.
 
     Rederived form: the rows of (T + eps W - shift) acting on the
@@ -650,13 +602,12 @@ def a_eps_derived(model: PerturbationModel, eps: float, params: Params, order: i
     + eps^2 (Im w12)^2 and the mirrored row term, minus the free value
     2 delta^2.  This is the variant the trial energies converge to.
     """
-    return _derived(_aeps_fields(model, order), eps, params)
+    return _derived(_aeps_fields(model), eps, params)
 
 
-def aeps_divergence(model: PerturbationModel, eps: float, params: Params,
-                    order: int = 120, rtol: float = 1e-9) -> dict:
+def aeps_divergence(model: PerturbationModel, eps: float, params: Params) -> dict:
     """A_eps as printed and as rederived (a_eps_derived) on one sampling
-    of the fields, with a flag for a relative gap above rtol.
+    of the fields, with a flag for a relative gap above 1e-9.
 
     The printed energy is eps^2 times the algebraic squares of the
     entries (w12^2, not |w12|^2, and the w22 term enters unsquared) plus
@@ -666,7 +617,7 @@ def aeps_divergence(model: PerturbationModel, eps: float, params: Params,
     variants agree exactly only when the diagonal entries vanish and w12
     is real.
     """
-    fields = _aeps_fields(model, order)
+    fields = _aeps_fields(model)
     paper = _paper(fields, eps, params)
     derived = _derived(fields, eps, params)
     scale = max(abs(paper), abs(derived), 1e-30)
@@ -674,18 +625,18 @@ def aeps_divergence(model: PerturbationModel, eps: float, params: Params,
         "a_eps_paper": paper,
         "a_eps_derived": derived,
         "rel_gap": abs(paper - derived) / scale,
-        "diverges": abs(paper - derived) > rtol * scale,
+        "diverges": abs(paper - derived) > 1e-9 * scale,
     }
 
 
-def eps_threshold(model: PerturbationModel, params: Params, order: int = 120) -> float:
+def eps_threshold(model: PerturbationModel, params: Params) -> float:
     """Coupling where the quadratic-in-eps energy first dips negative.
 
     eps* = -4 delta int Re w12 / int sum |w_ij|^2.  Requires an
     attractive coupling, int Re w12 < 0; otherwise no positive eps
     makes the energy negative and the request is an error.
     """
-    _, _, W, w11, w12, w22 = _aeps_fields(model, order)
+    _, _, W, w11, w12, w22 = _aeps_fields(model)
     lin = float(np.sum(W * w12.real))
     if lin >= 0.0:
         raise ValueError(
@@ -699,17 +650,16 @@ def eps_threshold(model: PerturbationModel, params: Params, order: int = 120) ->
     return -4.0 * params.delta * lin / quad
 
 
-def trial_energy(model: PerturbationModel, eps: float, params: Params, n: int,
-                 profile: CutoffProfile | None = None, order: int = 120) -> float:
+def trial_energy(model: PerturbationModel, eps: float, params: Params, n: int) -> float:
     """A_eps localized by the cutoff: same integrand weighted by g_n^2.
 
     Only the support of the perturbation contributes (the free integrand
     vanishes identically), so once the plateau of g_n covers the support
     the value equals a_eps_derived exactly.
     """
-    fields = _aeps_fields(model, order)
+    fields = _aeps_fields(model)
     X, Y, W = fields[:3]
-    g2 = cutoff_g(n, np.hypot(X, Y), profile) ** 2
+    g2 = cutoff_g(n, np.hypot(X, Y)) ** 2
     return float(np.sum(W * g2 * _derived_density(fields, eps, params)))
 
 
@@ -780,7 +730,7 @@ def standard_trials() -> tuple[SpinorTrial, ...]:
     return (t1, t2, t3)
 
 
-def square_identity_residual(trial: SpinorTrial, params: Params, order: int = 140) -> dict:
+def square_identity_residual(trial: SpinorTrial, params: Params) -> dict:
     """Evaluate ||Tu||^2 and the four-term right side
     ||dy u||^2 + ||dxx u||^2 + 2 delta ||dx u||^2 + delta^2 ||u||^2,
     returning both and their relative mismatch.  The identity needs
@@ -793,7 +743,7 @@ def square_identity_residual(trial: SpinorTrial, params: Params, order: int = 14
         raise ValueError(f"trial is not edge-admissible: |u1 - u2| = {edge_gap:g}")
 
     d = params.delta
-    X, Y, W = gauss_2d(trial.box, order, order)
+    X, Y, W = gauss_2d(trial.box, 140)
     u1, u2 = trial.u1(X, Y), trial.u2(X, Y)
     u1x, u2x = trial.u1x(X, Y), trial.u2x(X, Y)
     u1y, u2y = trial.u1y(X, Y), trial.u2y(X, Y)

@@ -25,10 +25,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import norm as sparse_norm
 
 from .assembly import YGrid, assemble_H, assemble_H_eps, assemble_square_form, assemble_T
-from .eigensolve import (ConvergenceError, SpectrumReport, count_within, gap_eigs,
+from .eigensolve import (ConvergenceError, SpectrumReport, _inf_norm, count_within, gap_eigs,
                          lowest_of_square, nearest_eigenvalues)
 from .fiber import FiberFamily, fiber_edge, separable_spectrum, union_edge
 from .lattice import BoxPotential, Grid2D, Params, PotentialSpec
@@ -502,7 +501,7 @@ def _inertia_bracket(op, xi: float, m: float) -> dict:
     cannot be certified and raises.  A radius at or below zero holds no
     eigenvalue and is not factored.
     """
-    w = 1e-10 * sparse_norm(op.matrix, np.inf)
+    w = 1e-10 * _inf_norm(op.matrix)
     radii = [m - w, m + w]
     bracket = {"xi": xi, "radii": radii,
                "counts": [count_within(op, r)["count"] if r > 0.0 else 0 for r in radii]}

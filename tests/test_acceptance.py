@@ -45,7 +45,6 @@ from semidirac.quasimode import (
     fit_slope,
     product_bump,
     profile_deriv_integrals,
-    smoothstep_profile,
     square_identity_residual,
     standard_trials,
     trial_energy,
@@ -162,7 +161,7 @@ def test_04_bound_state_window():
 
 def test_05_cutoff_lemma():
     start = time.monotonic()
-    ip2, _ = profile_deriv_integrals(smoothstep_profile())
+    ip2, _ = profile_deriv_integrals()
     worst = 0.0
     for n in (4, 16, 64):
         row = cutoff_row(n)

@@ -180,7 +180,7 @@ def test_square_form_reproduces_derivative_energy():
         qa, u = quadratic_form_parts(g, 1.0)
         S = assemble_square_form(g, P1, NoPotential())
         z = S.field_to_vector(SpinorField(g, u, u))
-        qs = float(np.real(np.vdot(z, S.matvec(z))))
+        qs = float(np.real(np.vdot(z, S.matrix @ z)))
         rels.append(abs(qs - qa) / qa)
     assert rels[0] < 5e-3
     assert rels[1] < 1e-3

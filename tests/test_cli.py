@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -191,6 +193,10 @@ def test_rejected_entries_name_their_exact_path(doc, path, message):
         ("export-matrix", {"grid": SMALL_GRID, "export": {"operator": "H_eps"},
                            "perturbation": {"type": "box", "amplitude": -1.0, "box": [-0.5, 0.5, 1.0, 30.0]}},
          "$.perturbation"),
+        # the Weyl faults above are refused at parse time, by every command
+        ("validate-config", {"quasimode": {"weyl_mus": [0.5]}}, "$.quasimode.weyl_mus[0]"),
+        ("validate-config", {"quasimode": {"weyl_ns": [8]}}, "$.quasimode.weyl_ns"),
+        ("validate-config", {"quasimode": {"weyl_ns": [8, 8]}}, "$.quasimode.weyl_ns"),
     ],
 )
 def test_rejected_entries_exit_2_through_the_driver(tmp_path, capsys, command, doc, path):
@@ -305,9 +311,12 @@ _CONFIGS = _block(
                   interval=_increasing(-2.0, 2.0), k=st.integers(1, 10), tol=st.floats(1e-12, 0.5),
                   max_iter=st.integers(1, 2000), seed=st.integers(0, 2**31), epsilon=_num(-2.0, 2.0)),
     scan=_SCANS,
-    quasimode=_block({}, weyl_mus=_values(),
+    # runnable Weyl inputs: |mu| >= 5 lies outside every gap drawn for delta,
+    # and a slope needs two distinct scales
+    quasimode=_block({}, weyl_mus=st.lists(st.tuples(st.sampled_from([1, -1]), _num(5.0, 20.0))
+                                           .map(lambda t: t[0] * t[1]), min_size=1, max_size=4),
                      weyl_ns=st.lists(st.integers(2, 128) | st.integers(2, 128).map(float),
-                                      min_size=1, max_size=4),
+                                      min_size=2, max_size=4).filter(lambda v: len(set(v)) >= 2),
                      cutoff_ns=st.lists(st.integers(2, 128), min_size=1, max_size=4),
                      eps_values=_values(), bump=st.sampled_from(["product", "disk"])),
     fiber=_block({}, xi_values=_values(), ny=st.integers(4, 500), y_max=_num(1.0, 50.0)),
@@ -877,6 +886,24 @@ def test_bad_flags(tmp_path, capsys):
     assert main(["validate-config", "--config", cfg, "--threads", "0"]) == 2
     err = capsys.readouterr().err
     assert "--seed" in err and "--threads" in err
+
+
+def test_benchmark_import_surface_resolves(tmp_path):
+    """Every name the benchmark harness imports from the package exists, and
+    the --threads flag it passes is accepted.  The harness is only read."""
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    imports = [(node.module, alias.name)
+               for path in sorted(bench.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[0] == "semidirac"
+               for alias in node.names]
+    assert imports
+    for module, name in imports:
+        found = importlib.import_module(module)
+        assert hasattr(found, name) or importlib.util.find_spec(f"{module}.{name}"), (module, name)
+    cfg = write_config(tmp_path, {"params": {"delta": 1.0}})
+    assert main(["validate-config", "--config", cfg, "--threads", "1"]) == 0
 
 
 def test_spectrum_without_solver_block(tmp_path, capsys):

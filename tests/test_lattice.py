@@ -14,7 +14,6 @@ from semidirac import (
     PerturbationField,
     SpinorField,
     XOnlyPotential,
-    inner_product,
     sample,
 )
 
@@ -104,22 +103,6 @@ def test_flatten_roundtrip_exact():
     assert np.array_equal(back.u2, f.u2)
     with pytest.raises(GridMismatchError):
         SpinorField.unflatten(g, np.zeros(5))
-
-
-def test_inner_product_is_conjugate_symmetric():
-    g = make_grid()
-    rng = np.random.default_rng(1)
-    shape = (g.ny, g.nx)
-    u = SpinorField(g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-                    rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    v = SpinorField(g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-                    rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    assert inner_product(u, v) == pytest.approx(np.conj(inner_product(v, u)))
-    assert u.norm_sq() > 0.0
-    other = Grid2D(-3.0, 3.0, 2.0, 13, 10)
-    w = SpinorField(other, np.zeros((10, 13)), np.zeros((10, 13)))
-    with pytest.raises(GridMismatchError):
-        inner_product(u, w)
 
 
 def test_box_potential_validation_and_sampling():

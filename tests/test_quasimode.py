@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from semidirac import (
-    CutoffProfile,
     Params,
     PerturbationModel,
     SpinorTrial,
@@ -20,13 +19,13 @@ from semidirac import (
     boundstate_window,
     cutoff_derivative_integrals,
     cutoff_g,
+    cutoff_profile,
     cutoff_row,
     disk_bump,
     disk_perturbation,
     eps_threshold,
     fit_slope,
     product_bump,
-    smoothstep_profile,
     square_identity_residual,
     standard_trials,
     trial_energy,
@@ -56,7 +55,7 @@ P2 = Params(2.0)
 def test_gauss_rules_are_exact_on_polynomials():
     x, w = gauss_1d(0.0, 2.0, 6)
     assert np.sum(w * x**3) == pytest.approx(4.0, rel=1e-14)
-    X, Y, W = gauss_2d((0.0, 1.0, 0.0, 2.0), 4, 4)
+    X, Y, W = gauss_2d((0.0, 1.0, 0.0, 2.0), 4)
     assert np.sum(W * X * Y) == pytest.approx(1.0, rel=1e-14)
     with pytest.raises(ValueError):
         gauss_1d(1.0, 1.0, 4)
@@ -114,7 +113,7 @@ def test_mollifier_support_and_derivatives():
 
 @pytest.mark.parametrize("bump", [product_bump(), disk_bump()])
 def test_bump_normalization_and_partials(bump):
-    X, Y, W = gauss_2d(bump.support, 200, 200)
+    X, Y, W = gauss_2d(bump.support, 200)
     assert np.sum(W * bump.f(X, Y) ** 2) == pytest.approx(0.5, rel=1e-8)
     # partials agree with finite differences inside the support
     x0, x1, y0, y1 = bump.support
@@ -139,14 +138,14 @@ def test_weyl_trial_validation():
     assert weyl_momentum(1.0, P1) == 0.0
     assert weyl_momentum(-5.0, P1) == pytest.approx(2.0)
     assert weyl_momentum(6.0, P2) == pytest.approx(2.0)
-    rows = weyl_rows([5.0, -5.0], [4], P1, order=20)
+    rows = weyl_rows([5.0, -5.0], [4], P1)
     assert [(r["k"], r["branch"]) for r in rows] == [(2.0, 1), (2.0, -1)]
     with pytest.raises(ValueError, match="gap"):
         weyl_momentum(0.5, P1)
     with pytest.raises(ValueError, match="gap"):
-        weyl_rows([2.0, -0.5], [4], P1, order=20)
+        weyl_rows([2.0, -0.5], [4], P1)
     with pytest.raises(ValueError, match="positive integer"):
-        weyl_rows([2.0], [4, 0], P1, order=20)
+        weyl_rows([2.0], [4, 0], P1)
 
 
 @pytest.mark.parametrize("mu", [1.0, 2.0, 5.0, -1.0, -2.0, -5.0])
@@ -226,7 +225,7 @@ def test_boundstate_window_roots():
 
 def test_smoothstep_profile_rational_integrals():
     # degree-7 smoothstep on knots [1/9, 1/2]: both integrals are rationals
-    ip2, ipp2 = profile_deriv_integrals(smoothstep_profile())
+    ip2, ipp2 = profile_deriv_integrals()
     assert ip2 == pytest.approx(600.0 / 143.0, rel=1e-12)
     assert ipp2 == pytest.approx(1632960.0 / 3773.0, rel=1e-12)
 
@@ -236,6 +235,7 @@ def test_cutoff_plateau_values():
     r = np.array([0.5, 4.0, 16.0])
     assert np.all(cutoff_g(n, r) == 1.0)
     assert np.all(cutoff_g(n, np.array([256.0, 400.0])) == 0.0)
+    assert np.array_equal(cutoff_profile(np.array([0.0, 1.0 / 9.0, 0.5, 1.0])), [0.0, 0.0, 1.0, 1.0])
     mid = cutoff_g(n, np.geomspace(17.0, 255.0, 40))
     assert np.all(np.diff(mid) <= 1e-12)
     assert np.all((mid >= 0.0) & (mid <= 1.0))
@@ -257,56 +257,13 @@ def test_cutoff_rows_frozen():
         assert row["second_deriv_bound_slack"] > 0.0
 
 
-def linear_profile():
-    return CutoffProfile(
-        g=lambda t: np.asarray(t, dtype=np.float64),
-        gp=lambda t: np.ones_like(np.asarray(t, dtype=np.float64)),
-        gpp=lambda t: np.zeros_like(np.asarray(t, dtype=np.float64)),
-        lo=0.0,
-        hi=1.0,
-    )
-
-
-def test_first_derivative_identity_is_profile_agnostic():
-    # Ix = (pi/2) int g'^2 / ln n holds for any admissible profile
-    for profile in (smoothstep_profile(), smoothstep_profile(0.2, 0.6), linear_profile()):
-        ip2, _ = profile_deriv_integrals(profile)
-        for n in (4, 16):
-            ix, iy, _ = cutoff_derivative_integrals(n, profile)
-            assert ix == iy
-            assert ix == pytest.approx(0.5 * np.pi * ip2 / np.log(n), rel=1e-10)
-    ix16, _, _ = cutoff_derivative_integrals(16, linear_profile())
-    assert ix16 == pytest.approx(np.pi / (2.0 * np.log(16.0)), rel=1e-12)
-
-
-def test_profiles_that_break_admissibility_are_rejected():
-    with pytest.raises(ValueError, match="must satisfy"):
-        CutoffProfile(
-            g=lambda t: np.asarray(t) + 0.5, gp=lambda t: np.ones_like(np.asarray(t)),
-            gpp=lambda t: np.zeros_like(np.asarray(t)), lo=0.0, hi=1.0,
-        )
-    sneaky = CutoffProfile(
-        g=lambda t: np.asarray(t, dtype=np.float64),
-        gp=lambda t: np.ones_like(np.asarray(t, dtype=np.float64)),
-        gpp=lambda t: np.zeros_like(np.asarray(t, dtype=np.float64)),
-        lo=0.3,
-        hi=0.6,
-    )
-    with pytest.raises(ValueError, match="outer plateau"):
-        cutoff_derivative_integrals(8, sneaky)
-    # dips to -0.15 near t = 0.25 and peaks at 1.15 near t = 0.75
-    overshoot = CutoffProfile(
-        g=lambda t: np.asarray(t) - 0.4 * np.sin(2.0 * np.pi * np.asarray(t)),
-        gp=lambda t: 1.0 - 0.8 * np.pi * np.cos(2.0 * np.pi * np.asarray(t)),
-        gpp=lambda t: 1.6 * np.pi**2 * np.sin(2.0 * np.pi * np.asarray(t)),
-        lo=0.0,
-        hi=1.0,
-    )
-    with pytest.raises(ValueError, match="leaves"):
-        cutoff_derivative_integrals(8, overshoot)
-    with pytest.raises(ValueError, match="knots"):
-        smoothstep_profile(0.7, 0.3)
-    with pytest.raises(ValueError):
+def test_first_derivative_identity_matches_the_smoothstep_rational():
+    # Ix = (pi/2) int g'^2 / ln n, and int g'^2 = 600/143 for the smoothstep
+    for n in (4, 16, 64):
+        ix, iy, _ = cutoff_derivative_integrals(n)
+        assert ix == iy
+        assert ix == pytest.approx(0.5 * np.pi * (600.0 / 143.0) / np.log(n), rel=1e-10)
+    with pytest.raises(ValueError, match=">= 2"):
         cutoff_derivative_integrals(1)
 
 
