@@ -83,8 +83,6 @@ from .quasimode import (
     weyl_rows,
 )
 from .scan import (
-    ConvergenceStudy,
-    ScanResult,
     SolverConfig,
     convergence_study,
     delocalization_probe,

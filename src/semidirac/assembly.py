@@ -185,7 +185,6 @@ class HermitianOperator:
     matrix: sp.csr_matrix
     kind: str
     weights: np.ndarray
-    params: Params
     sym_defect: float
     grid: Grid2D | None = None
     ygrid: YGrid | None = None
@@ -263,9 +262,9 @@ def _symmetrize(m: sp.spmatrix) -> tuple[sp.csr_matrix, float]:
     return out, rel
 
 
-def _finish(matrix, kind, w_red, params, grid=None, ygrid=None) -> HermitianOperator:
+def _finish(matrix, kind, w_red, grid=None, ygrid=None) -> HermitianOperator:
     sym, defect = _symmetrize(matrix)
-    return HermitianOperator(sym, kind, w_red, params, float(defect), grid, ygrid)
+    return HermitianOperator(sym, kind, w_red, float(defect), grid, ygrid)
 
 
 def _first_order_blocks(grid: Grid2D, params: Params):
@@ -295,7 +294,7 @@ def assemble_T(grid: Grid2D, params: Params) -> HermitianOperator:
     """Free half-plane operator with the u1 = u2 edge condition."""
     A11, S, A22, _ = _first_order_blocks(grid, params)
     M, w_red = _reduce(grid, A11, S, S, A22)
-    return _finish(M, FIRST_ORDER, w_red, params, grid=grid)
+    return _finish(M, FIRST_ORDER, w_red, grid=grid)
 
 
 def _potential_samples(grid: Grid2D, potential: PotentialSpec) -> np.ndarray:
@@ -314,7 +313,7 @@ def assemble_H(grid: Grid2D, params: Params, potential: PotentialSpec) -> Hermit
     V = _potential_samples(grid, potential)
     SV = S + W2 @ sp.diags(V.ravel())
     M, w_red = _reduce(grid, A11, SV, SV, A22)
-    return _finish(M, FIRST_ORDER, w_red, params, grid=grid)
+    return _finish(M, FIRST_ORDER, w_red, grid=grid)
 
 
 def assemble_H_eps(
@@ -331,7 +330,7 @@ def assemble_H_eps(
     A12 = S + eps * (W2 @ sp.diags(w.w12.ravel()))
     A21 = S + eps * (W2 @ sp.diags(w.w21.ravel()))
     M, w_red = _reduce(grid, A11, A12, A21, A22)
-    return _finish(M, FIRST_ORDER, w_red, params, grid=grid)
+    return _finish(M, FIRST_ORDER, w_red, grid=grid)
 
 
 def assemble_square_form(
@@ -369,7 +368,7 @@ def assemble_square_form(
     )
     zero = sp.csr_matrix(G.shape)
     M, w_red = _reduce(grid, G, zero, zero, G)
-    return _finish(M, SQUARE_FORM, w_red, params, grid=grid)
+    return _finish(M, SQUARE_FORM, w_red, grid=grid)
 
 
 def apply(op: HermitianOperator, u: SpinorField) -> SpinorField:

@@ -12,11 +12,12 @@ configs reproduce identical CSV bytes.
 The CLI parses, maps preconditions to config paths, dispatches and
 writes.  The verdicts in summary.json are decided beside the numerics
 they judge: scan owns the gap-window evidence (window_evidence), the
-convergence verdicts (ConvergenceStudy.checks), the fiber table with its
-inertia brackets (fiber_table) and the fiber cross-check; eigensolve owns
-spectrum_symmetric and bottom_above_gap_square; quasimode owns the Weyl
-slopes and their band (weyl_evidence).  Only one-line comparisons stay
-here: hermitian_exact, gap_empty, and the cutoff and A_eps checks.
+four sweeps and the fiber table, each returning (rows, checks, detail)
+that its command writes as one table, one checks merge and one detail
+merge, and the fiber cross-check; eigensolve owns spectrum_symmetric
+and bottom_above_gap_square; quasimode owns the Weyl slopes and their
+band (weyl_evidence).  Only one-line comparisons stay here:
+hermitian_exact, gap_empty, and the cutoff and A_eps checks.
 
 Exit codes: 0 success, 2 config or precondition failure, 3 solver
 non-convergence (diagnostics still land in summary.json).
@@ -390,12 +391,18 @@ _SCHEMA = Block({
             rules=(
                 ("$.scan.values", lambda s, c: _check_ladder(s["values"])),
                 ("$.scan.x_half", _must(lambda s, c: s["x_half"] > 0.0, "must be positive")),
+                ("$.scan.values", lambda s, c: _ladder_grid(s["values"][0], s["x_half"],
+                                                            s["x_half"])),
             ),
         ),
         "domain": Block(
             {"values": (_numbers, _REQUIRED),
              "h": (_number, _defaults(delocalization_probe)["h"])},
-            rules=(("$.scan.h", _must(lambda s, c: s["h"] > 0.0, "must be positive")),),
+            rules=(
+                ("$.scan.h", _must(lambda s, c: s["h"] > 0.0, "must be positive")),
+                ("$.scan.values", lambda s, c: _check_domains(s["values"])),
+                ("$.scan.values", lambda s, c: _domain_grid(s["values"][0], s["h"])),
+            ),
         ),
     }), _OMITTED),
     "quasimode": (Block({
@@ -681,54 +688,42 @@ def cmd_scan(cfg: RunConfig) -> ResultBundle:
     sc = cfg.canonical.get("scan")
     if sc is None:
         raise ConfigError("$.scan", "scan needs a scan block")
-    bundle = ResultBundle("scan", cfg.canonical)
     axis = sc["axis"]
     solver = cfg.solver()
 
     if axis == "convergence":
-        # the ladder's coarsest grid, built before any rung is solved
-        grid = _refused_at("$.scan.values", _ladder_grid,
-                           sc["values"][0], sc["x_half"], sc["x_half"])
+        # the ladder's coarsest grid, which the schema has already built once
+        grid = _ladder_grid(sc["values"][0], sc["x_half"], sc["x_half"])
         # the one observable that reads the solver block; every rung spans
         # the first rung's domain
         if sc["observable"] == "bound-state-lambda":
             _refused_at("$.solver.k", _check_k, solver.k, grid.reduced_dim)
             box = _refused_at("$.scan.box", BoxPotential, *sc["box"], sc["depth"])
             _refused_at("$.scan.box", box.validate_against, grid)
-        study = convergence_study(
+        name, columns = "convergence.csv", CONVERGENCE_COLUMNS
+        rows, checks, detail = convergence_study(
             sc["observable"], sc["values"], cfg.params,
             x_half=sc["x_half"], box=tuple(sc["box"]), depth=sc["depth"], solver=solver,
         )
-        bundle.tables["convergence.csv"] = (CONVERGENCE_COLUMNS, study.to_rows())
-        bundle.checks.update(study.checks())
-        bundle.extra["fitted_order"] = study.fitted_order
-        bundle.extra["values"] = list(study.values)
     else:
-        if axis == "domain":
-            _refused_at("$.scan.values", _check_domains, sc["values"])
-            grid = _refused_at("$.scan.values", _domain_grid, sc["values"][0], sc["h"])
-        else:
-            grid = _require_grid(cfg)
+        grid = _domain_grid(sc["values"][0], sc["h"]) if axis == "domain" else _require_grid(cfg)
         _refused_at("$.solver.k", _check_k, solver.k, grid.reduced_dim)
+        name, columns = "scan.csv", SCAN_COLUMNS
         if axis == "potential":
             _refused_at("$.scan", _check_box, sc["a"], sc["b"], grid)
-            res = scan_potential(cfg.params, sc["a"], sc["b"], sc["values"], grid, solver)
+            rows, checks, detail = scan_potential(
+                cfg.params, sc["a"], sc["b"], sc["values"], grid, solver)
         elif axis == "epsilon":
             model = cfg.perturbation()
             _refused_at("$.perturbation", _check_support, model, grid)
-            res = scan_perturbation(cfg.params, model, sc["values"], grid, solver)
+            rows, checks, detail = scan_perturbation(cfg.params, model, sc["values"], grid, solver)
         else:
-            res = delocalization_probe(
+            rows, checks, detail = delocalization_probe(
                 cfg.params, sc["values"], h=sc["h"], potential=_domain_potential(cfg, grid),
                 solver=solver,
             )
-        bundle.tables["scan.csv"] = (SCAN_COLUMNS, res.to_rows())
-        bundle.checks["all_agree"] = res.all_agree()
-        bundle.extra["axis"] = res.axis
-        bundle.extra["meta"] = res.meta
-        bundle.extra["solve_fill"] = [rec["solve_fill"] for rec in res.records]
-        bundle.extra["block_counts"] = [rec.get("block_counts") for rec in res.records]
 
+    bundle = ResultBundle("scan", cfg.canonical, {name: (columns, rows)}, checks, detail)
     if cfg.grid is not None:
         cross = fiber_cross_check(cfg.grid, cfg.params)
         bundle.extra["fiber_cross_check"] = cross

@@ -115,7 +115,7 @@ class FiberFamily:
 
     def _assemble(self, a11, a12) -> HermitianOperator:
         m, w_red = _reduce(self.ygrid, a11, a12, a12, a11.conj().tocsr())
-        return _finish(m, FIRST_ORDER, w_red, self.params, ygrid=self.ygrid)
+        return _finish(m, FIRST_ORDER, w_red, ygrid=self.ygrid)
 
     @cached_property
     def base(self) -> tuple[HermitianOperator, sp.csr_matrix, sp.csr_matrix]:
@@ -140,7 +140,7 @@ class FiberFamily:
         c = fiber_edge(xi, self.params)
         # a real multiple of one exactly Hermitian matrix added to another
         # is exactly Hermitian; the discarded defects are those of the parts
-        op = HermitianOperator(b.matrix + c * j.matrix, FIRST_ORDER, b.weights, self.params,
+        op = HermitianOperator(b.matrix + c * j.matrix, FIRST_ORDER, b.weights,
                                max(b.sym_defect, j.sym_defect), ygrid=self.ygrid)
         object.__setattr__(op, "real_form", (real_b + c * real_j, basis))
         return op

@@ -261,31 +261,31 @@ class XOnlyPotential(PotentialSpec):
 class PerturbationField(PotentialSpec):
     """Grid-sampled 2x2 multiplication operator (w11, w12; w21, w22).
 
-    Self-adjointness of the perturbed operator requires w11 and w22 real
-    and w21 the complex conjugate of w12; both are enforced here.
+    Self-adjointness of the perturbed operator requires w11 and w22 real,
+    which is enforced here, and w21 the complex conjugate of w12, which
+    is how w21 is derived.
     """
 
     grid: Grid2D
     w11: np.ndarray
     w12: np.ndarray
-    w21: np.ndarray
     w22: np.ndarray
 
     def __post_init__(self):
-        _freeze_fields(self, ("w11", "w12", "w21", "w22"))
+        _freeze_fields(self, ("w11", "w12", "w22"))
         for name in ("w11", "w22"):
             if np.any(getattr(self, name).imag != 0.0):
                 raise ValueError(f"{name} must be real-valued")
-        if not np.array_equal(self.w21, np.conj(self.w12)):
-            raise ValueError("w21 must equal conj(w12) exactly")
+
+    @property
+    def w21(self) -> np.ndarray:
+        return np.conj(self.w12)
 
     @classmethod
-    def from_callables(cls, grid: Grid2D, w11=None, w12=None, w21=None, w22=None):
-        """Sample entry callables; omitted entries are zero, w21 defaults
-        to conj(w12)."""
+    def from_callables(cls, grid: Grid2D, w11=None, w12=None, w22=None):
+        """Sample entry callables; omitted entries are zero."""
         zero = np.zeros((grid.ny, grid.nx), dtype=np.complex128)
         a11 = sample(grid, w11).astype(np.complex128) if w11 else zero
         a12 = sample(grid, w12).astype(np.complex128) if w12 else zero
         a22 = sample(grid, w22).astype(np.complex128) if w22 else zero
-        a21 = sample(grid, w21).astype(np.complex128) if w21 else np.conj(a12)
-        return cls(grid, a11, a12, a21, a22)
+        return cls(grid, a11, a12, a22)

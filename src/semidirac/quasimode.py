@@ -503,9 +503,6 @@ class PerturbationModel:
         if self.support[2] < 0.0:
             raise ValueError(f"support dips below the edge: {self.support}")
 
-    def w21(self, x, y):
-        return np.conj(np.asarray(self.w12(x, y)))
-
     def sample_on(self, grid: Grid2D) -> PerturbationField:
         return PerturbationField.from_callables(
             grid,

@@ -15,14 +15,17 @@ Every eigensolver call takes its k, tol, max_iter and seed from one
 SolverConfig; the grids are the sweeps' own arguments.  The free band
 edge calls none: it is read off the exact separable spectrum.
 
-The verdicts on these numerics live here too: window_evidence,
-ConvergenceStudy.checks, fiber_cross_check and the fiber table with its
-inertia brackets (fiber_table; not in fiber, which eigensolve imports).
+Each sweep returns (rows, checks, detail), as the fiber table does: the
+rows in its CSV column order, its named verdicts and the free-form
+detail that lands in summary.json.  The verdicts on these numerics live
+here too: window_evidence, the sweeps' checks, fiber_cross_check and the
+fiber table with its inertia brackets (fiber_table; not in fiber, which
+eigensolve imports).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -85,83 +88,6 @@ class SolverConfig:
             raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    """One sweep: axis name, grid of values, per-point records, run metadata.
-
-    records hold plain Python scalars only, already in serialization
-    order, so identical configurations reproduce identical files byte for
-    byte downstream.
-    """
-
-    axis: str
-    values: tuple
-    records: tuple
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if len(self.values) != len(self.records):
-            raise ValueError(
-                f"{len(self.values)} axis values but {len(self.records)} records"
-            )
-
-    def to_rows(self) -> list[dict]:
-        return [{c: rec[c] for c in SCAN_COLUMNS} for rec in self.records]
-
-    def all_agree(self) -> bool:
-        return all(rec["agreement"] for rec in self.records)
-
-
-@dataclass(frozen=True)
-class ConvergenceStudy:
-    """Observable values down a strictly refining ladder, with a fitted order.
-
-    The order comes from successive differences |v_i - v_{i+1}| against
-    the coarse-rung spacings on a log-log fit, so no knowledge of the
-    limit is needed.
-    """
-
-    observable: str
-    ladder: tuple
-    values: tuple
-    fitted_order: float
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        _check_study(self.observable, self.ladder)
-        if len(self.values) != len(self.ladder):
-            raise ValueError("one value per rung required")
-
-    def to_rows(self) -> list[dict]:
-        return [
-            {
-                "rung": int(r),
-                "observable": self.observable,
-                "value": float(v),
-                "fitted_order": float(self.fitted_order),
-            }
-            for r, v in zip(self.ladder, self.values)
-        ]
-
-    def checks(self) -> dict:
-        """diffs_shrinking: every successive difference below the one
-        before it; order_positive: a positive fitted order."""
-        d = _successive_diffs(self.values)
-        return {"diffs_shrinking": all(b < a for a, b in zip(d, d[1:])),
-                "order_positive": bool(self.fitted_order > 0.0)}
-
-
-def _successive_diffs(values) -> list:
-    """|v_i - v_(i+1)| down the ladder."""
-    return [abs(v0 - v1) for v0, v1 in zip(values, values[1:])]
-
-
-def _check_study(observable: str, ladder) -> None:
-    if observable not in OBSERVABLES:
-        raise ValueError(f"unknown observable {observable!r}; pick one of {OBSERVABLES}")
-    _check_ladder(ladder)
-
-
 def _check_ladder(ladder) -> None:
     if len(ladder) < 3:
         raise ValueError(f"ladder needs at least 3 rungs, got {len(ladder)}")
@@ -217,6 +143,19 @@ def _observe_gap(rec: dict, op, params: Params, solver: SolverConfig) -> None:
     })
 
 
+def _sweep(axis: str, records: list, meta: dict) -> tuple[list, dict, dict]:
+    """(rows, checks, detail) of one sweep: the records' SCAN_COLUMNS, the
+    all_agree verdict, and the axis, the meta block and each record's
+    solve_fill and block_counts (None where the sweep keeps none).  The
+    records hold plain Python scalars, so identical configurations write
+    identical bytes."""
+    rows = [{c: rec[c] for c in SCAN_COLUMNS} for rec in records]
+    detail = {"axis": axis, "meta": meta,
+              "solve_fill": [rec["solve_fill"] for rec in records],
+              "block_counts": [rec.get("block_counts") for rec in records]}
+    return rows, {"all_agree": all(rec["agreement"] for rec in records)}, detail
+
+
 # ---------------------------------------------------------------------------
 # potential-depth sweep
 
@@ -240,7 +179,7 @@ def _check_box(a: float, b: float, grid: Grid2D) -> None:
 def scan_potential(
     params: Params, a: float, b: float, depths, grid: Grid2D,
     solver: SolverConfig = SolverConfig(),
-) -> ScanResult:
+) -> tuple[list, dict, dict]:
     """Sweep box depth V0 on grid against the trinomial bound-state window.
 
     Prediction: V0 strictly inside the window q(V0) < 0 forces a gap
@@ -263,7 +202,7 @@ def scan_potential(
         "gap_window": list(gap_window(params)),
         "delta": params.delta,
     }
-    return ScanResult("potential_depth", tuple(depths), tuple(records), meta)
+    return _sweep("potential_depth", records, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +222,7 @@ def _check_support(model: PerturbationModel, grid: Grid2D) -> None:
 def scan_perturbation(
     params: Params, model: PerturbationModel, eps_values, grid: Grid2D,
     solver: SolverConfig = SolverConfig(),
-) -> ScanResult:
+) -> tuple[list, dict, dict]:
     """Sweep coupling strength on grid against the sign of the trial energy.
 
     Prediction: a_eps_derived < 0 buys a gap state once the domain holds
@@ -314,7 +253,7 @@ def scan_perturbation(
         "grid_shape": [grid.nx, grid.ny],
         "gap_window": list(gap_window(params)),
     }
-    return ScanResult("epsilon", tuple(eps_values), tuple(records), meta)
+    return _sweep("epsilon", records, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +274,7 @@ def convergence_study(
     box: tuple = (1.0, 1.0 + np.pi),
     depth: float = -3.0,
     solver: SolverConfig = SolverConfig(),
-) -> ConvergenceStudy:
+) -> tuple[list, dict, dict]:
     """Track one observable down a strictly refining nx ladder.
 
     gap-edge: the free edge (free_edge), approaching the band edge.
@@ -343,9 +282,17 @@ def convergence_study(
     depth, nearest 0.  square-form-min: the bottom of the free square
     form (lowest_of_square, no solver block), approaching delta^2 plus
     the finite-domain offset.
+
+    The order is fitted to the successive differences |v_i - v_(i+1)|
+    against the coarse-rung spacings on a log-log scale, so no knowledge
+    of the limit is needed.  Returns (rows, checks, detail):
+    CONVERGENCE_COLUMNS rows, diffs_shrinking (every difference below the
+    one before it) and order_positive, and the fitted order and values.
     """
+    if observable not in OBSERVABLES:
+        raise ValueError(f"unknown observable {observable!r}; pick one of {OBSERVABLES}")
     ladder = [int(n) for n in ladder]
-    _check_study(observable, ladder)
+    _check_ladder(ladder)
 
     values = []
     for nx in ladder:
@@ -362,15 +309,15 @@ def convergence_study(
             values.append(float(lowest_of_square(op, k=1).eigenvalues[0]))
 
     hs = [2.0 * x_half / (n - 1) for n in ladder]
-    diffs = _successive_diffs(values)
+    diffs = [abs(v0 - v1) for v0, v1 in zip(values, values[1:])]
     if min(diffs) <= 0.0:
         raise ValueError("successive rungs returned identical values; no order to fit")
     order = fit_slope(hs[:-1], diffs)
-    meta = {"x_half": x_half, "h": hs, "delta": params.delta}
-    if observable == "bound-state-lambda":
-        meta["box"] = [float(box[0]), float(box[1])]
-        meta["depth"] = float(depth)
-    return ConvergenceStudy(observable, tuple(ladder), tuple(values), order, meta)
+    rows = [{"rung": n, "observable": observable, "value": float(v), "fitted_order": float(order)}
+            for n, v in zip(ladder, values)]
+    checks = {"diffs_shrinking": all(b < a for a, b in zip(diffs, diffs[1:])),
+              "order_positive": bool(order > 0.0)}
+    return rows, checks, {"fitted_order": order, "values": values}
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +344,7 @@ def delocalization_probe(
     h: float = 0.5,
     potential: PotentialSpec | None = None,
     solver: SolverConfig = SolverConfig(),
-) -> ScanResult:
+) -> tuple[list, dict, dict]:
     """Grow the domain at fixed spacing and watch the edge state's footprint.
 
     Without a potential the smallest-|lambda| vector is a continuum edge
@@ -443,7 +390,7 @@ def delocalization_probe(
         "free": bool(free),
         "delta": params.delta,
     }
-    return ScanResult("domain_size", tuple(domains), tuple(records), meta)
+    return _sweep("domain_size", records, meta)
 
 
 def _smallest_abs_pair(op, params: Params, solver: SolverConfig) -> SpectrumReport:

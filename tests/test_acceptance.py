@@ -131,12 +131,12 @@ def test_04_bound_state_window():
         assert abs(num - ana) <= 1e-8 * max(1.0, abs(ana))
 
     grid = Grid2D(-9.0, 14.0, 14.0, 47, 29)
-    res = scan_potential(P2, a, b, [-4.0, -3.0, -2.0, 0.0], grid)
-    assert res.all_agree()
-    for rec in res.records[:3]:
+    rows, checks, _ = scan_potential(P2, a, b, [-4.0, -3.0, -2.0, 0.0], grid)
+    assert checks["all_agree"]
+    for rec in rows[:3]:
         assert rec["observed_count"] > 0
         assert rec["min_participation"] < 0.2
-    assert res.records[3]["observed_count"] == 0
+    assert rows[3]["observed_count"] == 0
 
     H = assemble_H(grid, P2, BoxPotential(a, b, -3.0))
     state = nearest_eigenvalues(H, 0.0, k=1)
@@ -196,8 +196,7 @@ def test_06_perturbation_criterion():
     rep = aeps_divergence(disk, half, P1)
     assert abs(rep["a_eps_paper"] - rep["a_eps_derived"]) <= 1e-12
     grid = Grid2D(-20.0, 20.0, 40.0, 81, 61)
-    res = scan_perturbation(P1, disk, [half], grid)
-    rec = res.records[0]
+    (rec,), _, _ = scan_perturbation(P1, disk, [half], grid)
     assert rec["predicted"] is True
     assert rec["observed_count"] >= 1
     assert rec["min_participation"] < 0.2
@@ -272,7 +271,7 @@ def test_08_oracle_equivalence_and_invariants():
         scan_potential(P2, 1.0, 1.0 + float(np.pi), [-3.0, 0.0], scan_grid)
         for _ in range(2)
     ]
-    first, second = (render_csv(SCAN_COLUMNS, r.to_rows()).encode() for r in runs)
+    first, second = (render_csv(SCAN_COLUMNS, rows).encode() for rows, _, _ in runs)
     assert first == second
 
     elapsed = time.monotonic() - start

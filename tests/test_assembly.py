@@ -293,8 +293,7 @@ def exported_operators(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = (grid.ny, grid.nx)
     w12 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    field = PerturbationField(grid, rng.standard_normal(shape), w12, np.conj(w12),
-                              rng.standard_normal(shape))
+    field = PerturbationField(grid, rng.standard_normal(shape), w12, rng.standard_normal(shape))
     return assemble_H_eps(grid, params, field, draw(st.floats(0.1, 2.0)))
 
 

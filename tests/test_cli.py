@@ -197,6 +197,12 @@ def test_rejected_entries_name_their_exact_path(doc, path, message):
         ("validate-config", {"quasimode": {"weyl_mus": [0.5]}}, "$.quasimode.weyl_mus[0]"),
         ("validate-config", {"quasimode": {"weyl_ns": [8]}}, "$.quasimode.weyl_ns"),
         ("validate-config", {"quasimode": {"weyl_ns": [8, 8]}}, "$.quasimode.weyl_ns"),
+        # a ladder the scan would refuse before its first rung is refused at
+        # parse time, by every command
+        ("validate-config", {"scan": {"axis": "domain", "values": [4.0]}}, "$.scan.values"),
+        ("validate-config", {"scan": {"axis": "domain", "values": [1.0, 2.0]}}, "$.scan.values"),
+        ("validate-config", {"scan": {"axis": "convergence", "values": [5, 9, 17],
+                                      "observable": "gap-edge"}}, "$.scan.values"),
     ],
 )
 def test_rejected_entries_exit_2_through_the_driver(tmp_path, capsys, command, doc, path):
@@ -295,11 +301,15 @@ _PERTURBATIONS = st.one_of(
 _SCANS = st.one_of(
     _block({"axis": st.just("potential"), "values": _values(), "a": _num(0.1, 1.0), "b": _num(1.5, 3.0)}),
     _block({"axis": st.just("epsilon"), "values": _values()}),
+    # the first rung builds a grid of at least 4 x 4 nodes: nx >= 7 on the
+    # ladder, L >= 3 h on the domain probe
     _block({"axis": st.just("convergence"),
-            "values": st.lists(st.integers(4, 200), min_size=3, max_size=5, unique=True).map(sorted),
+            "values": st.lists(st.integers(7, 200), min_size=3, max_size=5, unique=True).map(sorted),
             "observable": st.sampled_from(["gap-edge", "bound-state-lambda", "square-form-min"])},
            x_half=_num(1.0, 30.0), depth=_num(-5.0, 0.0), box=_increasing(0.1, 5.0)),
-    _block({"axis": st.just("domain"), "values": _values()}, h=_num(0.1, 2.0)),
+    _block({"axis": st.just("domain"),
+            "values": st.lists(_num(6.0, 30.0), min_size=2, max_size=4, unique=True).map(sorted)},
+           h=_num(0.1, 2.0)),
 )
 _CONFIGS = _block(
     {"params": _block({"delta": _num(0.1, 5.0)})},

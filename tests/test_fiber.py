@@ -113,7 +113,7 @@ def per_fiber_operator(xi, params, ny, y_max):
     a11 = (-1j * (womega @ dmat)).tocsr()
     a12 = (fiber_edge(xi, params) * womega).tocsr()
     M, w_red = _reduce(ygrid, a11, a12, a12, a11.conj().tocsr())
-    return _finish(M, FIRST_ORDER, w_red, params, ygrid=ygrid)
+    return _finish(M, FIRST_ORDER, w_red, ygrid=ygrid)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -298,8 +298,8 @@ def test_free_edge_runs_no_eigensolver(monkeypatch):
         monkeypatch.setattr(semidirac.scan, name, refuse)
     edge = free_edge(grid, params)
     assert abs(float(np.min(np.abs(shift_invert.eigenvalues))) - edge) <= 1e-10 * edge
-    study = convergence_study("gap-edge", [21, 41, 81], P1)
-    assert all(v > 1.0 for v in study.values) and study.fitted_order > 0.0
+    _, checks, detail = convergence_study("gap-edge", [21, 41, 81], P1)
+    assert all(v > 1.0 for v in detail["values"]) and checks["order_positive"]
     cfg = parse_config({"params": {"delta": 2.0}, "grid": {
         "x_min": -9.0, "x_max": 14.0, "y_max": 14.0, "nx": 93, "ny": 57}})
     cross = fiber_cross_check(cfg.grid, cfg.params)

@@ -159,7 +159,7 @@ def conjugation_cases(draw):
     w12 = rng.standard_normal(shape)
     if draw(st.booleans()):
         w12 = w12 + 1j * rng.standard_normal(shape)
-    field = PerturbationField(grid, w11, w12, np.conj(w12), w22)
+    field = PerturbationField(grid, w11, w12, w22)
     return assemble_H_eps(grid, params, field, draw(st.floats(0.1, 2.0))), symmetric
 
 

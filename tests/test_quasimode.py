@@ -340,6 +340,16 @@ def test_threshold_for_smooth_disk_frozen():
     assert thr > 2.0
 
 
+def test_quadrature_orders_are_frozen():
+    """The A_eps rule (order 120) and the Weyl rule (order 80), frozen at
+    rel 1e-12: lowering either order by 20 moves these values by about
+    1e-10, which the rel 1e-9 frozen values elsewhere let through."""
+    thr = eps_threshold(disk_perturbation(), P1)
+    assert thr == pytest.approx(7.912531088670336, rel=1e-12)
+    (row,) = weyl_rows([2.0], [8], P1)
+    assert row["residual"] == pytest.approx(0.28173131465756823, rel=1e-12)
+
+
 def test_threshold_requires_attraction():
     with pytest.raises(ValueError, match="attractive"):
         eps_threshold(box_perturbation(1.0, (-0.5, 0.5, 1.0, 2.0)), P1)

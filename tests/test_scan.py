@@ -9,10 +9,8 @@ import pytest
 
 from semidirac import (
     BoxPotential,
-    ConvergenceStudy,
     Grid2D,
     Params,
-    ScanResult,
     SolverConfig,
     SpectrumReport,
     boundstate_window,
@@ -64,27 +62,11 @@ def test_solver_config_validation():
         SolverConfig(tol=2.0)
 
 
-def test_scan_result_container():
-    rec = {c: 0 for c in SCAN_COLUMNS}
-    rec.update(axis_value=1.0, agreement=True)
-    res = ScanResult("potential_depth", (1.0,), (rec,))
-    assert res.all_agree()
-    assert list(res.to_rows()[0]) == list(SCAN_COLUMNS)
-    with pytest.raises(ValueError, match="records"):
-        ScanResult("potential_depth", (1.0, 2.0), (rec,))
-
-
 def test_convergence_study_validation():
-    with pytest.raises(ValueError, match="unknown observable"):
-        ConvergenceStudy("spectral-radius", (4, 8, 16), (1.0, 1.0, 1.0), 1.0)
-    with pytest.raises(ValueError, match="at least 3"):
-        ConvergenceStudy("gap-edge", (4, 8), (1.0, 1.0), 1.0)
     with pytest.raises(ValueError, match="repeats"):
-        ConvergenceStudy("gap-edge", (4, 8, 8), (1.0, 1.0, 1.0), 1.0)
+        convergence_study("gap-edge", [9, 17, 17], P1)
     with pytest.raises(ValueError, match="not increasing"):
-        ConvergenceStudy("gap-edge", (4, 16, 8), (1.0, 1.0, 1.0), 1.0)
-    with pytest.raises(ValueError, match="one value per rung"):
-        ConvergenceStudy("gap-edge", (4, 8, 16), (1.0, 1.0), 1.0)
+        convergence_study("gap-edge", [9, 33, 17], P1)
     assert OBSERVABLES == ("gap-edge", "bound-state-lambda", "square-form-min")
 
 
@@ -94,25 +76,27 @@ def depth_scan():
 
 
 def test_potential_scan_against_frozen_run():
-    res = depth_scan()
-    assert res.axis == "potential_depth"
-    assert res.all_agree()
-    assert [r["predicted"] for r in res.records] == [True, True, True, False]
-    assert [r["observed_count"] for r in res.records] == [28, 22, 19, 0]
+    rows, checks, detail = depth_scan()
+    assert detail["axis"] == "potential_depth"
+    assert checks == {"all_agree": True}
+    assert [list(r) for r in rows] == [list(SCAN_COLUMNS)] * 4
+    assert [r["predicted"] for r in rows] == [True, True, True, False]
+    assert [r["observed_count"] for r in rows] == [28, 22, 19, 0]
     want_lambda = [0.08865568950550944, 0.3082340204068483, 0.5166880751093185]
-    for rec, lam in zip(res.records, want_lambda):
+    for rec, lam in zip(rows, want_lambda):
         assert rec["min_abs_lambda"] == pytest.approx(lam, rel=1e-6)
         assert rec["min_participation"] < LOCALIZED_PARTICIPATION
-    assert math.isnan(res.records[3]["min_abs_lambda"])
-    assert res.meta["window"][0] == pytest.approx(-3.0 - np.sqrt(3.0), abs=1e-12)
-    assert res.meta["window"][1] == pytest.approx(-3.0 + np.sqrt(3.0), abs=1e-12)
+    assert math.isnan(rows[3]["min_abs_lambda"])
+    assert detail["meta"]["window"][0] == pytest.approx(-3.0 - np.sqrt(3.0), abs=1e-12)
+    assert detail["meta"]["window"][1] == pytest.approx(-3.0 + np.sqrt(3.0), abs=1e-12)
+    assert len(detail["solve_fill"]) == len(detail["block_counts"]) == 4
 
 
 def test_potential_scan_predictions_precede_observation():
     # the predicted column must equal the closed-form window verdict
-    res = depth_scan()
+    rows, _, _ = depth_scan()
     window = boundstate_window(P2, 1.0, 1.0 + np.pi)
-    for rec in res.records:
+    for rec in rows:
         assert rec["predicted"] == (window[0] < rec["axis_value"] < window[1])
 
 
@@ -120,8 +104,7 @@ def test_potential_scan_agreement_is_one_sided():
     # a depth outside the sufficient window may still bind; that must
     # never be flagged as disagreement
     grid = Grid2D(-9.0, 14.0, 14.0, 47, 29)
-    res = scan_potential(P2, 1.0, 1.0 + np.pi, [-1.25], grid)
-    rec = res.records[0]
+    (rec,), _, _ = scan_potential(P2, 1.0, 1.0 + np.pi, [-1.25], grid)
     assert rec["predicted"] is False
     assert rec["agreement"] is True
 
@@ -154,17 +137,18 @@ def test_potential_scan_placement_guards():
 
 def test_perturbation_scan_against_frozen_run():
     grid = Grid2D(-20.0, 20.0, 30.0, 81, 61)
-    res = scan_perturbation(P1, disk_perturbation(), [0.0, 1.0, 2.5], grid)
-    assert res.axis == "epsilon"
-    assert res.all_agree()
-    assert [r["predicted"] for r in res.records] == [False, True, True]
-    assert [r["observed_count"] for r in res.records] == [0, 24, 72]
-    assert res.records[1]["min_abs_lambda"] == pytest.approx(0.721710643673872, rel=1e-6)
-    assert res.records[2]["min_abs_lambda"] == pytest.approx(0.25939928928017103, rel=1e-6)
-    assert math.isnan(res.records[0]["min_abs_lambda"])
-    assert res.meta["eps_threshold"] == pytest.approx(7.9125310886703328, rel=1e-9)
+    rows, checks, detail = scan_perturbation(P1, disk_perturbation(), [0.0, 1.0, 2.5], grid)
+    assert detail["axis"] == "epsilon"
+    assert checks == {"all_agree": True}
+    assert [r["predicted"] for r in rows] == [False, True, True]
+    assert [r["observed_count"] for r in rows] == [0, 24, 72]
+    assert rows[1]["min_abs_lambda"] == pytest.approx(0.721710643673872, rel=1e-6)
+    assert rows[2]["min_abs_lambda"] == pytest.approx(0.25939928928017103, rel=1e-6)
+    assert math.isnan(rows[0]["min_abs_lambda"])
+    meta = detail["meta"]
+    assert meta["eps_threshold"] == pytest.approx(7.9125310886703328, rel=1e-9)
     want_energy = [0.0, -275.50630969791337, -539.3055189324406]
-    assert res.meta["a_eps_derived"] == pytest.approx(want_energy, rel=1e-9)
+    assert meta["a_eps_derived"] == pytest.approx(want_energy, rel=1e-9)
 
 
 def test_perturbation_scan_requires_contained_support():
@@ -175,14 +159,16 @@ def test_perturbation_scan_requires_contained_support():
 
 
 def test_free_edge_state_stays_delocalized():
-    res = delocalization_probe(P1, [10.0, 20.0, 40.0])
-    assert res.all_agree()
-    prs = res.meta["participation"]
+    rows, checks, detail = delocalization_probe(P1, [10.0, 20.0, 40.0])
+    assert checks == {"all_agree": True}
+    # the probe keeps each rung's fill, and no block counts
+    assert detail["block_counts"] == [None] * 3 and len(detail["solve_fill"]) == 3
+    prs = detail["meta"]["participation"]
     want = [0.3497917905925275, 0.3416145989143168, 0.3374869791462326]
     assert prs == pytest.approx(want, rel=1e-6)
     for lo, hi in zip(prs, prs[1:]):
         assert hi >= (1.0 - DOMAIN_NOISE_BAND) * lo
-    lams = [r["min_abs_lambda"] for r in res.records]
+    lams = [r["min_abs_lambda"] for r in rows]
     assert lams == pytest.approx(
         [1.0223696225505587, 1.00587055159352, 1.0015042364119888], rel=1e-6
     )
@@ -191,11 +177,12 @@ def test_free_edge_state_stays_delocalized():
 
 
 def test_bound_state_inverts_the_domain_trend():
-    res = delocalization_probe(P2, [10.0, 20.0], potential=BoxPotential(1.0, 4.0, -3.0))
-    prs = res.meta["participation"]
+    _, checks, detail = delocalization_probe(P2, [10.0, 20.0],
+                                             potential=BoxPotential(1.0, 4.0, -3.0))
+    prs = detail["meta"]["participation"]
     assert prs == pytest.approx([0.03838886489776942, 0.009835647494961106], rel=1e-6)
     assert prs[1] < 0.5 * prs[0]
-    assert res.all_agree()  # inverted case asserts nothing, by design
+    assert checks == {"all_agree": True}  # inverted case asserts nothing, by design
 
 
 def test_domain_ladder_validation():
@@ -206,38 +193,38 @@ def test_domain_ladder_validation():
 
 
 def test_gap_edge_refinement_study():
-    st = convergence_study("gap-edge", [41, 81, 161], P1)
+    rows, checks, detail = convergence_study("gap-edge", [41, 81, 161], P1)
     want = [1.0055924056376397, 1.00587055159352, 1.0060169456479557]
-    assert list(st.values) == pytest.approx(want, rel=1e-6)
-    assert st.fitted_order == pytest.approx(0.92598516757160931, rel=1e-4)
-    for v in st.values:
+    assert detail["values"] == pytest.approx(want, rel=1e-6)
+    assert detail["fitted_order"] == pytest.approx(0.92598516757160931, rel=1e-4)
+    for v in detail["values"]:
         assert abs(v - 1.0) < 0.02
-    diffs = np.abs(np.diff(st.values))
+    diffs = np.abs(np.diff(detail["values"]))
     assert np.all(np.diff(diffs) < 0.0)
-    rows = st.to_rows()
+    assert checks == {"diffs_shrinking": True, "order_positive": True}
     assert list(rows[0]) == list(CONVERGENCE_COLUMNS)
     assert [r["rung"] for r in rows] == [41, 81, 161]
+    assert [r["value"] for r in rows] == detail["values"]
+    assert {r["fitted_order"] for r in rows} == {detail["fitted_order"]}
 
 
 def test_square_form_refinement_study():
-    st = convergence_study("square-form-min", [41, 81, 161], P1)
+    _, _, detail = convergence_study("square-form-min", [41, 81, 161], P1)
     want = [1.0168084919137355, 1.0176461181565688, 1.0180870405788802]
-    assert list(st.values) == pytest.approx(want, rel=1e-6)
-    assert st.fitted_order == pytest.approx(0.92578179815464501, rel=1e-4)
+    assert detail["values"] == pytest.approx(want, rel=1e-6)
+    assert detail["fitted_order"] == pytest.approx(0.92578179815464501, rel=1e-4)
     # the form is bounded below by delta^2 at the matrix level
-    for v in st.values:
+    for v in detail["values"]:
         assert v > 1.0
 
 
 def test_bound_state_refinement_study():
-    st = convergence_study(
+    _, _, detail = convergence_study(
         "bound-state-lambda", [29, 57, 113], P1, x_half=14.0, box=(1.0, 7.0), depth=-1.0
     )
     want = [0.15072747142942713, 0.22875758583219571, 0.27244410422323029]
-    assert list(st.values) == pytest.approx(want, rel=1e-6)
-    assert st.fitted_order == pytest.approx(0.83684288080118185, rel=1e-4)
-    assert st.meta["box"] == [1.0, 7.0]
-    assert st.meta["depth"] == -1.0
+    assert detail["values"] == pytest.approx(want, rel=1e-6)
+    assert detail["fitted_order"] == pytest.approx(0.83684288080118185, rel=1e-4)
 
 
 def test_convergence_study_rejects_bad_ladders():
@@ -258,8 +245,8 @@ def test_scan_is_deterministic():
     a = depth_scan()
     b = depth_scan()
     # nan cells poison dict equality, so compare the printed rows
-    assert repr(a.to_rows()) == repr(b.to_rows())
-    assert a.meta == b.meta
+    assert repr(a[0]) == repr(b[0])
+    assert a[1:] == b[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +259,15 @@ def test_scan_is_deterministic():
     ((1.0, 1.5, 2.0), 1.0, False, True),
     ((1.0, 1.2, 1.25), -0.5, True, False),
 ])
-def test_convergence_verdicts_read_the_successive_differences(values, order, shrinking, positive):
-    study = ConvergenceStudy("gap-edge", (11, 21, 41), values, order)
-    assert study.checks() == {"diffs_shrinking": shrinking, "order_positive": positive}
+def test_convergence_verdicts_read_the_successive_differences(
+        monkeypatch, values, order, shrinking, positive):
+    # the rungs read the given values and the fit returns the given order,
+    # so each verdict is seen apart from the other
+    rungs = iter(values)
+    monkeypatch.setattr("semidirac.scan.free_edge", lambda grid, params: next(rungs))
+    monkeypatch.setattr("semidirac.scan.fit_slope", lambda hs, diffs: order)
+    _, checks, _ = convergence_study("gap-edge", [11, 21, 41], P1)
+    assert checks == {"diffs_shrinking": shrinking, "order_positive": positive}
 
 
 def _report(certificate, k=2):
