@@ -58,7 +58,6 @@ from .lattice import (
     sample,
 )
 from .quasimode import (
-    BumpProfile,
     PerturbationModel,
     SpinorTrial,
     a_eps_derived,
@@ -71,7 +70,6 @@ from .quasimode import (
     cutoff_g,
     cutoff_profile,
     cutoff_row,
-    disk_bump,
     disk_perturbation,
     eps_threshold,
     fit_slope,

@@ -172,6 +172,13 @@ def conjugation_basis(op: HermitianOperator) -> sp.csr_matrix:
     )
 
 
+def _real_rotation(matrix: sp.spmatrix, basis: sp.csr_matrix) -> sp.csr_matrix | None:
+    """(U^H M U).real for U = basis, or None unless its imaginary part is
+    exactly zero."""
+    rotated = (basis.conj().T @ matrix @ basis).tocsr()
+    return None if rotated.data.imag.any() else rotated.real
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
     """Assembled sparse Hermitian matrix with its provenance.
@@ -201,10 +208,8 @@ class HermitianOperator:
         solve and count on one operator shares one rotation.
         """
         basis = conjugation_basis(self)
-        rotated = (basis.conj().T @ self.matrix @ basis).tocsr()
-        if not rotated.data.imag.any():
-            return rotated.real, basis
-        return self.matrix, None
+        real = _real_rotation(self.matrix, basis)
+        return (self.matrix, None) if real is None else (real, basis)
 
     @cached_property
     def blocks(self) -> tuple[np.ndarray, ...] | None:

@@ -3,7 +3,8 @@
 The config is validated up front against _SCHEMA, the one place that
 lists every key, its type and its default.  Unknown keys, malformed
 values and non-finite numbers (array entries included) are rejected with
-the offending JSON path.  The canonical form fills in every default, so
+the offending JSON path, and so is every grid the run would build past
+MAX_REDUCED_DIM unknowns.  The canonical form fills in every default, so
 re-serializing a parsed config is idempotent and its hash identifies the
 run.  All numeric CSV
 cells print with 17 significant digits and '\\n' endings; identical
@@ -14,9 +15,9 @@ writes.  The verdicts in summary.json are decided beside the numerics
 they judge: scan owns the gap-window evidence (window_evidence), the
 four sweeps and the fiber table, each returning (rows, checks, detail)
 that its command writes as one table, one checks merge and one detail
-merge, and the fiber cross-check; eigensolve owns spectrum_symmetric
-and bottom_above_gap_square; quasimode owns the Weyl slopes and their
-band (weyl_evidence).  Only one-line comparisons stay here:
+merge, and the fiber cross-check; eigensolve owns
+bottom_above_gap_square; quasimode owns the Weyl slopes and their band
+(weyl_evidence).  Only one-line comparisons stay here:
 hermitian_exact, gap_empty, and the cutoff and A_eps checks.
 
 Exit codes: 0 success, 2 config or precondition failure, 3 solver
@@ -55,17 +56,14 @@ from .eigensolve import (
     dense_eigs,
     gap_eigs,
     lowest_of_square,
-    spectrum_symmetric,
 )
 from .lattice import BoxPotential, Grid2D, NoPotential, Params, XOnlyPotential
 from .quasimode import (
     aeps_divergence,
     box_perturbation,
     cutoff_row,
-    disk_bump,
     disk_perturbation,
     eps_threshold,
-    product_bump,
     weyl_evidence,
     weyl_momentum,
     weyl_rows,
@@ -95,6 +93,11 @@ from .scan import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
+
+# The most unknowns (reduced_dim) any grid of a run may have.  Memory
+# basis: a 321x161 gap run (dimension 103,201) peaks at 238 MB, so a cap
+# near ten times that dimension bounds a run at a few GB.
+MAX_REDUCED_DIM = 1_000_000
 
 EIGENVALUE_COLUMNS = (
     "index",
@@ -187,7 +190,7 @@ def _walk(doc, path: str, schema, root: dict | None = None) -> dict:
             rule(canon, root)
         except ConfigError:
             raise
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(where, str(exc)) from exc
     return canon
 
@@ -282,6 +285,20 @@ def _refused_at(path: str, check, *args):
         raise ConfigError(path, str(exc)) from exc
 
 
+def _capped(path: str, dim: int) -> None:
+    if dim > MAX_REDUCED_DIM:
+        raise ConfigError(path, f"{dim} unknowns exceed the cap of {MAX_REDUCED_DIM}")
+
+
+def _rungs_capped(grid_of):
+    """Rule: the grid grid_of(rung, block) of every scan rung within the
+    cap, refused at the first rung past it."""
+    def rule(s, root):
+        for i, rung in enumerate(s["values"]):
+            _capped(f"$.scan.values[{i}]", grid_of(rung, s).reduced_dim)
+    return rule
+
+
 def _weyl_mus_outside_gap(q: dict, root: dict) -> None:
     params = Params(**root["params"])
     for i, mu in enumerate(q["weyl_mus"]):
@@ -342,7 +359,7 @@ _SCHEMA = Block({
         {"x_min": (_number, _REQUIRED), "x_max": (_number, _REQUIRED),
          "y_max": (_number, _REQUIRED), "nx": (_integer, _REQUIRED),
          "ny": (_integer, _REQUIRED)},
-        rules=(("$.grid", lambda g, c: Grid2D(**g)),),
+        rules=(("$.grid", lambda g, c: _capped("$.grid", Grid2D(**g).reduced_dim)),),
     ), _OMITTED),
     "potential": (Tagged("type", {
         "none": Block({}),
@@ -393,6 +410,8 @@ _SCHEMA = Block({
                 ("$.scan.x_half", _must(lambda s, c: s["x_half"] > 0.0, "must be positive")),
                 ("$.scan.values", lambda s, c: _ladder_grid(s["values"][0], s["x_half"],
                                                             s["x_half"])),
+                ("$.scan.values", _rungs_capped(lambda n, s: _ladder_grid(n, s["x_half"],
+                                                                          s["x_half"]))),
             ),
         ),
         "domain": Block(
@@ -402,6 +421,7 @@ _SCHEMA = Block({
                 ("$.scan.h", _must(lambda s, c: s["h"] > 0.0, "must be positive")),
                 ("$.scan.values", lambda s, c: _check_domains(s["values"])),
                 ("$.scan.values", lambda s, c: _domain_grid(s["values"][0], s["h"])),
+                ("$.scan.values", _rungs_capped(lambda L, s: _domain_grid(L, s["h"]))),
             ),
         ),
     }), _OMITTED),
@@ -411,7 +431,6 @@ _SCHEMA = Block({
         "weyl_ns": (_scales, [8, 16, 32, 64]),
         "cutoff_ns": (_scales, [4, 16, 64]),
         "eps_values": (_numbers, [0.0, 0.25, 0.5, 0.75, 1.0]),
-        "bump": (_choice("product", "disk"), "product"),
     }, rules=(
         ("$.quasimode.weyl_mus", _weyl_mus_outside_gap),
         ("$.quasimode.weyl_ns", _must(lambda q, c: len(set(q["weyl_ns"])) >= 2,
@@ -423,6 +442,8 @@ _SCHEMA = Block({
         rules=(
             ("$.fiber.ny", _must(lambda f, c: f["ny"] >= 4, "must be >= 4")),
             ("$.fiber.y_max", _must(lambda f, c: f["y_max"] > 0.0, "must be positive")),
+            # the fiber's reduced dimension: 2 ny - 1 unknowns on its edge fold
+            ("$.fiber.ny", lambda f, c: _capped("$.fiber.ny", 2 * f["ny"] - 1)),
         ),
     ), {}),
     "export": (Block({
@@ -583,10 +604,10 @@ def _build_operator(cfg: RunConfig, which: str, grid: Grid2D):
         _refused_at("$.perturbation", _check_support, model, grid)
         eps = cfg.canonical.get("solver", {}).get("epsilon", _SOLVER.keys["epsilon"][1])
         return assemble_H_eps(grid, cfg.params, model.sample_on(grid), eps)
-    pot = cfg.potential(grid)
-    if isinstance(pot, NoPotential) and which == "T":
+    if which == "T":
+        # the free operator, whatever the potential block holds
         return assemble_T(grid, cfg.params)
-    return assemble_H(grid, cfg.params, pot)
+    return assemble_H(grid, cfg.params, cfg.potential(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +638,6 @@ def cmd_spectrum(cfg: RunConfig) -> ResultBundle:
         op = _build_operator(cfg, "H", grid)
         if mode == "dense":
             rep = dense_eigs(op)
-            bundle.checks["spectrum_symmetric"] = spectrum_symmetric(rep)
         else:
             lo, hi = solver["interval"]
             rep = gap_eigs(op, lo, hi, **asdict(cfg.solver()))
@@ -625,8 +645,9 @@ def cmd_spectrum(cfg: RunConfig) -> ResultBundle:
             bundle.checks["certified"] = evidence["certified"]
             bundle.checks["gap_empty"] = evidence["count"] == 0
             bundle.extra["in_window_count"] = evidence["count"]
-            bundle.extra.update({key: evidence[key] for key in ("solve_fill", "block_counts")
-                                 if evidence[key] is not None})
+            bundle.extra["block_counts"] = evidence["block_counts"]
+            if evidence["solve_fill"] is not None:
+                bundle.extra["solve_fill"] = evidence["solve_fill"]
 
     bundle.checks["hermitian_exact"] = bool(op.sym_defect == 0.0)
     bundle.tables["eigenvalues.csv"] = (EIGENVALUE_COLUMNS, _eigen_rows(rep))
@@ -637,10 +658,9 @@ def cmd_spectrum(cfg: RunConfig) -> ResultBundle:
 
 def cmd_quasimode(cfg: RunConfig) -> ResultBundle:
     q = cfg.canonical["quasimode"]
-    bump = product_bump() if q["bump"] == "product" else disk_bump()
     bundle = ResultBundle("quasimode", cfg.canonical)
 
-    rows = weyl_rows(q["weyl_mus"], q["weyl_ns"], cfg.params, bump)
+    rows = weyl_rows(q["weyl_mus"], q["weyl_ns"], cfg.params)
     bundle.tables["weyl.csv"] = (WEYL_COLUMNS, rows)
     bundle.extra["weyl_slopes"], weyl_checks = weyl_evidence(rows)
     bundle.checks.update(weyl_checks)

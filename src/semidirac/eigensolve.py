@@ -11,7 +11,9 @@ always in the symmetric minimum-degree order (MMD on A + A^T):
   is re-verified by an explicit matrix-vector product.
 * ``count_within`` / ``count_below``: certified eigenvalue counts from the
   pivot signs of a diagonal-pivoted sparse LU in that order (Sylvester
-  inertia), one decoupled diagonal block of the real form at a time
+  inertia), count_within of a window (center - r, center + r) from
+  (R - center I)^2 - r^2 I and count_below from R - threshold I, one
+  decoupled diagonal block of the real form at a time
   (HermitianOperator.blocks): the inertia of a block-diagonal matrix is
   the sum of its blocks', and only one block's factor is alive at once.
   Each certificate carries its evidence: the symmetric pivot order, the
@@ -25,12 +27,13 @@ always in the symmetric minimum-degree order (MMD on A + A^T):
   counts' order but not their diagonal pivots: SuperLU's threshold
   pivoting stays on, and the certificate records its fill (solve_fill).
   Every returned pair is re-checked as ||M x - lambda x|| <= tol * ||M||_inf.
+  gap_eigs first certifies its window's count with count_within centred on
+  the window, whatever the window; nearest_eigenvalues is uncertified.
 * ``lowest_of_square``: the bottom of a square form from its Kronecker-sum
   identity (fiber.square_form_pairs: one tridiagonal and one banded LAPACK
   solve, no dense eigensolver), certified by one ``count_below``.
 
-``spectrum_symmetric`` and ``bottom_above_gap_square`` judge the dense
-and the square-form reports.
+``bottom_above_gap_square`` judges the square-form report.
 
 Determinism: all randomized starts come from a caller-seeded generator,
 matrix-vector products are sequential, and eigenvector phases are fixed so
@@ -65,8 +68,8 @@ class SpectrumReport:
 
     eigenvalues are ascending; eigenvectors[:, i] is unit, phase-fixed and
     re-verified so residuals[i] = ||M v - lambda v||.  certificate is a
-    plain dict (json-friendly); for interval queries it carries the
-    inertia-based count when one was computed.
+    plain dict (json-friendly); gap_eigs puts its window's certified
+    inertia count there.
     """
 
     eigenvalues: np.ndarray
@@ -203,13 +206,6 @@ def dense_eigs(op) -> SpectrumReport:
     return report
 
 
-def spectrum_symmetric(rep: SpectrumReport) -> bool:
-    """Whether a full spectrum is symmetric about 0:
-    max |lambda_i + lambda_(n-1-i)| <= 1e-8 max(1, max |lambda|)."""
-    lam = rep.eigenvalues
-    return bool(np.max(np.abs(lam + lam[::-1])) <= 1e-8 * max(1.0, np.max(np.abs(lam))))
-
-
 # ---------------------------------------------------------------------------
 # sparse LU of the shifted matrix: inertia counts and shift-invert solves
 
@@ -287,26 +283,35 @@ def _inertia(op, form, shift: float) -> dict:
     }
 
 
-def count_within(op, radius: float) -> dict:
-    """Certified count of eigenvalues with |lambda| < radius.
+def count_within(op, radius: float, center: float = 0.0) -> dict:
+    """Certified count of eigenvalues with |lambda - center| < radius.
 
-    Computed as the inertia of R @ R - radius^2 I, R the real form of M, real
-    wherever the antiunitary symmetry allows, one decoupled block R_b at a
-    time: R_b @ R_b - radius^2 I is formed and factored per block, never
-    the whole square, and one block's factor is alive at a time.  The
-    square is positive semidefinite with strictly positive diagonal, and
-    its pivot signs count the squared eigenvalues below radius^2.  The
-    certificate carries the factored shift (shift_squared), "arithmetic"
-    ("real" or "complex"), symmetric_order, the smallest |pivot|
-    (min_pivot), the largest multiplier max|L| (growth), nnz(L + U) /
-    nnz(A) (fill), each summed or extremal over the blocks, and the count
-    of each block (block_counts; one entry for an operator counted whole).
+    Computed as the inertia of (R - center I)^2 - radius^2 I, R the real
+    form of M, real wherever the antiunitary symmetry allows, one
+    decoupled block R_b at a time: (R_b - center I)^2 - radius^2 I is
+    formed and factored per block, never the whole square, and one
+    block's factor is alive at a time.  At center 0 the square is R_b @ R_b
+    itself.  The square is positive semidefinite, and its pivot signs count
+    the squared distances below radius^2.  The certificate carries the
+    center, the factored shift (shift_squared), "arithmetic" ("real" or
+    "complex"), symmetric_order, the smallest |pivot| (min_pivot), the
+    largest multiplier max|L| (growth), nnz(L + U) / nnz(A) (fill), each
+    summed or extremal over the blocks, and the count of each block
+    (block_counts; one entry for an operator counted whole).
     """
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be positive, got {radius}")
-    shift = float(radius) ** 2
-    window = _inertia(op, lambda r: (r @ r).tocsr(), shift)
-    return {"radius": float(radius), "shift_squared": shift, **window}
+    if not np.isfinite(center):
+        raise ValueError(f"center must be finite, got {center}")
+    center, shift = float(center), float(radius) ** 2
+
+    def square(r):
+        if center:
+            r = r - center * sp.identity(r.shape[0], format="csr", dtype=r.dtype)
+        return (r @ r).tocsr()
+
+    window = _inertia(op, square, shift)
+    return {"radius": float(radius), "center": center, "shift_squared": shift, **window}
 
 
 def count_below(op, threshold: float) -> dict:
@@ -387,12 +392,6 @@ def _run_shift_invert(matrix, work, basis, sigma, want, tol, max_iter, seed, cer
     return vals[ok], vecs[:, ok], history
 
 
-def _require_pairs(vals, sigma, max_iter, history) -> None:
-    if not vals.size:
-        raise ConvergenceError(
-            f"no eigenpair converged near {sigma} within {max_iter} iterations", history)
-
-
 def _check_k(k: int, n: int) -> None:
     # ARPACK's complex Hermitian route needs k < n - 1
     if not 1 <= k < n - 1:
@@ -410,15 +409,15 @@ def gap_eigs(
 ) -> SpectrumReport:
     """Up to k eigenpairs inside [lo, hi], nearest the midpoint first.
 
-    For intervals symmetric about zero (the physically meaningful gap
-    windows) the interval count is first certified through squared-operator
-    inertia, so an empty window returns immediately with a certified zero
-    and a certified shortfall raises ConvergenceError.  Asymmetric
-    intervals search without a certificate and report count None.  The
-    count and the ARPACK shift-invert at the midpoint share one real_form
-    rotation (certificate["arithmetic"]); max_iter caps the number of
-    solves and tol is relative to an infinity-norm estimate of M.  k must
-    stay below dim - 1.
+    The window's count is certified first, by count_within centred on the
+    midpoint sigma = (lo + hi)/2 with radius (hi - lo)/2 (at sigma = 0 the
+    squared count of R itself), so an empty window returns at once with a
+    certified zero, and finding fewer than min(k, count) eigenvalues in
+    the window raises ConvergenceError.  The count and the ARPACK
+    shift-invert at sigma share one real_form rotation
+    (certificate["arithmetic"]); max_iter caps the number of solves and
+    tol is relative to an infinity-norm estimate of M.  k must stay below
+    dim - 1.
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"bad interval [{lo}, {hi}]")
@@ -426,32 +425,21 @@ def gap_eigs(
     n = matrix.shape[0]
     _check_k(k, n)
     sigma = 0.5 * (lo + hi)
-    certificate: dict = {"interval": [float(lo), float(hi)],
-                         "certified": False, "count": None}
-    if abs(lo + hi) <= 1e-12 * max(abs(lo), abs(hi)):
-        window = count_within(op, 0.5 * (hi - lo))
-        certificate.update(window, certified=True)
-        if window["count"] == 0:
-            return _build_report(
-                matrix, parent, np.zeros(0), np.zeros((n, 0)), "gap", certificate
-            )
-        want = min(k, window["count"])
-    else:
-        certificate["note"] = (
-            "count certification covers only windows symmetric about zero"
-        )
-        want = k
+    window = count_within(op, 0.5 * (hi - lo), sigma)
+    certificate = {"interval": [float(lo), float(hi)], "certified": True, **window}
+    if window["count"] == 0:
+        return _build_report(matrix, parent, np.zeros(0), np.zeros((n, 0)), "gap", certificate)
+    want = min(k, window["count"])
     vals, vecs, history = _run_shift_invert(
         matrix, work, basis, sigma, want, tol, max_iter, seed, certificate
     )
     inside = (lo <= vals) & (vals <= hi)
-    if certificate["certified"] and inside.sum() < want:
+    if inside.sum() < want:
         raise ConvergenceError(
             f"found {inside.sum()} of {want} certified eigenvalues in "
             f"[{lo}, {hi}] within {max_iter} iterations",
             history,
         )
-    _require_pairs(vals, sigma, max_iter, history)
     return _build_report(matrix, parent, vals[inside], vecs[:, inside], "gap", certificate)
 
 
@@ -480,7 +468,9 @@ def nearest_eigenvalues(
     vals, vecs, history = _run_shift_invert(
         matrix, work, basis, sigma, k, tol, max_iter, seed, certificate
     )
-    _require_pairs(vals, sigma, max_iter, history)
+    if not vals.size:
+        raise ConvergenceError(
+            f"no eigenpair converged near {sigma} within {max_iter} iterations", history)
     return _build_report(matrix, parent, vals, vecs, "nearest", certificate)
 
 

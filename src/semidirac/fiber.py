@@ -71,6 +71,7 @@ from .assembly import (
     HermitianOperator,
     YGrid,
     _finish,
+    _real_rotation,
     _reduce,
     conjugation_basis,
     first_derivative_y,
@@ -147,11 +148,12 @@ class FiberFamily:
 
 
 def _rotated(op: HermitianOperator, basis: sp.csr_matrix) -> sp.csr_matrix:
-    """(U^H M U).real, refused unless its imaginary part is exactly zero."""
-    rotated = (basis.conj().T @ op.matrix @ basis).tocsr()
-    if rotated.data.imag.any():
+    """The real rotation of op (assembly._real_rotation), refused where
+    it is not real."""
+    real = _real_rotation(op.matrix, basis)
+    if real is None:
         raise ValueError("the fiber family did not rotate to a real matrix")
-    return rotated.real
+    return real
 
 
 def fiber_operator(xi: float, params: Params, ny: int, y_max: float) -> HermitianOperator:

@@ -4,18 +4,19 @@ Everything in this module works with analytic expressions integrated by
 Gauss-Legendre rules.  Each quantity has one fixed order, a constant
 written where it is used; the unit rule of each order is computed once
 and cached (read-only), and only its map onto the interval runs per
-call.  The bumps and the cutoff profile are fixed shapes too.  Nothing
+call.  The bump and the cutoff profile are fixed shapes too.  Nothing
 here touches the assembled matrices; the point is to have an
 independent route to the same physics so the grid side and the analytic
 side can be compared without shared failure modes.
 
 Contents:
 
-* Weyl trial states (u, +-u) with u = phi_n(x, y) exp(ikx) built from a
-  compactly supported bump, whose residual against mu = +-(delta + k^2)
-  decays like 1/n and never exceeds the closed-form bound.  weyl_rows
-  tabulates residual and bound over (mu, n) with k = weyl_momentum(mu);
-  weyl_evidence fits each mu's slope and judges both.
+* Weyl trial states (u, +-u) with u = phi_n(x, y) exp(ikx) built from one
+  compactly supported bump (product_bump), whose residual against
+  mu = +-(delta + k^2) decays like 1/n and never exceeds the closed-form
+  bound.  weyl_rows tabulates residual and bound over (mu, n) with
+  k = weyl_momentum(mu); weyl_evidence fits each mu's slope and judges
+  both.
 * Separable sine trials on a box well, whose squared energy is an exact
   trinomial in the well depth (box_energy_analytic, checked against the
   quadrature of box_energy_numeric); its negativity window
@@ -88,7 +89,7 @@ def gauss_2d(box, m: int):
 
 
 # ---------------------------------------------------------------------------
-# compactly supported bumps
+# the compactly supported bump
 
 
 def _on_unit_interval(t, f):
@@ -115,46 +116,19 @@ def mollifier_d2(t):
         4.0 * s * s / q**4 - (2.0 + 6.0 * s * s) / q**3))
 
 
-@dataclass(frozen=True)
-class BumpProfile:
-    """Real C^infinity profile phi with analytic partials and compact support.
-
-    support is the bounding box (x0, x1, y0, y1); the profile vanishes
-    outside it (with all derivatives).  Profiles are normalized so that
-    ||phi||_{L^2} = 1/sqrt(2), making the spinor (phi, +-phi) unit norm.
-    """
-
-    f: Callable
-    fx: Callable
-    fy: Callable
-    fxx: Callable
-    support: tuple
-    label: str
+# The Weyl trials' one profile: the separable bump m((x - cx)/wx) m(y - cy)
+# about (cx, cy) = (0, 2), x-halfwidth wx = 2.5 and y-halfwidth 1, on this
+# support.  The wide-in-x shape keeps the second x-derivative small
+# relative to the first-order terms, so the 1/n residual decay of the Weyl
+# trials is visible already at n = 8 without contamination from the 1/n^2
+# curvature term.
+BUMP_SUPPORT = (-2.5, 2.5, 1.0, 3.0)
 
 
-def _normalize_bump(f, fx, fy, fxx, support, label) -> BumpProfile:
-    X, Y, W = gauss_2d(support, 160)
-    nrm2 = float(np.sum(W * f(X, Y) ** 2))
-    c = np.sqrt(0.5 / nrm2)
-    return BumpProfile(
-        f=lambda x, y: c * f(x, y),
-        fx=lambda x, y: c * fx(x, y),
-        fy=lambda x, y: c * fy(x, y),
-        fxx=lambda x, y: c * fxx(x, y),
-        support=support,
-        label=label,
-    )
-
-
-def product_bump() -> BumpProfile:
-    """Separable mollifier bump m((x-cx)/wx) * m(y-cy) centred at
-    (cx, cy) = (0, 2), x-halfwidth wx = 2.5 and y-halfwidth 1.
-
-    The wide-in-x shape keeps the second x-derivative small relative to
-    the first-order terms, so the 1/n residual decay of the Weyl trials
-    is visible already at n = 8 without contamination from the 1/n^2
-    curvature term.
-    """
+def product_bump() -> tuple:
+    """(f, fx, fy, fxx): the bump and its analytic partials, scaled so
+    ||f||_{L^2} = 1/sqrt(2), making the spinor (f, +-f) unit norm.  The
+    profile vanishes outside BUMP_SUPPORT with all its derivatives."""
     cx, cy, wx = 0.0, 2.0, 2.5
 
     def f(x, y):
@@ -169,46 +143,9 @@ def product_bump() -> BumpProfile:
     def fxx(x, y):
         return mollifier_d2((x - cx) / wx) * mollifier(y - cy) / wx**2
 
-    support = (cx - wx, cx + wx, cy - 1.0, cy + 1.0)
-    return _normalize_bump(f, fx, fy, fxx, support, f"product(wx={wx:g})")
-
-
-def disk_bump() -> BumpProfile:
-    """Radial mollifier m(r/R) on the disk of radius R = 1 about (0, 2).
-
-    Kept as an alternative profile; its curvature integral is large
-    enough that the 1/n Weyl slope only emerges at larger n than the
-    default product bump needs.
-    """
-    cx, cy, R = 0.0, 2.0, 1.0
-    m2_at_0 = float(mollifier_d2(np.array([0.0]))[0])
-
-    def parts(x, y):
-        dx, dy = x - cx, y - cy
-        r = np.hypot(dx, dy)
-        return dx, dy, r, np.where(r < 1e-12, 1.0, r)
-
-    def f(x, y):
-        _, _, r, _ = parts(x, y)
-        return mollifier(r / R)
-
-    def fx(x, y):
-        dx, _, r, rs = parts(x, y)
-        return mollifier_d1(r / R) * dx / (rs * R)
-
-    def fy(x, y):
-        _, dy, r, rs = parts(x, y)
-        return mollifier_d1(r / R) * dy / (rs * R)
-
-    def fxx(x, y):
-        dx, dy, r, rs = parts(x, y)
-        val = mollifier_d2(r / R) * dx**2 / (rs * R) ** 2 + mollifier_d1(
-            r / R
-        ) * dy**2 / (rs**3 * R)
-        return np.where(r < 1e-12, m2_at_0 / R**2, val)
-
-    support = (cx - R, cx + R, cy - R, cy + R)
-    return _normalize_bump(f, fx, fy, fxx, support, f"disk(R={R:g})")
+    X, Y, W = gauss_2d(BUMP_SUPPORT, 160)
+    c = np.sqrt(0.5 / float(np.sum(W * f(X, Y) ** 2)))
+    return tuple(lambda x, y, g=g: c * g(x, y) for g in (f, fx, fy, fxx))
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +161,12 @@ def weyl_momentum(mu: float, params: Params) -> float:
     return float(np.sqrt(abs(mu) - params.delta))
 
 
-def _weyl_kernel(bump: BumpProfile):
+def _weyl_kernel():
     """Weights, the partials (fy, fx, fxx) of the bump on the rule, and
     their squared norms: everything a Weyl row needs that is free of (n, k)."""
-    X, Y, W = gauss_2d(bump.support, 80)
-    parts = (bump.fy(X, Y), bump.fx(X, Y), bump.fxx(X, Y))
+    _, fx, fy, fxx = product_bump()
+    X, Y, W = gauss_2d(BUMP_SUPPORT, 80)
+    parts = (fy(X, Y), fx(X, Y), fxx(X, Y))
     return W, parts, tuple(float(np.sum(W * g**2)) for g in parts)
 
 
@@ -247,7 +185,7 @@ def _bound(kernel, n: int, k: float) -> float:
 WEYL_SLOPE_BAND = (-1.05, -0.95)
 
 
-def weyl_rows(mus, ns, params: Params, bump: BumpProfile | None = None):
+def weyl_rows(mus, ns, params: Params):
     """Residual table rows over (mu, n); columns match the weyl CSV schema.
 
     Row (mu, n) is the spinor (u, branch * u), u = phi_n exp(ikx) with
@@ -259,12 +197,10 @@ def weyl_rows(mus, ns, params: Params, bump: BumpProfile | None = None):
     bound_rhs is the closed form sqrt(2||dy phi_n||^2 + 2||dxx phi_n||^2
     + 8k^2||dx phi_n||^2).  For real profiles the residual attains it
     exactly (the cross terms cancel between the two rows), so the two only
-    differ by quadrature accumulation order.  The bump's partials and
-    norms are evaluated once for the whole table.
+    differ by quadrature accumulation order.  phi is product_bump, and its
+    partials and norms are evaluated once for the whole table.
     """
-    if bump is None:
-        bump = product_bump()
-    kernel = _weyl_kernel(bump)
+    kernel = _weyl_kernel()
     rows = []
     for mu in mus:
         k = weyl_momentum(mu, params)

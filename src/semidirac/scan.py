@@ -18,9 +18,10 @@ edge calls none: it is read off the exact separable spectrum.
 Each sweep returns (rows, checks, detail), as the fiber table does: the
 rows in its CSV column order, its named verdicts and the free-form
 detail that lands in summary.json.  The verdicts on these numerics live
-here too: window_evidence, the sweeps' checks, fiber_cross_check and the
-fiber table with its inertia brackets (fiber_table; not in fiber, which
-eigensolve imports).
+here too: window_evidence (the certified count gap_eigs gives every
+window), the sweeps' checks, fiber_cross_check and the fiber table with
+its inertia brackets (fiber_table; not in fiber, which eigensolve
+imports).
 """
 
 from __future__ import annotations
@@ -103,16 +104,14 @@ def _check_ladder(ladder) -> None:
 
 
 def window_evidence(rep: SpectrumReport) -> dict:
-    """What a gap_eigs report shows of its window: the certified count
-    (rep.k, the pairs found, for an uncertified window), whether it was
-    certified, the shift-invert factor's fill (None when no solve ran) and
-    the count of each decoupled block (None for an uncertified window)."""
-    cert = rep.certificate or {}
-    count = cert.get("count")
-    return {"count": rep.k if count is None else int(count),
-            "certified": bool(cert.get("certified", False)),
+    """What a gap_eigs report shows of its window: the certified count,
+    whether it was certified, the shift-invert factor's fill (None when no
+    solve ran) and the count of each decoupled block."""
+    cert = rep.certificate
+    return {"count": int(cert["count"]),
+            "certified": bool(cert["certified"]),
             "solve_fill": cert.get("solve_fill"),
-            "block_counts": cert.get("block_counts")}
+            "block_counts": cert["block_counts"]}
 
 
 def _observe_gap(rec: dict, op, params: Params, solver: SolverConfig) -> None:

@@ -43,7 +43,6 @@ from semidirac.quasimode import (
     disk_perturbation,
     eps_threshold,
     fit_slope,
-    product_bump,
     profile_deriv_integrals,
     square_identity_residual,
     standard_trials,
@@ -103,7 +102,7 @@ def test_03_weyl_residual_scaling():
     mus = [P1.delta, P1.delta + 1.0, P1.delta + 4.0]
     mus += [-m for m in mus]
     ns = [8, 16, 32, 64]
-    rows = weyl_rows(mus, ns, P1, product_bump())
+    rows = weyl_rows(mus, ns, P1)
     assert all(r["residual"] <= r["bound_rhs"] * (1.0 + 1e-9) for r in rows)
     slopes = []
     for mu in mus:

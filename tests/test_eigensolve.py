@@ -29,9 +29,9 @@ from semidirac import (
 from semidirac.eigensolve import (
     DENSE_CAP_DEFAULT,
     SpectrumReport,
+    _block_inertia,
     _fix_phase,
     bottom_above_gap_square,
-    spectrum_symmetric,
 )
 from semidirac.scan import window_evidence
 
@@ -109,23 +109,43 @@ def test_gap_eigs_matches_dense_oracle(box_case):
     assert np.max(np.abs(np.sort(rep.eigenvalues) - want)) < 1e-8
 
 
-def test_gap_eigs_searches_an_asymmetric_window_uncertified(box_case):
-    """A window off centre gets no count: certified False, count None and
-    the note, while the pairs found are the dense ones inside it (k covers
-    them all, so the two nearest outside are found and dropped)."""
+def test_gap_eigs_certifies_an_asymmetric_window(box_case):
+    """A window off centre is counted like a symmetric one, by the squared
+    count re-centred on its midpoint, and the pairs found are the dense
+    ones inside it (k covers them all, so the two nearest outside are
+    found and dropped)."""
     H, ref = box_case
     lo, hi = -0.5, 1.5
     lam = ref.eigenvalues
     want = np.sort(lam[(lo <= lam) & (lam <= hi)])
     rep = gap_eigs(H, lo, hi, k=want.size + 2, tol=1e-10, seed=0)
-    assert rep.certificate["certified"] is False
-    assert rep.certificate["count"] is None
-    assert "symmetric about zero" in rep.certificate["note"]
-    assert rep.k == want.size == 9
+    cert = rep.certificate
+    assert cert["certified"] is True
+    assert cert["count"] == want.size == 9
+    assert cert["center"] == 0.5 and cert["radius"] == 1.0 and cert["shift_squared"] == 1.0
+    assert cert["count"] == count_within(H, 1.0, 0.5)["count"]
+    assert sum(cert["block_counts"]) == cert["count"]
+    assert rep.k == want.size
     assert np.max(np.abs(np.sort(rep.eigenvalues) - want)) < 1e-8
     evidence = window_evidence(rep)
-    assert evidence["count"] == rep.k
-    assert evidence["certified"] is False and evidence["block_counts"] is None
+    assert evidence["count"] == 9 and evidence["certified"] is True
+    assert evidence["block_counts"] == cert["block_counts"]
+
+
+def test_count_within_at_center_zero_factors_the_plain_square(box_case, monkeypatch):
+    """Centre 0 factors R_b @ R_b itself, bit for bit, with no shift by 0."""
+    H, _ = box_case
+    factored = []
+    monkeypatch.setattr("semidirac.eigensolve._block_inertia",
+                        lambda m, shift, block: factored.append(m) or _block_inertia(m, shift, block))
+    cert = count_within(H, 1.9)
+    work = H.real_form[0]
+    for m, idx in zip(factored, H.blocks):
+        r = work[idx][:, idx]
+        want = (r @ r).tocsr()
+        assert np.array_equal(m.indptr, want.indptr) and np.array_equal(m.indices, want.indices)
+        assert np.array_equal(m.data.view(np.uint64), want.data.view(np.uint64))
+    assert cert["center"] == 0.0 and len(factored) == 2
 
 
 def test_nearest_matches_dense_oracle(box_case):
@@ -486,17 +506,6 @@ def _spectrum(vals):
     vals = np.asarray(vals, dtype=np.float64)
     n = vals.size
     return SpectrumReport(vals, np.eye(n), np.zeros(n), np.ones(n), np.zeros(n), "dense")
-
-
-@pytest.mark.parametrize("vals,symmetric", [
-    ([-2.0, -0.5, 0.5, 2.0], True),
-    ([-2.0, 0.0, 2.0 + 1e-9], True),     # within 1e-8 of max(1, max |lambda|)
-    ([-2.0, 0.0, 2.0 + 1e-7], False),
-    ([-1e-3, 1e-3 + 5e-9], True),         # the floor of 1 on the scale
-    ([-1e-3, 1e-3 + 2e-8], False),
-])
-def test_spectrum_symmetric_tolerance(vals, symmetric):
-    assert spectrum_symmetric(_spectrum(vals)) is symmetric
 
 
 @pytest.mark.parametrize("bottom,above", [(3.95, True), (3.9499, False), (4.2, True)])

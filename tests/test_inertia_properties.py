@@ -34,11 +34,15 @@ from semidirac.assembly import conjugation_basis
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
 
 
+def inf_norm(op) -> float:
+    return float(abs(op.matrix).sum(axis=1).max())
+
+
 def assert_residuals_within(op, rep, tol):
     """Every returned pair meets ||M x - lambda x|| <= tol ||M||_inf on the input matrix."""
     vecs = rep.eigenvectors
     resid = np.linalg.norm(op.matrix @ vecs - vecs * rep.eigenvalues, axis=0)
-    assert np.all(resid <= tol * abs(op.matrix).sum(axis=1).max())
+    assert np.all(resid <= tol * inf_norm(op))
 
 
 @st.composite
@@ -60,15 +64,33 @@ def operators(draw, kinds=("T", "H", "square")):
     return assemble_square_form(grid, params, pot)
 
 
+def count_margin(op, radius, center) -> float:
+    """How near an edge of (center - radius, center + radius) an eigenvalue
+    may lie before the squared count may disagree with eigvalsh.
+
+    The count is the inertia of A = (R - center I)^2 - radius^2 I, exact up
+    to the backward error of forming and factoring A, dim eps ||A||, with
+    ||A|| <= (||M||_inf + |center|)^2.  An eigenvalue d from an edge gives
+    A an eigenvalue of size d (2 radius +- d) >= d radius for d <= radius,
+    so it keeps its side when d radius exceeds that error.
+    """
+    error = op.dim * np.finfo(float).eps * (inf_norm(op) + abs(center)) ** 2
+    return error / radius
+
+
+# windows symmetric about zero, and windows centred anywhere
+CENTERS = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+
+
 @PROPERTY
-@given(op=operators(), radius=st.floats(0.05, 4.0))
-def test_count_within_matches_eigvalsh(op, radius):
+@given(op=operators(), radius=st.floats(0.05, 4.0), center=CENTERS)
+def test_count_within_matches_eigvalsh(op, radius, center):
     lam = np.linalg.eigvalsh(op.matrix.toarray())
-    assume(np.min(np.abs(np.abs(lam) - radius)) > 1e-8)
-    cert = count_within(op, radius)
-    assert cert["count"] == np.count_nonzero(np.abs(lam) < radius)
+    assume(np.min(np.abs(np.abs(lam - center) - radius)) > count_margin(op, radius, center))
+    cert = count_within(op, radius, center)
+    assert cert["count"] == np.count_nonzero(np.abs(lam - center) < radius)
     assert cert["symmetric_order"] is True
-    assert cert["shift_squared"] == radius**2
+    assert cert["shift_squared"] == radius**2 and cert["center"] == center
     assert cert["arithmetic"] == "real"
 
 
@@ -207,18 +229,21 @@ def test_conjugation_basis_makes_symmetric_operators_real(case):
 
 
 @PROPERTY
-@given(case=conjugation_cases(), radius=st.floats(0.05, 4.0),
+@given(case=conjugation_cases(), radius=st.floats(0.05, 4.0), center=CENTERS,
        size=st.floats(0.1, 8.0), negative=st.booleans(),
        sigma=st.floats(-4.0, 4.0), k=st.integers(1, 4))
 def test_sparse_routes_run_real_exactly_where_the_symmetry_holds(
-    case, radius, size, negative, sigma, k
+    case, radius, center, size, negative, sigma, k
 ):
     op, symmetric = case
     arithmetic = "real" if symmetric else "complex"
     lam = np.linalg.eigvalsh(op.matrix.toarray())
     threshold = -size if negative else size
     dist = np.sort(np.abs(lam - sigma))
-    assume(np.min(np.abs(np.abs(lam) - radius)) > 1e-8)
+    # the window's edges also stay clear of the shift-invert pairs' residual
+    # bound tol ||M||_inf, so "inside" reads the same for pair and eigenvalue
+    margin = count_margin(op, radius, center) + 1e-11 * inf_norm(op)
+    assume(np.min(np.abs(np.abs(lam - center) - radius)) > margin)
     assume(np.min(np.abs(lam - threshold)) > 1e-8)
     assume(dist[0] > 1e-6 and dist[k] - dist[k - 1] > 1e-6)
     # a threshold on a diagonal entry of the factored matrix leaves an exactly
@@ -227,8 +252,8 @@ def test_sparse_routes_run_real_exactly_where_the_symmetry_holds(
     work, _ = op.real_form
     assume(np.min(np.abs(work.diagonal() - threshold)) > 1e-8)
 
-    within = count_within(op, radius)
-    assert within["count"] == np.count_nonzero(np.abs(lam) < radius)
+    within = count_within(op, radius, center)
+    assert within["count"] == np.count_nonzero(np.abs(lam - center) < radius)
     below = count_below(op, threshold)
     assert below["count"] == np.count_nonzero(lam < threshold)
     assert within["arithmetic"] == below["arithmetic"] == arithmetic
@@ -239,13 +264,16 @@ def test_sparse_routes_run_real_exactly_where_the_symmetry_holds(
     assert near.certificate["arithmetic"] == arithmetic
     assert_residuals_within(op, near, 1e-11)
 
-    # a certified window: min(k, count) eigenvalues of it, nearest zero first
-    # (the spectra are often symmetric about zero, so compare |lambda|)
-    gap = gap_eigs(op, -radius, radius, k=k, tol=1e-11)
+    # a certified window (lo, hi): its eigvalsh count, and min(k, count)
+    # eigenvalues of it, nearest its centre first (the spectra are often
+    # symmetric about the centre 0, so compare distances to it)
+    lo, hi = center - radius, center + radius
+    gap = gap_eigs(op, lo, hi, k=k, tol=1e-11)
     assert gap.certificate["arithmetic"] == arithmetic
+    assert gap.certificate["count"] == np.count_nonzero((lo < lam) & (lam < hi))
     assert gap.certificate["count"] == within["count"]
     assert gap.k == min(k, within["count"])
     assert np.all(np.min(np.abs(gap.eigenvalues[:, None] - lam), axis=1) < 1e-8)
-    nearest_zero = np.sort(np.abs(lam))[:gap.k]
-    assert np.max(np.abs(np.sort(np.abs(gap.eigenvalues)) - nearest_zero), initial=0.0) < 1e-8
+    nearest = np.sort(np.abs(lam - center))[:gap.k]
+    assert np.max(np.abs(np.sort(np.abs(gap.eigenvalues - center)) - nearest), initial=0.0) < 1e-8
     assert_residuals_within(op, gap, 1e-11)

@@ -21,7 +21,6 @@ from semidirac import (
     cutoff_g,
     cutoff_profile,
     cutoff_row,
-    disk_bump,
     disk_perturbation,
     eps_threshold,
     fit_slope,
@@ -35,6 +34,7 @@ from semidirac import (
 from semidirac import quasimode
 from semidirac.cli import cmd_quasimode, parse_config
 from semidirac.quasimode import (
+    BUMP_SUPPORT,
     gauss_1d,
     gauss_2d,
     mollifier,
@@ -49,7 +49,7 @@ P2 = Params(2.0)
 
 
 # ---------------------------------------------------------------------------
-# quadrature and bumps
+# quadrature and the bump
 
 
 def test_gauss_rules_are_exact_on_polynomials():
@@ -111,23 +111,23 @@ def test_mollifier_support_and_derivatives():
     assert np.allclose(mollifier_d1(ts), -mollifier_d1(-ts))
 
 
-@pytest.mark.parametrize("bump", [product_bump(), disk_bump()])
-def test_bump_normalization_and_partials(bump):
-    X, Y, W = gauss_2d(bump.support, 200)
-    assert np.sum(W * bump.f(X, Y) ** 2) == pytest.approx(0.5, rel=1e-8)
+def test_bump_normalization_and_partials():
+    f, fx, fy, fxx = product_bump()
+    X, Y, W = gauss_2d(BUMP_SUPPORT, 200)
+    assert np.sum(W * f(X, Y) ** 2) == pytest.approx(0.5, rel=1e-8)
     # partials agree with finite differences inside the support
-    x0, x1, y0, y1 = bump.support
+    x0, x1, y0, y1 = BUMP_SUPPORT
     rng = np.random.default_rng(4)
     xs = x0 + (x1 - x0) * rng.uniform(0.2, 0.8, size=8)
     ys = y0 + (y1 - y0) * rng.uniform(0.2, 0.8, size=8)
     h = 1e-6
-    fx_fd = (bump.f(xs + h, ys) - bump.f(xs - h, ys)) / (2.0 * h)
-    fy_fd = (bump.f(xs, ys + h) - bump.f(xs, ys - h)) / (2.0 * h)
-    fxx_fd = (bump.f(xs + h, ys) - 2.0 * bump.f(xs, ys) + bump.f(xs - h, ys)) / h**2
-    assert np.max(np.abs(bump.fx(xs, ys) - fx_fd)) < 1e-6
-    assert np.max(np.abs(bump.fy(xs, ys) - fy_fd)) < 1e-6
-    assert np.max(np.abs(bump.fxx(xs, ys) - fxx_fd)) < 2e-3
-    assert bump.f(np.array([x1 + 1.0]), np.array([0.5 * (y0 + y1)]))[0] == 0.0
+    fx_fd = (f(xs + h, ys) - f(xs - h, ys)) / (2.0 * h)
+    fy_fd = (f(xs, ys + h) - f(xs, ys - h)) / (2.0 * h)
+    fxx_fd = (f(xs + h, ys) - 2.0 * f(xs, ys) + f(xs - h, ys)) / h**2
+    assert np.max(np.abs(fx(xs, ys) - fx_fd)) < 1e-6
+    assert np.max(np.abs(fy(xs, ys) - fy_fd)) < 1e-6
+    assert np.max(np.abs(fxx(xs, ys) - fxx_fd)) < 2e-3
+    assert f(np.array([x1 + 1.0]), np.array([0.5 * (y0 + y1)]))[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +151,8 @@ def test_weyl_trial_validation():
 @pytest.mark.parametrize("mu", [1.0, 2.0, 5.0, -1.0, -2.0, -5.0])
 @pytest.mark.parametrize("n", [4, 16])
 def test_weyl_residual_never_exceeds_bound(mu, n):
-    for bump in (product_bump(), disk_bump()):
-        (row,) = weyl_rows([mu], [n], P1, bump)
-        assert 0.0 < row["residual"] <= row["bound_rhs"] * (1.0 + 1e-9)
+    (row,) = weyl_rows([mu], [n], P1)
+    assert 0.0 < row["residual"] <= row["bound_rhs"] * (1.0 + 1e-9)
 
 
 def test_weyl_bound_saturates_at_band_edge():

@@ -119,7 +119,8 @@ def test_predicted_state_must_be_localized(monkeypatch, participation, agreement
     def one_state(op, lo, hi, **solver):
         return SpectrumReport(np.array([0.5]), np.ones((3, 1)), np.zeros(1),
                               np.array([participation]), np.array([-1.0]), "shift-invert",
-                              {"count": 1, "certified": True, "solve_fill": 2.0})
+                              {"count": 1, "certified": True, "solve_fill": 2.0,
+                               "block_counts": [1, 0]})
 
     monkeypatch.setattr(semidirac.scan, "gap_eigs", one_state)
     rec = {"axis_value": -3.0, "predicted": True}
@@ -275,16 +276,15 @@ def _report(certificate, k=2):
                           np.ones(k), np.ones(k), "gap", certificate)
 
 
-def test_window_evidence_falls_back_to_the_pairs_found():
+def test_window_evidence_reads_the_certificate():
     certified = window_evidence(_report({"count": 4, "certified": True, "solve_fill": 2.5,
                                          "block_counts": [2, 2]}))
     assert certified == {"count": 4, "certified": True, "solve_fill": 2.5,
                          "block_counts": [2, 2]}
-    uncertified = window_evidence(_report({"count": None, "certified": False, "solve_fill": 3.0}))
-    assert uncertified == {"count": 2, "certified": False, "solve_fill": 3.0,
-                           "block_counts": None}
-    assert window_evidence(_report(None, k=0)) == {
-        "count": 0, "certified": False, "solve_fill": None, "block_counts": None}
+    # an empty window returns before any solve, so no solve_fill
+    assert window_evidence(_report({"count": 0, "certified": True, "block_counts": [0, 0]},
+                                   k=0)) == {
+        "count": 0, "certified": True, "solve_fill": None, "block_counts": [0, 0]}
 
 
 @pytest.mark.parametrize("xi", [[-1.0, 0.5], [-1.0, 0.0, 0.5]], ids=["without-0", "with-0"])
