@@ -186,7 +186,10 @@ class HermitianOperator:
     matrix acts on the reduced unknown vector in weighted coordinates
     z = W^(1/2) v; eigenvalues are those of the physical operator.
     sym_defect records the relative size of the discarded anti-Hermitian
-    part (roundoff scale by construction).
+    part (roundoff scale by construction).  x_diag is delta + vx for a
+    first-order operator whose potential samples do not vary in y (T, and
+    H with such a potential): it separates as kron(M_B, I) + kron(M_J, S)
+    with S = Kx + diag(x_diag) (fiber.separable_identity).  None otherwise.
     """
 
     matrix: sp.csr_matrix
@@ -195,6 +198,7 @@ class HermitianOperator:
     sym_defect: float
     grid: Grid2D | None = None
     ygrid: YGrid | None = None
+    x_diag: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -252,6 +256,10 @@ class HermitianOperator:
         return v * np.sqrt(self.weights)
 
 
+def _inf_norm(m: sp.spmatrix) -> float:
+    return float((abs(m) @ np.ones(m.shape[1])).max()) if m.nnz else 0.0
+
+
 def _symmetrize(m: sp.spmatrix) -> tuple[sp.csr_matrix, float]:
     m = m.tocsr()
     skew = m - m.getH()
@@ -267,9 +275,9 @@ def _symmetrize(m: sp.spmatrix) -> tuple[sp.csr_matrix, float]:
     return out, rel
 
 
-def _finish(matrix, kind, w_red, grid=None, ygrid=None) -> HermitianOperator:
+def _finish(matrix, kind, w_red, grid=None, ygrid=None, x_diag=None) -> HermitianOperator:
     sym, defect = _symmetrize(matrix)
-    return HermitianOperator(sym, kind, w_red, float(defect), grid, ygrid)
+    return HermitianOperator(sym, kind, w_red, float(defect), grid, ygrid, x_diag)
 
 
 def _first_order_blocks(grid: Grid2D, params: Params):
@@ -299,7 +307,7 @@ def assemble_T(grid: Grid2D, params: Params) -> HermitianOperator:
     """Free half-plane operator with the u1 = u2 edge condition."""
     A11, S, A22, _ = _first_order_blocks(grid, params)
     M, w_red = _reduce(grid, A11, S, S, A22)
-    return _finish(M, FIRST_ORDER, w_red, grid=grid)
+    return _finish(M, FIRST_ORDER, w_red, grid=grid, x_diag=np.full(grid.nx, params.delta))
 
 
 def _potential_samples(grid: Grid2D, potential: PotentialSpec) -> np.ndarray:
@@ -318,7 +326,8 @@ def assemble_H(grid: Grid2D, params: Params, potential: PotentialSpec) -> Hermit
     V = _potential_samples(grid, potential)
     SV = S + W2 @ sp.diags(V.ravel())
     M, w_red = _reduce(grid, A11, SV, SV, A22)
-    return _finish(M, FIRST_ORDER, w_red, grid=grid)
+    x_diag = params.delta + V[0] if np.all(V == V[0]) else None
+    return _finish(M, FIRST_ORDER, w_red, grid=grid, x_diag=x_diag)
 
 
 def assemble_H_eps(

@@ -9,18 +9,31 @@ always in the symmetric minimum-degree order (MMD on A + A^T):
 * ``dense_eigs``: full spectrum through LAPACK, the oracle route for
   cross-checking the sparse routes on small problems; every reported pair
   is re-verified by an explicit matrix-vector product.
-* ``count_within`` / ``count_below``: certified eigenvalue counts from the
-  pivot signs of a diagonal-pivoted sparse LU in that order (Sylvester
-  inertia), count_within of a window (center - r, center + r) from
-  (R - center I)^2 - r^2 I and count_below from R - threshold I, one
-  decoupled diagonal block of the real form at a time
-  (HermitianOperator.blocks): the inertia of a block-diagonal matrix is
-  the sum of its blocks', and only one block's factor is alive at once.
-  Each certificate carries its evidence: the symmetric pivot order, the
-  smallest pivot, the growth max|L|, the fill, the shift that was
-  factored and the per-block counts.  A singular factor or a broken
-  symmetric order in any block raises ConvergenceError; the shift is
-  never moved.
+* ``count_within`` / ``count_below``: certified counts of a window
+  (center - r, center + r) or below a threshold, by one of two routes,
+  named in the certificate ("route"):
+  - "identity", for the operators that separate (T, an H whose potential
+    does not vary in y, the square forms): the count is read off the
+    exact spectrum of the Kronecker-sum identity, rebuilt from the fiber
+    family and checked on the assembled matrix
+    (fiber.separable_identity); by Weyl's inequality it is certified when
+    no identity eigenvalue lies within the margin, the defect plus the
+    structural and rounding terms, of a window edge.  The certificate
+    carries the defect and the margin.  Nothing is factored, and the
+    operator's real form and blocks are not built;
+  - "inertia", for everything else (a box well, H_eps, the fibers, bare
+    matrices) and for a separable operator whose identity eigenvalue
+    lies within the margin of an edge: the pivot signs of a
+    diagonal-pivoted sparse LU in that order (Sylvester inertia), of
+    (R - center I)^2 - r^2 I or of R - threshold I, one decoupled
+    diagonal block of the real form at a time
+    (HermitianOperator.blocks): the inertia of a block-diagonal matrix is
+    the sum of its blocks', and only one block's factor is alive at once.
+    The certificate carries its evidence: the symmetric pivot order, the
+    smallest pivot, the growth max|L|, the fill and the shift that was
+    factored.  A singular factor or a broken symmetric order in any block
+    raises ConvergenceError; the shift is never moved.
+  Either route gives the per-block counts (block_counts).
 * ``gap_eigs`` / ``nearest_eigenvalues``: ARPACK shift-invert
   (scipy.sparse.linalg.eigsh) whose inverse is the LU solve of R - sigma I,
   counted against a max_iter budget of solves.  This factor shares the
@@ -31,7 +44,8 @@ always in the symmetric minimum-degree order (MMD on A + A^T):
   the window, whatever the window; nearest_eigenvalues is uncertified.
 * ``lowest_of_square``: the bottom of a square form from its Kronecker-sum
   identity (fiber.square_form_pairs: one tridiagonal and one banded LAPACK
-  solve, no dense eigensolver), certified by one ``count_below``.
+  solve, no dense eigensolver), certified by one ``count_below``, itself
+  read off the identity wherever that is certified.
 
 ``bottom_above_gap_square`` judges the square-form report.
 
@@ -48,8 +62,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .assembly import SQUARE_FORM, HermitianOperator, edge_embedding
-from .fiber import square_form_pairs
+from .assembly import SQUARE_FORM, HermitianOperator, _inf_norm, edge_embedding
+from .fiber import separable_identity, square_form_pairs
 
 DENSE_CAP_DEFAULT = 4000
 
@@ -86,13 +100,12 @@ class SpectrumReport:
 
 
 def _as_matrix(op):
-    """(M, parent, R, U): the matrix, its HermitianOperator and (R, U) = its
-    real_form.  A bare sparse or dense matrix gives (M, None, M, None),
-    promoted to at least double precision so the solves run in float64 or
-    complex128 whatever the caller's dtype.
+    """(M, parent): the matrix and its HermitianOperator.  A bare sparse or
+    dense matrix gives (M, None), promoted to at least double precision so
+    the solves run in float64 or complex128 whatever the caller's dtype.
     """
     if isinstance(op, HermitianOperator):
-        return (op.matrix, op, *op.real_form)
+        return op.matrix, op
     if sp.issparse(op):
         m = op.tocsr()
     else:
@@ -100,12 +113,12 @@ def _as_matrix(op):
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         m = sp.csr_matrix(m)
-    m = m.astype(np.result_type(m.dtype, np.float64), copy=False)
-    return m, None, m, None
+    return m.astype(np.result_type(m.dtype, np.float64), copy=False), None
 
 
-def _inf_norm(m: sp.csr_matrix) -> float:
-    return float((abs(m) @ np.ones(m.shape[1])).max()) if m.nnz else 0.0
+def _real_form(matrix, parent) -> tuple:
+    """(R, U): the parent's cached real_form, or (M, None) for a bare matrix."""
+    return (matrix, None) if parent is None else parent.real_form
 
 
 def _fix_phase(vecs: np.ndarray) -> np.ndarray:
@@ -189,10 +202,11 @@ def dense_eigs(op) -> SpectrumReport:
     complex input; certificate["arithmetic"] says which.  Residuals are recomputed from the
     input matrix and must sit at roundoff level, else this raises.
     """
-    matrix, parent, work, basis = _as_matrix(op)
+    matrix, parent = _as_matrix(op)
     n = matrix.shape[0]
     if n > DENSE_CAP_DEFAULT:
         raise ValueError(f"dimension {n} exceeds dense solver cap {DENSE_CAP_DEFAULT}")
+    work, basis = _real_form(matrix, parent)
     vals, vecs = np.linalg.eigh(work.toarray())
     vecs = vecs if basis is None else basis @ vecs
     certificate = {"arithmetic": "complex" if work.dtype.kind == "c" else "real"}
@@ -265,7 +279,7 @@ def _inertia(op, form, shift: float) -> dict:
     the blocks, and fill is sum nnz(L + U) / sum nnz(A).  Fibers, bare
     matrices and a connected 2-d operator are one block, R whole.
     """
-    work = _as_matrix(op)[2]
+    work = _real_form(*_as_matrix(op))[0]
     blocks = op.blocks if isinstance(op, HermitianOperator) else None
     parts = (None,) if blocks is None or len(blocks) == 1 else blocks
     stats = [_block_inertia(form(work if idx is None else work[idx][:, idx]), shift,
@@ -274,6 +288,7 @@ def _inertia(op, form, shift: float) -> dict:
     counts, pivots, growths, factor_nnz, matrix_nnz = zip(*stats)
     return {
         "count": sum(counts),
+        "route": "inertia",
         "arithmetic": "complex" if work.dtype.kind == "c" else "real",
         "symmetric_order": True,
         "min_pivot": min(pivots),
@@ -283,27 +298,59 @@ def _inertia(op, form, shift: float) -> dict:
     }
 
 
+def _identity_count(op, edges, inside) -> dict | None:
+    """A count read off fiber.separable_identity, or None where op does not
+    separate or an identity eigenvalue lies within the margin of an edge.
+
+    By Weyl's inequality each eigenvalue of M, and of each block of its
+    real form, lies within margin of its identity counterpart; with every
+    identity eigenvalue farther than that from each edge, each eigenvalue
+    lies on the same side of every edge as its counterpart, so inside(),
+    which compares with the same edges, counts M's off the identity.  A
+    NaN margin certifies nothing.
+    """
+    identity = separable_identity(op) if isinstance(op, HermitianOperator) else None
+    if identity is None or not all(np.all(np.abs(lam - edge) > identity.margin)
+                                   for lam in identity.blocks for edge in edges):
+        return None
+    counts = [int(np.count_nonzero(inside(lam))) for lam in identity.blocks]
+    return {"count": sum(counts), "route": "identity", "arithmetic": "real",
+            "defect": identity.defect, "margin": identity.margin, "block_counts": counts}
+
+
 def count_within(op, radius: float, center: float = 0.0) -> dict:
     """Certified count of eigenvalues with |lambda - center| < radius.
 
-    Computed as the inertia of (R - center I)^2 - radius^2 I, R the real
-    form of M, real wherever the antiunitary symmetry allows, one
-    decoupled block R_b at a time: (R_b - center I)^2 - radius^2 I is
-    formed and factored per block, never the whole square, and one
-    block's factor is alive at a time.  At center 0 the square is R_b @ R_b
-    itself.  The square is positive semidefinite, and its pivot signs count
-    the squared distances below radius^2.  The certificate carries the
-    center, the factored shift (shift_squared), "arithmetic" ("real" or
-    "complex"), symmetric_order, the smallest |pivot| (min_pivot), the
-    largest multiplier max|L| (growth), nnz(L + U) / nnz(A) (fill), each
-    summed or extremal over the blocks, and the count of each block
+    Read off the identity spectrum where that certifies it
+    (_identity_count: the certificate adds the defect and the margin),
+    else by sparse inertia (_sparse_within).  Either certificate carries
+    radius, center, the route ("identity" or "inertia"), "arithmetic"
+    ("real" or "complex"), the count and the count of each decoupled block
     (block_counts; one entry for an operator counted whole).
     """
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be positive, got {radius}")
     if not np.isfinite(center):
         raise ValueError(f"center must be finite, got {center}")
-    center, shift = float(center), float(radius) ** 2
+    center, radius = float(center), float(radius)
+    lo, hi = center - radius, center + radius
+    identity = _identity_count(op, (lo, hi), lambda lam: (lo < lam) & (lam < hi))
+    if identity is None:
+        return _sparse_within(op, radius, center)
+    return {"radius": radius, "center": center, **identity}
+
+
+def _sparse_within(op, radius: float, center: float) -> dict:
+    """count_within by the inertia of (R - center I)^2 - radius^2 I, R the
+    real form of M, formed and factored one decoupled block R_b at a time
+    (at center 0 the square is R_b @ R_b itself): the square is positive
+    semidefinite, and its pivot signs count the squared distances below
+    radius^2.  The certificate adds the factored shift (shift_squared),
+    symmetric_order, the smallest |pivot| (min_pivot), the largest
+    multiplier max|L| (growth) and nnz(L + U) / nnz(A) (fill), each
+    summed or extremal over the blocks.
+    """
+    shift = radius**2
 
     def square(r):
         if center:
@@ -311,23 +358,31 @@ def count_within(op, radius: float, center: float = 0.0) -> dict:
         return (r @ r).tocsr()
 
     window = _inertia(op, square, shift)
-    return {"radius": float(radius), "center": center, "shift_squared": shift, **window}
+    return {"radius": radius, "center": center, "shift_squared": shift, **window}
 
 
 def count_below(op, threshold: float) -> dict:
-    """Certified count of eigenvalues below a threshold by direct inertia.
-
-    Factors R_b - threshold I with diagonal pivots and counts negative
-    ones, one decoupled block R_b of the real form at a time, as
-    count_within does.  Intended for operators with strictly positive
-    diagonal (the square-form assemblies); for gap windows of the
-    first-order operator use count_within.  The certificate carries the
-    factored shift and the same evidence as count_within.
+    """Certified count of eigenvalues below a threshold, routed as
+    count_within is (else _sparse_below).  Intended for operators with
+    strictly positive diagonal (the square-form assemblies); for gap
+    windows of the first-order operator use count_within.  The
+    certificate carries the threshold and count_within's other keys.
     """
     if not np.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
-    shift = float(threshold)
-    return {"threshold": shift, "shift": shift, **_inertia(op, lambda r: r, shift)}
+    threshold = float(threshold)
+    identity = _identity_count(op, (threshold,), lambda lam: lam < threshold)
+    if identity is None:
+        return _sparse_below(op, threshold)
+    return {"threshold": threshold, **identity}
+
+
+def _sparse_below(op, threshold: float) -> dict:
+    """count_below by inertia: the negative diagonal pivots of
+    R_b - threshold I, block by block as in _sparse_within, whose
+    evidence the certificate adds with the factored shift."""
+    return {"threshold": threshold, "shift": threshold,
+            **_inertia(op, lambda r: r, threshold)}
 
 
 # ---------------------------------------------------------------------------
@@ -413,15 +468,16 @@ def gap_eigs(
     midpoint sigma = (lo + hi)/2 with radius (hi - lo)/2 (at sigma = 0 the
     squared count of R itself), so an empty window returns at once with a
     certified zero, and finding fewer than min(k, count) eigenvalues in
-    the window raises ConvergenceError.  The count and the ARPACK
+    the window raises ConvergenceError.  An inertia count and the ARPACK
     shift-invert at sigma share one real_form rotation
-    (certificate["arithmetic"]); max_iter caps the number of solves and
-    tol is relative to an infinity-norm estimate of M.  k must stay below
+    (certificate["arithmetic"]), which an empty window counted off the
+    identity never builds; max_iter caps the number of solves and tol is
+    relative to an infinity-norm estimate of M.  k must stay below
     dim - 1.
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"bad interval [{lo}, {hi}]")
-    matrix, parent, work, basis = _as_matrix(op)
+    matrix, parent = _as_matrix(op)
     n = matrix.shape[0]
     _check_k(k, n)
     sigma = 0.5 * (lo + hi)
@@ -431,7 +487,7 @@ def gap_eigs(
         return _build_report(matrix, parent, np.zeros(0), np.zeros((n, 0)), "gap", certificate)
     want = min(k, window["count"])
     vals, vecs, history = _run_shift_invert(
-        matrix, work, basis, sigma, want, tol, max_iter, seed, certificate
+        matrix, *_real_form(matrix, parent), sigma, want, tol, max_iter, seed, certificate
     )
     inside = (lo <= vals) & (vals <= hi)
     if inside.sum() < want:
@@ -462,11 +518,11 @@ def nearest_eigenvalues(
     """
     if not np.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
-    matrix, parent, work, basis = _as_matrix(op)
+    matrix, parent = _as_matrix(op)
     _check_k(k, matrix.shape[0])
     certificate: dict = {"shift": float(sigma), "certified": False, "count": None}
     vals, vecs, history = _run_shift_invert(
-        matrix, work, basis, sigma, k, tol, max_iter, seed, certificate
+        matrix, *_real_form(matrix, parent), sigma, k, tol, max_iter, seed, certificate
     )
     if not vals.size:
         raise ConvergenceError(
@@ -479,12 +535,13 @@ def lowest_of_square(op: HermitianOperator, k: int = 1) -> SpectrumReport:
 
     The pairs come from fiber.square_form_pairs, which selects them from the
     banded factors of the identity, with no shift-invert solve and no dense
-    eigensolver (certificate["iterations"] is 0).  The identity stays an
-    oracle checked on the assembled form: each pair is re-checked as
+    eigensolver (certificate["iterations"] is 0).  The identity is checked
+    on the assembled form: each pair is re-checked as
     ||M v - lambda v|| <= 1e-10 ||M||_inf, the dense oracle's roundoff
-    bound, and count_below midway between lambda_k and lambda_(k+1) must
-    find exactly k eigenvalues (kept under "below").  Either failure
-    raises ConvergenceError.
+    bound, and count_below midway between lambda_k and lambda_(k+1), read
+    off the identity with its defect on M or else by inertia, must find
+    exactly k eigenvalues (kept under "below").  Either failure raises
+    ConvergenceError.
     """
     if not isinstance(op, HermitianOperator) or op.kind != SQUARE_FORM:
         raise ValueError("lowest_of_square needs an assembled square form")

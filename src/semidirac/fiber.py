@@ -26,19 +26,35 @@ where B, the summation-by-parts derivative in that basis (the
 off-diagonal block of R_B), depends on neither xi nor delta.  So R^2 =
 (c^2 + B B^T) (+) (c^2 + B^T B), and the spectrum is {c} together with
 +-sqrt(c^2 + s_i^2) over the ny - 1 singular values s_i of B (Golub and
-Kahan, SIAM J. Numer. Anal. B 2, 205, 1965): fiber_spectra computes them
-once per y grid and serves every coupling from that one solve.  Because
-the x weights are uniform, the x factor of T and of an x-only H is the
-one symmetric matrix Kx + diag(vx); each of its eigenvalues mu gives a
-fiber with c = mu + delta, and the union of those fibers is the exact
-discrete spectrum (separable_spectrum).  Since sqrt(c^2 + s_i^2) >= |c|,
-the unpaired c is also the smallest eigenvalue in size: the fiber table
-reads each fiber's min |lambda| as xi^2 + delta, and scan.free_edge the
-free 2D edge as delta + lambda_min(Kx), with no solve.  The identity is
-an oracle, not a certificate: the fiber table certifies each m it reads
-by Sylvester inertia on the assembled family member (scan.fiber_table), and
-the tests hold it against eigvalsh, the inertia counts of the 2D
-assemblies and shift-invert at the 2D edge.
+Kahan, SIAM J. Numer. Anal. B 2, 205, 1965).  R splits into two
+decoupled blocks, each a path, and on each path the
+coupling-free part is a tridiagonal with zero diagonal, the Golub-Kahan
+form, whose eigenvalues are +-s_i: FiberFamily.golub_kahan reads the s_i
+off the two tridiagonals with O(ny) storage, once per y grid, and
+block_spectra serves every coupling, block by block, from that solve.
+Because the x weights are uniform, the x factor of T and of an x-only H
+is the one symmetric matrix Kx + diag(vx); each of its eigenvalues mu
+gives a fiber with c = mu + delta, and the union of those fibers is the
+exact discrete spectrum (separable_spectrum).  Since sqrt(c^2 + s_i^2)
+>= |c|, the unpaired c is also the smallest eigenvalue in size: the
+fiber table reads each fiber's min |lambda| as xi^2 + delta, and
+scan.free_edge the free 2D edge as delta + lambda_min(Kx), with no solve.
+
+The identity is also a certificate for the 2D assemblies
+(separable_identity): N = kron(M_B, I) + kron(M_J, S), S = Kx +
+diag(delta + vx), is rebuilt from the family and compared with the
+assembled M, and the defect ||M - N||_inf, what the closed form drops of
+the rotated parts and the rounding of each step give a margin; by
+Weyl's inequality (Horn and Johnson, Matrix Analysis, 4.3) no eigenvalue
+of M lies farther than that margin from its identity counterpart, so
+eigensolve.count_within and count_below read a count off the identity
+spectrum wherever no identity eigenvalue lies within the margin of an
+edge.  For the fibers themselves it stays an oracle: the fiber table
+certifies each m it reads by Sylvester inertia on the assembled family
+member (scan.fiber_table), which is the check of the identity and so
+is never certified by it, and the tests hold the identity against
+eigvalsh, the inertia counts of the 2D assemblies and shift-invert at
+the 2D edge.
 
 The square form separates the same way: in the reduced layout (y outer,
 x inner) it is exactly Y (x) I + I (x) S^2, with S = Kx + diag(delta + vx)
@@ -46,7 +62,8 @@ and Y the weight-scaled forward-difference y stiffness folded onto the
 2 ny - 1 edge-identified unknowns.  Its eigenpairs are gamma_j + s_i^2 and
 psi_j (x) phi_i (Horn and Johnson, Topics in Matrix Analysis, 4.4; Lynch,
 Rice and Thomas, Numer. Math. 6, 185, 1964): square_form_pairs reads them,
-and eigensolve.lowest_of_square certifies them on the assembled form.
+and eigensolve.lowest_of_square certifies them on the assembled form,
+its count read off the same identity (separable_identity).
 Both factors are banded.  Unfolded into the order u2 rows ny-1..1, the
 edge, u1 rows 1..ny-1, Y is the stiffness of one path through the edge,
 so it is tridiagonal; S is tridiagonal, so S^2 has bandwidth 2.  LAPACK's
@@ -64,13 +81,14 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eig_banded, eigh_tridiagonal, eigvalsh_tridiagonal, svdvals
+from scipy.linalg import eig_banded, eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .assembly import (
     FIRST_ORDER,
     HermitianOperator,
     YGrid,
     _finish,
+    _inf_norm,
     _real_rotation,
     _reduce,
     conjugation_basis,
@@ -133,6 +151,34 @@ class FiberFamily:
         op = self._assemble(sp.csr_matrix((ny, ny)), sp.diags(self.ygrid.node_weights().ravel()))
         return op, _rotated(op, self.base[2])
 
+    @cached_property
+    def golub_kahan(self) -> tuple[tuple[tuple[np.ndarray, bool], ...], float]:
+        """(per decoupled block: its singular values s and whether it holds
+        an odd number of nodes; ||R_B - its path tridiagonals||_inf).
+
+        Every member's real form splits into two blocks, each a path: block
+        b runs through the rows j = b, ..., ny - 1, starting in the u1 + u2
+        sector (real-basis index j) and alternating with the i (u1 - u2)
+        sector (index ny + j - 1), since R_B links a row only to its
+        neighbours in the other sector and R_J = J0 = diag(I, -I) links
+        nothing; block 0 holds the edge.  On its path R_B is a tridiagonal K with zero
+        diagonal (the Golub-Kahan form of its part of B) whose eigenvalues
+        are +-s, and a 0 if the path is odd; eigvalsh_tridiagonal returns
+        them with O(ny) storage.  J0 alternates in sign along the path, so
+        it anticommutes with K and (c J0 + K)^2 = c^2 + K^2: the block of
+        the fiber with coupling c has the eigenvalues +-sqrt(c^2 + s^2),
+        and on an odd path also c J0 = c at its first node, where K's null
+        vector lives.  The norm is what the path tridiagonals drop of R_B
+        (separable_identity).
+        """
+        ny = self.ygrid.ny
+        j = np.arange(ny)
+        paths = [np.where((j[b:] - b) % 2 == 0, j[b:], ny + j[b:] - 1) for b in (0, 1)]
+        parts, off_path = _tridiagonals(self.base[1], paths, diagonal=False)
+        singular = tuple((eigvalsh_tridiagonal(d, e)[d.size - d.size // 2:], d.size % 2 == 1)
+                         for d, e in parts)
+        return singular, off_path
+
     def __call__(self, xi: float) -> HermitianOperator:
         """The fiber at momentum xi; its coupling is fiber_edge(xi, params)."""
         if not np.isfinite(xi):
@@ -162,20 +208,35 @@ def fiber_operator(xi: float, params: Params, ny: int, y_max: float) -> Hermitia
     return FiberFamily(params, YGrid(float(y_max), int(ny)))(xi)
 
 
+def block_spectra(couplings, family: FiberFamily) -> list[np.ndarray]:
+    """Exact spectra of the family's fibers with the given couplings, per
+    decoupled block (FiberFamily.golub_kahan).
+
+    Entry b is an array whose row i holds, unsorted, the eigenvalues in
+    block b of the fiber with coupling couplings[i]: +-sqrt(c^2 + s^2)
+    over the block's Golub-Kahan singular values s, and c itself in the
+    block with an odd number of nodes (FiberFamily.golub_kahan).  No
+    coupling is assembled.
+    """
+    c = np.asarray(couplings, dtype=np.float64).reshape(-1, 1)
+    out = []
+    for sigma, odd in family.golub_kahan[0]:
+        root = np.hypot(c, sigma)
+        out.append(np.hstack([-root, c, root] if odd else [-root, root]))
+    return out
+
+
 def fiber_spectra(couplings, ygrid: YGrid) -> np.ndarray:
     """Exact spectra of the fibers with the given couplings on one y grid.
 
     Row i holds the 2 ny - 1 eigenvalues, ascending, of the fiber whose
     coupling (xi^2 + delta for a momentum fiber) is couplings[i]:
     {c} and +-sqrt(c^2 + s^2) over the singular values s of the
-    derivative block B (module docstring), read off the coupling-free
-    real form R_B of the family, so no coupling is assembled.
+    derivative block B (module docstring), the blocks of block_spectra
+    joined.
     """
-    c = np.asarray(couplings, dtype=np.float64).reshape(-1, 1)
-    real = FiberFamily(Params(1.0), ygrid).base[1]
-    s = svdvals(real[: ygrid.ny, ygrid.ny :].toarray())
-    root = np.hypot(c, s)
-    return np.sort(np.hstack([-root, c, root]), axis=1)
+    spectra = block_spectra(couplings, FiberFamily(Params(1.0), ygrid))
+    return np.sort(np.hstack(spectra), axis=1)
 
 
 def separable_spectrum(grid: Grid2D, params: Params, vx=None) -> np.ndarray:
@@ -189,6 +250,112 @@ def separable_spectrum(grid: Grid2D, params: Params, vx=None) -> np.ndarray:
     main = kx.diagonal() + (0.0 if vx is None else np.asarray(vx, dtype=np.float64))
     mu = eigvalsh_tridiagonal(main, kx.diagonal(1))
     return np.sort(fiber_spectra(mu + params.delta, YGrid(grid.y_max, grid.ny)), axis=None)
+
+
+@dataclass(frozen=True)
+class SeparableIdentity:
+    """The exact identity spectrum of an assembled separable operator, per
+    decoupled block, and how far the operator may lie from it
+    (separable_identity).
+
+    blocks[b] holds, unsorted, the eigenvalues of block b of the identity
+    matrix N*, in the order of HermitianOperator.blocks; defect is
+    ||M - N||_inf for the rebuilt N; by Weyl's inequality each eigenvalue
+    of M, and of each block of its real form, lies within margin of its
+    counterpart in blocks.
+    """
+
+    blocks: tuple[np.ndarray, ...]
+    defect: float
+    margin: float
+
+
+def separable_identity(op: HermitianOperator) -> SeparableIdentity | None:
+    """The identity spectrum of op checked on its assembled matrix M, or
+    None when op does not separate: no 2-d grid (the fibers), or a
+    first-order operator without x_diag (a potential that varies in y,
+    H_eps).
+
+    First order: N = kron(M_B, I) + kron(M_J, S), with M_B and M_J from
+    the FiberFamily of op's y grid and S = Kx + diag(op.x_diag).  N* takes
+    the fibers' real forms as the closed form has them, R_B as its path
+    tridiagonals and R_J as J0 = diag(I, -I), so block b of N* is the
+    union of block b of the fibers whose couplings are the eigenvalues of
+    S (block_spectra).  Square form: N = kron(A, I) + kron(I, X) - M[0, 0] I
+    with A = M[::nx, ::nx] and X = M[:nx, :nx], the factors
+    square_form_pairs reads.  N* takes the real form of A as the
+    tridiagonals of its two sectors, which are the blocks, and X as its
+    band of width 2; block b holds alpha + x - M[0, 0] over the
+    eigenvalues alpha of sector b and x of X.
+
+    margin = defect + what N* drops from N's parts (||R_J - J0||_inf
+    scaled by ||S||_inf) + the rounding of the steps that lead from M to
+    the spectrum: forming N, rotating the parts and the LAPACK eigenvalue
+    solves, each a backward stable step of order n on an input A that
+    errs by at most n eps ||A||_inf (Parlett, The Symmetric Eigenvalue
+    Problem, chs. 7-8).  Each term bounds a Hermitian difference, whose
+    infinity norm bounds its 2-norm, so margin bounds ||M - U N* U^H||_2
+    (U the conjugation basis) and that of every block of the difference.
+    """
+    if op.grid is None:
+        return None
+    if op.kind == FIRST_ORDER:
+        return None if op.x_diag is None else _first_order_identity(op)
+    return _square_form_identity(op)
+
+
+def _first_order_identity(op: HermitianOperator) -> SeparableIdentity:
+    grid, ny = op.grid, op.grid.ny
+    family = FiberFamily(Params(1.0), YGrid(grid.y_max, ny))
+    m_b, m_j, real_j = family.base[0].matrix, family.unit[0].matrix, family.unit[1]
+    off_j0 = _inf_norm(real_j - sp.diags(np.r_[np.ones(ny), -np.ones(ny - 1)]))
+    s = (stiffness_x(grid.nx, grid.hx) + sp.diags(op.x_diag)).tocsr()
+    rebuilt = sp.kron(m_b, sp.identity(grid.nx), format="csr") + sp.kron(m_j, s, format="csr")
+    defect = _inf_norm(op.matrix - rebuilt)
+    norm_b, norm_j, norm_s = _inf_norm(m_b), _inf_norm(m_j), _inf_norm(s)
+    rounding = np.finfo(float).eps * (op.dim * (norm_b + norm_j * norm_s)
+                                      + grid.nx * norm_s + (2 * ny - 1) * norm_b)
+    couplings = eigvalsh_tridiagonal(s.diagonal(), s.diagonal(1))
+    return SeparableIdentity(tuple(np.ravel(lam) for lam in block_spectra(couplings, family)),
+                             defect, defect + family.golub_kahan[1] + off_j0 * norm_s + rounding)
+
+
+def _square_form_identity(op: HermitianOperator) -> SeparableIdentity | None:
+    m, nx, ny = op.matrix, op.grid.nx, op.grid.ny
+    a, x, corner = m[::nx, ::nx], m[:nx, :nx], float(m[0, 0])
+    rebuilt = (sp.kron(a, sp.identity(nx), format="csr") + sp.kron(sp.identity(2 * ny - 1), x)
+               - corner * sp.identity(op.dim))
+    defect = _inf_norm(m - rebuilt)
+    real_a = _real_rotation(a, FiberFamily(Params(1.0), YGrid(op.grid.y_max, ny)).base[2])
+    if real_a is None:
+        return None
+    sectors, off_sectors = _tridiagonals(real_a, (np.arange(ny), np.arange(ny, 2 * ny - 1)))
+    off_band = _inf_norm(x - sp.tril(sp.triu(x, -2), 2))
+    x_vals = eig_banded(np.array([np.pad(x.diagonal(-d), (0, d)) for d in range(3)]),
+                        lower=True, eigvals_only=True)
+    norm_a, norm_x = _inf_norm(a), _inf_norm(x)
+    rounding = np.finfo(float).eps * (op.dim * (norm_a + norm_x + abs(corner))
+                                      + (2 * ny - 1) * norm_a + nx * norm_x)
+    blocks = tuple(np.add.outer(eigvalsh_tridiagonal(d, e), x_vals - corner).ravel()
+                   for d, e in sectors)
+    return SeparableIdentity(blocks, defect, defect + off_sectors + off_band + rounding)
+
+
+def _tridiagonals(a: sp.csr_matrix, paths, diagonal: bool = True):
+    """a's tridiagonal along each node path, as (diagonal, off-diagonal)
+    pairs (the diagonals zero unless diagonal), and ||a - those
+    tridiagonals||_inf: what a solve along the paths drops of a."""
+    parts, rows, cols, vals = [], [], [], []
+    for p in paths:
+        d = np.asarray(a[p, p]).ravel() if diagonal else np.zeros(p.size)
+        e = np.asarray(a[p[:-1], p[1:]]).ravel()
+        parts.append((d, e))
+        rows += [p, p[:-1], p[1:]]
+        cols += [p, p[1:], p[:-1]]
+        vals += [d, e, e]
+    kept = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=a.shape)
+    return parts, _inf_norm(a - kept)
 
 
 def square_form_pairs(op: HermitianOperator, count: int):

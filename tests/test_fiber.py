@@ -267,7 +267,8 @@ def test_separable_oracle_on_the_gaussian_well(nx, ny):
     assert inside > 0
     # gap_eigs certifies its window with count_within(H, r) and keeps its record
     gap = gap_eigs(H, -r, r, k=4)
-    assert gap.certificate["certified"] and gap.certificate["shift_squared"] == r * r
+    assert gap.certificate["certified"] and gap.certificate["radius"] == r
+    assert gap.certificate["route"] == "identity"
     assert gap.certificate["count"] == inside
     assert np.all(np.min(np.abs(gap.eigenvalues[:, None] - exact), axis=1) <= 1e-10)
 
@@ -304,3 +305,28 @@ def test_free_edge_runs_no_eigensolver(monkeypatch):
         "x_min": -9.0, "x_max": 14.0, "y_max": 14.0, "nx": 93, "ny": 57}})
     cross = fiber_cross_check(cfg.grid, cfg.params)
     assert cross["two_d_min_abs_lambda"] == edge and cross["within_5pct"]
+
+
+def test_free_edge_storage_grows_linearly_in_ny():
+    """The singular values come from the Golub-Kahan tridiagonals of the
+    fiber's two paths, so a skinny grid's free edge holds O(ny) storage:
+    a bounded number of entries per y node in the fiber's sparse parts
+    and its spectra.  Doubling ny to 2000 at most doubles the traced peak
+    (with 10% slack), and the peak stays under 2 KiB per y node, a
+    sixteenth of the 8 ny (ny - 1) bytes a dense copy of B alone held."""
+    import tracemalloc
+
+    peaks = []
+    for ny in (1000, 2000):
+        grid = Grid2D(-1.0, 1.0, 1.0, 4, ny)
+        free_edge(grid, P1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            free_edge(grid, P1)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2.2 * peaks[0]
+    assert peaks[1] <= 2048 * 2000

@@ -22,11 +22,11 @@ from semidirac import (
     assemble_H,
     assemble_square_form,
     assemble_T,
-    count_below,
     count_within,
     fiber_operator,
 )
 from semidirac.assembly import SQUARE_FORM
+from semidirac.eigensolve import _sparse_below, _sparse_within
 
 # fixed draws, so a failure reproduces on every run and machine
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
@@ -102,8 +102,8 @@ def test_block_counts_are_the_blocks_eigenvalue_counts(op, radius, size, negativ
     # an exactly zero diagonal pivot is refused (test_eigensolve)
     assume(np.min(np.abs(work.diagonal() - threshold)) > 1e-8)
 
-    within = count_within(op, radius)
-    below = count_below(op, threshold)
+    within = _sparse_within(op, radius, 0.0)
+    below = _sparse_below(op, threshold)
     dense = work.toarray()
     for b, idx in enumerate(op.blocks):
         lam_b = np.linalg.eigvalsh(dense[np.ix_(idx, idx)])
@@ -149,9 +149,9 @@ class _Reordered:
 
 
 @pytest.mark.parametrize("count, value, shift", [
-    (count_within, 0.5, "0.25"),
-    (count_below, 0.5, "0.5"),
-])
+    (lambda op, value: _sparse_within(op, value, 0.0), 0.5, "0.25"),
+    (_sparse_below, 0.5, "0.5"),
+], ids=["count_within-0.5-0.25", "count_below-0.5-0.5"])
 def test_a_broken_order_in_one_block_names_the_block(monkeypatch, count, value, shift):
     exact = semidirac.eigensolve._factor
     sizes = []
@@ -180,7 +180,7 @@ def test_the_count_keeps_one_blocks_factor_alive():
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        cert = count_within(op, 0.3)
+        cert = _sparse_within(op, 0.3, 0.0)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
