@@ -52,9 +52,10 @@ spectrum wherever no identity eigenvalue lies within the margin of an
 edge.  For the fibers themselves it stays an oracle: the fiber table
 certifies each m it reads by Sylvester inertia on the assembled family
 member (scan.fiber_table), which is the check of the identity and so
-is never certified by it, and the tests hold the identity against
-eigvalsh, the inertia counts of the 2D assemblies and shift-invert at
-the 2D edge.
+is never certified by it.  The tests hold the identity's counts against
+eigvalsh on grids of up to 15 x 9 nodes, against the sparse inertia
+counts of the 2D assemblies up to 60 x 30 and on a Gaussian well at
+161 x 81 and 321 x 161, and its free edge against shift-invert there.
 
 The square form separates the same way: in the reduced layout (y outer,
 x inner) it is exactly Y (x) I + I (x) S^2, with S = Kx + diag(delta + vx)
@@ -321,24 +322,34 @@ def _first_order_identity(op: HermitianOperator) -> SeparableIdentity:
 
 
 def _square_form_identity(op: HermitianOperator) -> SeparableIdentity | None:
-    m, nx, ny = op.matrix, op.grid.nx, op.grid.ny
-    a, x, corner = m[::nx, ::nx], m[:nx, :nx], float(m[0, 0])
-    rebuilt = (sp.kron(a, sp.identity(nx), format="csr") + sp.kron(sp.identity(2 * ny - 1), x)
-               - corner * sp.identity(op.dim))
-    defect = _inf_norm(m - rebuilt)
+    ny = op.grid.ny
+    a, x, corner, x_band, off_band = _square_factors(op)
+    rebuilt = (sp.kron(a, sp.identity(op.grid.nx), format="csr")
+               + sp.kron(sp.identity(2 * ny - 1), x) - corner * sp.identity(op.dim))
+    defect = _inf_norm(op.matrix - rebuilt)
     real_a = _real_rotation(a, FiberFamily(Params(1.0), YGrid(op.grid.y_max, ny)).base[2])
     if real_a is None:
         return None
     sectors, off_sectors = _tridiagonals(real_a, (np.arange(ny), np.arange(ny, 2 * ny - 1)))
-    off_band = _inf_norm(x - sp.tril(sp.triu(x, -2), 2))
-    x_vals = eig_banded(np.array([np.pad(x.diagonal(-d), (0, d)) for d in range(3)]),
-                        lower=True, eigvals_only=True)
+    x_vals = eig_banded(x_band, lower=True, eigvals_only=True)
     norm_a, norm_x = _inf_norm(a), _inf_norm(x)
     rounding = np.finfo(float).eps * (op.dim * (norm_a + norm_x + abs(corner))
-                                      + (2 * ny - 1) * norm_a + nx * norm_x)
+                                      + (2 * ny - 1) * norm_a + op.grid.nx * norm_x)
     blocks = tuple(np.add.outer(eigvalsh_tridiagonal(d, e), x_vals - corner).ravel()
                    for d, e in sectors)
     return SeparableIdentity(blocks, defect, defect + off_sectors + off_band + rounding)
+
+
+def _square_factors(op: HermitianOperator):
+    """(A, X, M[0, 0], X's lower band storage of width 2, ||X - that
+    band||_inf): the square form's factors A = M[::nx, ::nx] and
+    X = M[:nx, :nx] as read off M (square_form_pairs), shared by the
+    pairs and the certificate.  The norm is what a banded solve of X
+    drops: square_form_pairs refuses it, separable_identity adds it to
+    its margin."""
+    m, nx = op.matrix, op.grid.nx
+    x = m[:nx, :nx]
+    return (m[::nx, ::nx], x, float(m[0, 0])) + _band(x, 2)
 
 
 def _tridiagonals(a: sp.csr_matrix, paths, diagonal: bool = True):
@@ -362,32 +373,35 @@ def square_form_pairs(op: HermitianOperator, count: int):
     """The count lowest eigenpairs of an assembled square form, ascending,
     from its Kronecker-sum identity (module docstring).
 
-    Both factors are read off M: M[::nx, ::nx] = Y + S^2[0, 0] I and
-    M[:nx, :nx] = Y[0, 0] I + S^2, so gamma_j + s_i^2 is the sum of their
-    eigenvalues less M[0, 0].  The count lowest sums take j and i among
+    Both factors are read off M (_square_factors): M[::nx, ::nx] =
+    Y + S^2[0, 0] I and M[:nx, :nx] = Y[0, 0] I + S^2, so gamma_j + s_i^2
+    is the sum of their eigenvalues less M[0, 0].  The count lowest sums take j and i among
     the count lowest of each factor, which LAPACK selects by index: Y
     unfolded onto its path (u2 rows ny-1..1, the edge, u1 rows 1..ny-1) is
     tridiagonal (eigh_tridiagonal) and S^2 has bandwidth 2 (eig_banded).
-    A factor storing an entry off its band raises ValueError.
+    A factor with a nonzero entry off its band, which the banded solve
+    would drop, raises ValueError.
     """
-    m, nx, ny = op.matrix, op.grid.nx, op.grid.ny
+    nx, ny = op.grid.nx, op.grid.ny
+    a, _, corner, x, off_x = _square_factors(op)
     path = np.r_[np.arange(2 * ny - 2, ny - 1, -1), np.arange(ny)]
-    y = _band(m[::nx, ::nx][path][:, path], 1, "y factor")
-    x = _band(m[:nx, :nx], 2, "x factor")
+    y, off_y = _band(a[path][:, path], 1)
+    for name, width, off in (("y", 1, off_y), ("x", 2, off_x)):
+        if off:
+            raise ValueError(f"the square form's {name} factor stores an entry off its band "
+                             f"of width {width}")
     ky, kx = min(count, 2 * ny - 1), min(count, nx)
     gamma, psi_path = eigh_tridiagonal(y[0], y[1][:-1], select="i", select_range=(0, ky - 1))
     psi = psi_path[np.argsort(path)]
     s2, phi = eig_banded(x, lower=True, select="i", select_range=(0, kx - 1))
-    sums = np.add.outer(gamma, s2 - m[0, 0]).ravel()
+    sums = np.add.outer(gamma, s2 - corner).ravel()
     pick = np.argsort(sums, kind="stable")[:count]
     j, i = np.divmod(pick, kx)
     return sums[pick], (psi[:, None, j] * phi[None, :, i]).reshape(-1, count)
 
 
-def _band(a: sp.csr_matrix, width: int, name: str) -> np.ndarray:
-    """Lower band storage of the symmetric a, refused if a stores an entry
-    more than width off its diagonal (it would be dropped)."""
-    coo = a.tocoo()
-    if np.any(np.abs(coo.row - coo.col) > width):
-        raise ValueError(f"the square form's {name} stores an entry off its band of width {width}")
-    return np.array([np.pad(a.diagonal(-d), (0, d)) for d in range(width + 1)])
+def _band(a: sp.csr_matrix, width: int) -> tuple[np.ndarray, float]:
+    """Lower band storage of the symmetric a, of the given width, and
+    ||a - that band||_inf, what a banded solve drops of a."""
+    band = np.array([np.pad(a.diagonal(-d), (0, d)) for d in range(width + 1)])
+    return band, _inf_norm(a - sp.tril(sp.triu(a, -width), width))

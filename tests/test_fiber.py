@@ -35,6 +35,7 @@ from semidirac.assembly import (
     _reduce,
     first_derivative_y,
 )
+from semidirac.eigensolve import _sparse_within
 from semidirac.fiber import square_form_pairs
 from semidirac.cli import parse_config
 from semidirac.scan import GAP_WINDOW_FRACTION, convergence_study, fiber_cross_check, free_edge
@@ -265,11 +266,14 @@ def test_separable_oracle_on_the_gaussian_well(nx, ny):
     assert np.min(np.abs(np.abs(exact) - r)) > 1e-6
     inside = int(np.count_nonzero(np.abs(exact) < r))
     assert inside > 0
-    # gap_eigs certifies its window with count_within(H, r) and keeps its record
+    # gap_eigs certifies its window with count_within(H, r) and keeps its
+    # record; the sparse inertia count is the independent 2D check of it
     gap = gap_eigs(H, -r, r, k=4)
     assert gap.certificate["certified"] and gap.certificate["radius"] == r
     assert gap.certificate["route"] == "identity"
-    assert gap.certificate["count"] == inside
+    sparse = _sparse_within(H, r, 0.0)
+    assert sparse["shift_squared"] == r * r
+    assert sparse["count"] == inside == gap.certificate["count"]
     assert np.all(np.min(np.abs(gap.eigenvalues[:, None] - exact), axis=1) <= 1e-10)
 
     sigma, k = 0.5, 4

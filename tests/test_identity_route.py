@@ -31,6 +31,7 @@ from semidirac.assembly import YGrid, stiffness_x
 from semidirac.eigensolve import _sparse_below, _sparse_within
 from semidirac.fiber import separable_identity
 from semidirac.scan import free_edge
+from test_inertia_properties import count_margin
 
 # fixed draws, so a failure reproduces on every run and machine
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
@@ -55,23 +56,28 @@ def separable_operators(draw, nx=(5, 15), ny=(4, 9)):
     return assemble_square_form(grid, params, pot)
 
 
-def inf_norm(op) -> float:
-    return float(abs(op.matrix).sum(axis=1).max())
-
-
 def edge_margin(op, radius, center) -> float:
-    """How near an edge an eigenvalue may lie before the sparse squared
-    count may disagree with eigvalsh (test_inertia_properties.count_margin),
-    and at least 1e-8, far past the identity's margin."""
-    error = op.dim * np.finfo(float).eps * (inf_norm(op) + abs(center)) ** 2
-    return max(error / radius, 1e-8)
+    """How near an edge an eigenvalue of M, or of its identity, may lie.
+
+    Each eigenvalue of M lies within the identity's margin of its identity
+    counterpart (Weyl), and the identity route is taken when every identity
+    eigenvalue lies farther than that margin from the edges; the sparse
+    squared count agrees with eigvalsh past count_margin.  Twice the
+    identity's margin beyond count_margin keeps both on their sides.
+    """
+    return count_margin(op, radius, center) + 2.0 * separable_identity(op).margin
 
 
 def dense_counts(op, inside) -> list[int]:
-    """inside(eigenvalues) counted on each decoupled block of the real form."""
+    """inside(eigenvalues) counted on each decoupled block of the real
+    form, or on the whole of it where it has no blocks (the fibers)."""
     work = op.real_form[0].toarray()
     return [int(np.count_nonzero(inside(np.linalg.eigvalsh(work[np.ix_(idx, idx)]))))
-            for idx in op.blocks]
+            for idx in op.blocks or (np.arange(op.dim),)]
+
+
+def dense_within(op, radius) -> int:
+    return sum(dense_counts(op, lambda v: np.abs(v) < radius))
 
 
 @PROPERTY
@@ -82,7 +88,8 @@ def test_identity_counts_equal_sparse_and_dense(op, radius, center, size, negati
     threshold = -size if negative else size
     lam = np.linalg.eigvalsh(op.matrix.toarray())
     assume(np.min(np.abs(np.abs(lam - center) - radius)) > edge_margin(op, radius, center))
-    assume(np.min(np.abs(lam - threshold)) > 1e-8)
+    # 1e-8 as in test_count_below_matches_eigvalsh, past the identity's margin
+    assume(np.min(np.abs(lam - threshold)) > 1e-8 + 2.0 * separable_identity(op).margin)
     # an exactly zero diagonal pivot is refused by the sparse count
     assume(np.min(np.abs(op.real_form[0].diagonal() - threshold)) > 1e-8)
 
@@ -122,10 +129,6 @@ def test_an_empty_window_forces_no_rotation():
 
 # ---------------------------------------------------------------------------
 # every way out of the identity route: each falls back to the sparse count
-
-
-def dense_within(op, radius) -> int:
-    return int(np.count_nonzero(np.abs(np.linalg.eigvalsh(op.matrix.toarray())) < radius))
 
 
 def test_a_box_well_is_counted_by_inertia():
