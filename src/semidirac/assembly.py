@@ -152,23 +152,24 @@ def edge_embedding(grid: Grid2D | YGrid) -> tuple[sp.csr_matrix, np.ndarray]:
     return E, w_red
 
 
-def conjugation_basis(op: HermitianOperator) -> sp.csr_matrix:
-    """Unitary U whose columns are fixed by the antiunitary C(u1, u2) = (conj u2, conj u1).
+def conjugation_basis(layout: Grid2D | YGrid) -> sp.csr_matrix:
+    """Unitary U on a layout's nx (2 ny - 1) reduced unknowns whose columns
+    are fixed by the antiunitary C(u1, u2) = (conj u2, conj u1).
 
     Where C commutes with M (T, H, the square forms, the fibers, and H_eps
     with w11 = w22), U^H M U is real symmetric.  The nx merged edge unknowns
     are kept; each interior pair (u1 slot k, u2 slot n + k - nx) maps to
-    (e1 + e2)/sqrt(2) and i (e1 - e2)/sqrt(2).  No layout: the identity.
+    (e1 + e2)/sqrt(2) and i (e1 - e2)/sqrt(2).
     """
-    layout = op.grid if op.grid is not None else op.ygrid
-    m = 0 if layout is None else (op.dim - layout.nx) // 2
-    keep, k = np.arange(op.dim - 2 * m), np.arange(op.dim - 2 * m, op.dim - m)
+    dim = layout.nx * (2 * layout.ny - 1)
+    m = (dim - layout.nx) // 2
+    keep, k = np.arange(dim - 2 * m), np.arange(dim - 2 * m, dim - m)
     r = np.sqrt(0.5)
     vals = [np.ones(keep.size), np.full(2 * m, r), np.full(m, 1j * r), np.full(m, -1j * r)]
     rows, cols = [keep, k, k + m, k, k + m], [keep, k, k, k + m, k + m]
     return sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(op.dim, op.dim),
+        shape=(dim, dim),
     )
 
 
@@ -206,12 +207,16 @@ class HermitianOperator:
 
     @cached_property
     def real_form(self) -> tuple:
-        """(U^H M U).real and U, U = conjugation_basis(self), if exactly real,
-        else (M, None), as for H_eps with w11 != w22.  Spectrum and inertia
-        are those of M; eigenvectors map back as U z.  Cached, so every
-        solve and count on one operator shares one rotation.
+        """(U^H M U).real and U, U the conjugation_basis of the operator's
+        layout, if exactly real, else (M, None), as for H_eps with
+        w11 != w22 and for an operator with no layout (a bare matrix).
+        Spectrum and inertia are those of M; eigenvectors map back as U z.
+        Cached, so every solve and count on one operator shares one rotation.
         """
-        basis = conjugation_basis(self)
+        layout = self.grid if self.grid is not None else self.ygrid
+        if layout is None:
+            return self.matrix, None
+        basis = conjugation_basis(layout)
         real = _real_rotation(self.matrix, basis)
         return (self.matrix, None) if real is None else (real, basis)
 
@@ -230,6 +235,13 @@ class HermitianOperator:
 
         count, labels = connected_components(abs(self.real_form[0]), directed=False)
         return tuple(np.flatnonzero(labels == b) for b in range(count))
+
+    @cached_property
+    def identity(self):
+        """fiber.separable_identity(self), shared by the counts and lowest_of_square."""
+        from .fiber import separable_identity  # fiber imports this module
+
+        return separable_identity(self)
 
     def vector_to_field(self, z: np.ndarray) -> SpinorField:
         """Undo the weighting and the edge identification (2-d layout only)."""

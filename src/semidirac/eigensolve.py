@@ -1,8 +1,9 @@
 """Eigensolvers and localization diagnostics.
 
-Every route runs in real arithmetic wherever the antiunitary symmetry
-makes the rotated matrix real (HermitianOperator.real_form, cached per
-operator; certificate["arithmetic"]), and every sparse route factors a
+Every route reads one HermitianOperator (a bare matrix is wrapped once,
+_operator) and its cached real_form, blocks and identity, runs in real
+arithmetic wherever the antiunitary symmetry makes the rotated matrix
+real (certificate["arithmetic"]), and every sparse route factors a
 shifted matrix with SuperLU (scipy.sparse.linalg.splu) and nothing else,
 always in the symmetric minimum-degree order (MMD on A + A^T):
 
@@ -15,12 +16,12 @@ always in the symmetric minimum-degree order (MMD on A + A^T):
   - "identity", for the operators that separate (T, an H whose potential
     does not vary in y, the square forms): the count is read off the
     exact spectrum of the Kronecker-sum identity, rebuilt from the fiber
-    family and checked on the assembled matrix
-    (fiber.separable_identity); by Weyl's inequality it is certified when
-    no identity eigenvalue lies within the margin, the defect plus the
-    structural and rounding terms, of a window edge.  The certificate
-    carries the defect and the margin.  Nothing is factored, and the
-    operator's real form and blocks are not built;
+    family and checked on the assembled matrix (fiber.separable_identity,
+    cached as HermitianOperator.identity); by Weyl's inequality it is
+    certified when no identity eigenvalue lies within the margin, the
+    defect plus the structural and rounding terms, of a window edge.  The
+    certificate carries the defect and the margin.  Nothing is factored,
+    and the operator's real form and blocks are not built;
   - "inertia", for everything else (a box well, H_eps, the fibers, bare
     matrices) and for a separable operator whose identity eigenvalue
     lies within the margin of an edge: the pivot signs of a
@@ -42,12 +43,12 @@ always in the symmetric minimum-degree order (MMD on A + A^T):
   Every returned pair is re-checked as ||M x - lambda x|| <= tol * ||M||_inf.
   gap_eigs first certifies its window's count with count_within centred on
   the window, whatever the window; nearest_eigenvalues is uncertified.
-* ``lowest_of_square``: the bottom of a square form from its Kronecker-sum
-  identity (fiber.square_form_pairs: one tridiagonal and one banded LAPACK
-  solve, no dense eigensolver), certified by one ``count_below``, itself
-  read off the identity wherever that is certified.
+* ``lowest_of_square``: the bottom of a square form, selected from the
+  factor solves of its Kronecker-sum identity (fiber.square_form_pairs,
+  no dense eigensolver), certified by one ``count_below`` read off the
+  same identity wherever that is certified.
 
-``bottom_above_gap_square`` judges the square-form report.
+``bottom_above_gap_square`` judges its bottom's residual enclosure.
 
 Determinism: all randomized starts come from a caller-seeded generator,
 matrix-vector products are sequential, and eigenvector phases are fixed so
@@ -63,7 +64,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .assembly import SQUARE_FORM, HermitianOperator, _inf_norm, edge_embedding
-from .fiber import separable_identity, square_form_pairs
+from .fiber import square_form_pairs
 
 DENSE_CAP_DEFAULT = 4000
 
@@ -99,13 +100,14 @@ class SpectrumReport:
         return self.eigenvalues.shape[0]
 
 
-def _as_matrix(op):
-    """(M, parent): the matrix and its HermitianOperator.  A bare sparse or
-    dense matrix gives (M, None), promoted to at least double precision so
-    the solves run in float64 or complex128 whatever the caller's dtype.
+def _operator(op) -> HermitianOperator:
+    """op itself, or a bare sparse or dense matrix wrapped as a HermitianOperator
+    with no layout (so its real_form is M, with no blocks and no identity),
+    promoted to at least double precision so the solves run in float64 or
+    complex128 whatever the caller's dtype.
     """
     if isinstance(op, HermitianOperator):
-        return op.matrix, op
+        return op
     if sp.issparse(op):
         m = op.tocsr()
     else:
@@ -113,12 +115,8 @@ def _as_matrix(op):
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         m = sp.csr_matrix(m)
-    return m.astype(np.result_type(m.dtype, np.float64), copy=False), None
-
-
-def _real_form(matrix, parent) -> tuple:
-    """(R, U): the parent's cached real_form, or (M, None) for a bare matrix."""
-    return (matrix, None) if parent is None else parent.real_form
+    m = m.astype(np.result_type(m.dtype, np.float64), copy=False)
+    return HermitianOperator(m, "matrix", np.ones(m.shape[0]), 0.0)
 
 
 def _fix_phase(vecs: np.ndarray) -> np.ndarray:
@@ -182,15 +180,15 @@ def y_decay_rate(op: HermitianOperator | None, v: np.ndarray):
     return float(slope[0]) if v.ndim == 1 else slope
 
 
-def _build_report(matrix, parent, vals, vecs, method, certificate=None):
+def _build_report(op, vals, vecs, method, certificate=None):
     order = np.argsort(vals)
     vals = np.asarray(vals, dtype=np.float64)[order]
     vecs = _fix_phase(np.asarray(vecs)[:, order])
-    mv = matrix @ vecs
+    mv = op.matrix @ vecs
     mv -= vecs * vals
     residuals = np.linalg.norm(mv, axis=0)
     pr = participation_ratio(vecs)
-    yd = y_decay_rate(parent, vecs)
+    yd = y_decay_rate(op, vecs)
     return SpectrumReport(vals, vecs, residuals, pr, yd, method, certificate)
 
 
@@ -202,15 +200,15 @@ def dense_eigs(op) -> SpectrumReport:
     complex input; certificate["arithmetic"] says which.  Residuals are recomputed from the
     input matrix and must sit at roundoff level, else this raises.
     """
-    matrix, parent = _as_matrix(op)
-    n = matrix.shape[0]
+    op = _operator(op)
+    n = op.dim
     if n > DENSE_CAP_DEFAULT:
         raise ValueError(f"dimension {n} exceeds dense solver cap {DENSE_CAP_DEFAULT}")
-    work, basis = _real_form(matrix, parent)
+    work, basis = op.real_form
     vals, vecs = np.linalg.eigh(work.toarray())
     vecs = vecs if basis is None else basis @ vecs
     certificate = {"arithmetic": "complex" if work.dtype.kind == "c" else "real"}
-    report = _build_report(matrix, parent, vals, vecs, "dense", certificate)
+    report = _build_report(op, vals, vecs, "dense", certificate)
     scale = max(np.abs(vals).max() if n else 0.0, np.finfo(float).tiny)
     worst = report.residuals.max() if n else 0.0
     if worst > 1e-10 * scale:
@@ -279,8 +277,7 @@ def _inertia(op, form, shift: float) -> dict:
     the blocks, and fill is sum nnz(L + U) / sum nnz(A).  Fibers, bare
     matrices and a connected 2-d operator are one block, R whole.
     """
-    work = _real_form(*_as_matrix(op))[0]
-    blocks = op.blocks if isinstance(op, HermitianOperator) else None
+    work, blocks = op.real_form[0], op.blocks
     parts = (None,) if blocks is None or len(blocks) == 1 else blocks
     stats = [_block_inertia(form(work if idx is None else work[idx][:, idx]), shift,
                             f"{b} of {len(parts)}")
@@ -299,8 +296,8 @@ def _inertia(op, form, shift: float) -> dict:
 
 
 def _identity_count(op, edges, inside) -> dict | None:
-    """A count read off fiber.separable_identity, or None where op does not
-    separate or an identity eigenvalue lies within the margin of an edge.
+    """A count read off op.identity, or None where op does not separate or
+    an identity eigenvalue lies within the margin of an edge.
 
     By Weyl's inequality each eigenvalue of M, and of each block of its
     real form, lies within margin of its identity counterpart; with every
@@ -309,7 +306,7 @@ def _identity_count(op, edges, inside) -> dict | None:
     which compares with the same edges, counts M's off the identity.  A
     NaN margin certifies nothing.
     """
-    identity = separable_identity(op) if isinstance(op, HermitianOperator) else None
+    identity = op.identity
     if identity is None or not all(np.all(np.abs(lam - edge) > identity.margin)
                                    for lam in identity.blocks for edge in edges):
         return None
@@ -332,7 +329,7 @@ def count_within(op, radius: float, center: float = 0.0) -> dict:
         raise ValueError(f"radius must be positive, got {radius}")
     if not np.isfinite(center):
         raise ValueError(f"center must be finite, got {center}")
-    center, radius = float(center), float(radius)
+    op, center, radius = _operator(op), float(center), float(radius)
     lo, hi = center - radius, center + radius
     identity = _identity_count(op, (lo, hi), lambda lam: (lo < lam) & (lam < hi))
     if identity is None:
@@ -370,7 +367,7 @@ def count_below(op, threshold: float) -> dict:
     """
     if not np.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
-    threshold = float(threshold)
+    op, threshold = _operator(op), float(threshold)
     identity = _identity_count(op, (threshold,), lambda lam: lam < threshold)
     if identity is None:
         return _sparse_below(op, threshold)
@@ -392,10 +389,10 @@ class _SolveBudgetSpent(Exception):
     """Raised by the counted solve to stop ARPACK once max_iter is spent."""
 
 
-def _run_shift_invert(matrix, work, basis, sigma, want, tol, max_iter, seed, certificate):
+def _run_shift_invert(op, sigma, want, tol, max_iter, seed, certificate):
     """Shared driver: factor R - sigma I once, then ARPACK on its inverse.
 
-    (work, basis) = (R, U), the real form of M: factors and start vector keep
+    (R, U) = op.real_form, the real form of M: factors and start vector keep
     R's dtype and the vectors map back as U z.  The factor shares only its
     column order with the inertia counts (_factor): it keeps SuperLU's
     threshold partial pivoting, so a zero diagonal entry of R - sigma I does
@@ -410,7 +407,7 @@ def _run_shift_invert(matrix, work, basis, sigma, want, tol, max_iter, seed, cer
     still re-checked against M and recorded in the history; only passing
     pairs are kept.
     """
-    n = matrix.shape[0]
+    matrix, (work, basis), n = op.matrix, op.real_form, op.dim
     normest = max(_inf_norm(matrix), np.finfo(float).tiny)
     tol_resid = tol * normest
     lu, matrix_nnz = _factor(work, sigma)
@@ -477,18 +474,15 @@ def gap_eigs(
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"bad interval [{lo}, {hi}]")
-    matrix, parent = _as_matrix(op)
-    n = matrix.shape[0]
-    _check_k(k, n)
+    op = _operator(op)
+    _check_k(k, op.dim)
     sigma = 0.5 * (lo + hi)
     window = count_within(op, 0.5 * (hi - lo), sigma)
     certificate = {"interval": [float(lo), float(hi)], "certified": True, **window}
     if window["count"] == 0:
-        return _build_report(matrix, parent, np.zeros(0), np.zeros((n, 0)), "gap", certificate)
+        return _build_report(op, np.zeros(0), np.zeros((op.dim, 0)), "gap", certificate)
     want = min(k, window["count"])
-    vals, vecs, history = _run_shift_invert(
-        matrix, *_real_form(matrix, parent), sigma, want, tol, max_iter, seed, certificate
-    )
+    vals, vecs, history = _run_shift_invert(op, sigma, want, tol, max_iter, seed, certificate)
     inside = (lo <= vals) & (vals <= hi)
     if inside.sum() < want:
         raise ConvergenceError(
@@ -496,7 +490,7 @@ def gap_eigs(
             f"[{lo}, {hi}] within {max_iter} iterations",
             history,
         )
-    return _build_report(matrix, parent, vals[inside], vecs[:, inside], "gap", certificate)
+    return _build_report(op, vals[inside], vecs[:, inside], "gap", certificate)
 
 
 def nearest_eigenvalues(
@@ -518,36 +512,37 @@ def nearest_eigenvalues(
     """
     if not np.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
-    matrix, parent = _as_matrix(op)
-    _check_k(k, matrix.shape[0])
+    op = _operator(op)
+    _check_k(k, op.dim)
     certificate: dict = {"shift": float(sigma), "certified": False, "count": None}
-    vals, vecs, history = _run_shift_invert(
-        matrix, *_real_form(matrix, parent), sigma, k, tol, max_iter, seed, certificate
-    )
+    vals, vecs, history = _run_shift_invert(op, sigma, k, tol, max_iter, seed, certificate)
     if not vals.size:
         raise ConvergenceError(
             f"no eigenpair converged near {sigma} within {max_iter} iterations", history)
-    return _build_report(matrix, parent, vals, vecs, "nearest", certificate)
+    return _build_report(op, vals, vecs, "nearest", certificate)
 
 
 def lowest_of_square(op: HermitianOperator, k: int = 1) -> SpectrumReport:
     """k smallest eigenpairs of an assembled square form, with a certified count.
 
     The pairs come from fiber.square_form_pairs, which selects them from the
-    banded factors of the identity, with no shift-invert solve and no dense
-    eigensolver (certificate["iterations"] is 0).  The identity is checked
-    on the assembled form: each pair is re-checked as
-    ||M v - lambda v|| <= 1e-10 ||M||_inf, the dense oracle's roundoff
-    bound, and count_below midway between lambda_k and lambda_(k+1), read
-    off the identity with its defect on M or else by inertia, must find
-    exactly k eigenvalues (kept under "below").  Either failure raises
-    ConvergenceError.
+    factor solves of the operator's cached identity (op.identity), with no
+    shift-invert solve and no dense eigensolver (certificate["iterations"]
+    is 0).  The identity is checked on the assembled form: each pair is
+    re-checked as ||M v - lambda v|| <= 1e-10 ||M||_inf, the dense
+    oracle's roundoff bound, and count_below midway between lambda_k and
+    lambda_(k+1), read off the same identity with its defect on M or else
+    by inertia, must find exactly k eigenvalues (kept under "below").  A
+    square form with no identity, either failure raises ConvergenceError.
     """
     if not isinstance(op, HermitianOperator) or op.kind != SQUARE_FORM:
         raise ValueError("lowest_of_square needs an assembled square form")
     _check_k(k, op.dim)
+    if op.identity is None:
+        raise ConvergenceError("the square form has no separable identity: its y factor "
+                               "does not rotate to a real matrix")
     vals, vecs = square_form_pairs(op, k + 1)
-    rep = _build_report(op.matrix, op, vals[:k], vecs[:, :k], "square_lowest")
+    rep = _build_report(op, vals[:k], vecs[:, :k], "square_lowest")
     worst, bound = rep.residuals.max(), 1e-10 * _inf_norm(op.matrix)
     if worst > bound:
         raise ConvergenceError(
@@ -565,7 +560,8 @@ def lowest_of_square(op: HermitianOperator, k: int = 1) -> SpectrumReport:
 
 
 def bottom_above_gap_square(rep: SpectrumReport, delta: float) -> bool:
-    """Whether a square form's bottom lies at or above delta^2 - 0.05."""
-    # the 0.05 slack is inherited from the first square-form check and has
-    # no derivation yet
-    return bool(rep.eigenvalues[0] >= delta**2 - 0.05)
+    """Whether lambda_0 - rho_0 >= delta^2 for a square form's bottom lambda_0
+    and its residual rho_0 = ||M v - lambda_0 v||: an eigenvalue lies within
+    rho_0 of lambda_0 (Parlett, The Symmetric Eigenvalue Problem, ch. 4),
+    and lowest_of_square's count certifies it is the lowest."""
+    return bool(rep.eigenvalues[0] - rep.residuals[0] >= delta**2)

@@ -62,17 +62,17 @@ x inner) it is exactly Y (x) I + I (x) S^2, with S = Kx + diag(delta + vx)
 and Y the weight-scaled forward-difference y stiffness folded onto the
 2 ny - 1 edge-identified unknowns.  Its eigenpairs are gamma_j + s_i^2 and
 psi_j (x) phi_i (Horn and Johnson, Topics in Matrix Analysis, 4.4; Lynch,
-Rice and Thomas, Numer. Math. 6, 185, 1964): square_form_pairs reads them,
-and eigensolve.lowest_of_square certifies them on the assembled form,
-its count read off the same identity (separable_identity).
-Both factors are banded.  Unfolded into the order u2 rows ny-1..1, the
-edge, u1 rows 1..ny-1, Y is the stiffness of one path through the edge,
-so it is tridiagonal; S is tridiagonal, so S^2 has bandwidth 2.  LAPACK's
-tridiagonal (stebz/stein) and banded (sbevx) drivers return only the
-count lowest pairs of each.  A dense eigh of even a 101-node factor
-enters OpenBLAS's threaded kernels, whose idle worker then spins for
-about 20 ms, so on two cores a dense route cost up to twice its wall
-time in CPU.
+Rice and Thomas, Numer. Math. 6, 185, 1964).  Both factors are banded,
+and separable_identity reads them off M once: in the conjugation basis Y
+splits into two sectors, the edge with the (e1 + e2)/sqrt(2) columns and
+the i (e1 - e2)/sqrt(2) columns, each tridiagonal along y, and S^2 has
+bandwidth 2.  The identity's count takes only their eigenvalues;
+square_form_pairs solves the same sectors and band for the count lowest
+pairs of each, the sectors' vectors mapped back through the basis (the
+odd sector's columns times -i, a real fold), and
+eigensolve.lowest_of_square certifies them on the assembled form.  No
+dense eigh runs: even a 101-node factor enters OpenBLAS's threaded
+kernels, whose idle worker then spins for about 20 ms.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ class FiberFamily:
         """(M_B, R_B, U): the coupling-free part, its real form and the basis."""
         dmat, omega = first_derivative_y(self.ygrid.ny, self.ygrid.hy)
         op = self._assemble((-1j * (sp.diags(omega) @ dmat)).tocsr(), sp.csr_matrix(dmat.shape))
-        basis = conjugation_basis(op)
+        basis = conjugation_basis(self.ygrid)
         return op, _rotated(op, basis), basis
 
     @cached_property
@@ -263,12 +263,16 @@ class SeparableIdentity:
     matrix N*, in the order of HermitianOperator.blocks; defect is
     ||M - N||_inf for the rebuilt N; by Weyl's inequality each eigenvalue
     of M, and of each block of its real form, lies within margin of its
-    counterpart in blocks.
+    counterpart in blocks.  factors (square forms only) keeps what the
+    pairs are solved from, each O(nx + ny): per sector of Y its tridiagonal
+    and the fold of its columns onto A's unknowns, X's lower band of width
+    2 and M[0, 0].
     """
 
     blocks: tuple[np.ndarray, ...]
     defect: float
     margin: float
+    factors: tuple | None = None
 
 
 def separable_identity(op: HermitianOperator) -> SeparableIdentity | None:
@@ -283,11 +287,11 @@ def separable_identity(op: HermitianOperator) -> SeparableIdentity | None:
     tridiagonals and R_J as J0 = diag(I, -I), so block b of N* is the
     union of block b of the fibers whose couplings are the eigenvalues of
     S (block_spectra).  Square form: N = kron(A, I) + kron(I, X) - M[0, 0] I
-    with A = M[::nx, ::nx] and X = M[:nx, :nx], the factors
-    square_form_pairs reads.  N* takes the real form of A as the
-    tridiagonals of its two sectors, which are the blocks, and X as its
-    band of width 2; block b holds alpha + x - M[0, 0] over the
-    eigenvalues alpha of sector b and x of X.
+    with A = M[::nx, ::nx] and X = M[:nx, :nx], read off M once.  N* takes
+    the real form of A as the tridiagonals of its two sectors, which are
+    the blocks, and X as its band of width 2; block b holds
+    alpha + x - M[0, 0] over the eigenvalues alpha of sector b and x of X;
+    None if A does not rotate to a real matrix.
 
     margin = defect + what N* drops from N's parts (||R_J - J0||_inf
     scaled by ||S||_inf) + the rounding of the steps that lead from M to
@@ -322,34 +326,29 @@ def _first_order_identity(op: HermitianOperator) -> SeparableIdentity:
 
 
 def _square_form_identity(op: HermitianOperator) -> SeparableIdentity | None:
-    ny = op.grid.ny
-    a, x, corner, x_band, off_band = _square_factors(op)
-    rebuilt = (sp.kron(a, sp.identity(op.grid.nx), format="csr")
+    m, nx, ny = op.matrix, op.grid.nx, op.grid.ny
+    a, x, corner = m[::nx, ::nx], m[:nx, :nx], float(m[0, 0])
+    rebuilt = (sp.kron(a, sp.identity(nx), format="csr")
                + sp.kron(sp.identity(2 * ny - 1), x) - corner * sp.identity(op.dim))
-    defect = _inf_norm(op.matrix - rebuilt)
-    real_a = _real_rotation(a, FiberFamily(Params(1.0), YGrid(op.grid.y_max, ny)).base[2])
+    defect = _inf_norm(m - rebuilt)
+    basis = conjugation_basis(YGrid(op.grid.y_max, ny))
+    real_a = _real_rotation(a, basis)
     if real_a is None:
         return None
-    sectors, off_sectors = _tridiagonals(real_a, (np.arange(ny), np.arange(ny, 2 * ny - 1)))
+    sectors = (np.arange(ny), np.arange(ny, 2 * ny - 1))
+    parts, off_sectors = _tridiagonals(real_a, sectors)
+    x_band = np.array([np.pad(x.diagonal(-d), (0, d)) for d in range(3)])
+    off_band = _inf_norm(x - sp.tril(sp.triu(x, -2), 2))
     x_vals = eig_banded(x_band, lower=True, eigvals_only=True)
     norm_a, norm_x = _inf_norm(a), _inf_norm(x)
     rounding = np.finfo(float).eps * (op.dim * (norm_a + norm_x + abs(corner))
-                                      + (2 * ny - 1) * norm_a + op.grid.nx * norm_x)
+                                      + (2 * ny - 1) * norm_a + nx * norm_x)
     blocks = tuple(np.add.outer(eigvalsh_tridiagonal(d, e), x_vals - corner).ravel()
-                   for d, e in sectors)
-    return SeparableIdentity(blocks, defect, defect + off_sectors + off_band + rounding)
-
-
-def _square_factors(op: HermitianOperator):
-    """(A, X, M[0, 0], X's lower band storage of width 2, ||X - that
-    band||_inf): the square form's factors A = M[::nx, ::nx] and
-    X = M[:nx, :nx] as read off M (square_form_pairs), shared by the
-    pairs and the certificate.  The norm is what a banded solve of X
-    drops: square_form_pairs refuses it, separable_identity adds it to
-    its margin."""
-    m, nx = op.matrix, op.grid.nx
-    x = m[:nx, :nx]
-    return (m[::nx, ::nx], x, float(m[0, 0])) + _band(x, 2)
+                   for d, e in parts)
+    # the odd sector's columns i (e1 - e2)/sqrt(2), times -i, are real
+    fold = (basis @ sp.diags(np.r_[np.ones(ny), np.full(ny - 1, -1j)])).real.tocsc()
+    factors = (tuple((d, e, fold[:, idx]) for (d, e), idx in zip(parts, sectors)), x_band, corner)
+    return SeparableIdentity(blocks, defect, defect + off_sectors + off_band + rounding, factors)
 
 
 def _tridiagonals(a: sp.csr_matrix, paths, diagonal: bool = True):
@@ -371,37 +370,24 @@ def _tridiagonals(a: sp.csr_matrix, paths, diagonal: bool = True):
 
 def square_form_pairs(op: HermitianOperator, count: int):
     """The count lowest eigenpairs of an assembled square form, ascending,
-    from its Kronecker-sum identity (module docstring).
+    solved from the factors its identity kept (op.identity; module docstring).
 
-    Both factors are read off M (_square_factors): M[::nx, ::nx] =
-    Y + S^2[0, 0] I and M[:nx, :nx] = Y[0, 0] I + S^2, so gamma_j + s_i^2
-    is the sum of their eigenvalues less M[0, 0].  The count lowest sums take j and i among
-    the count lowest of each factor, which LAPACK selects by index: Y
-    unfolded onto its path (u2 rows ny-1..1, the edge, u1 rows 1..ny-1) is
-    tridiagonal (eigh_tridiagonal) and S^2 has bandwidth 2 (eig_banded).
-    A factor with a nonzero entry off its band, which the banded solve
-    would drop, raises ValueError.
+    M[::nx, ::nx] = Y + S^2[0, 0] I and M[:nx, :nx] = Y[0, 0] I + S^2, so
+    gamma_j + s_i^2 is the sum of Y's eigenvalue and X's less M[0, 0], with
+    the vector psi_j (x) phi_i.  The count lowest sums take j among the
+    count lowest of each sector of Y and i among the count lowest of X,
+    which LAPACK's tridiagonal (stebz/stein) and banded (sbevx) drivers
+    select by index: storage grows as count (nx + ny), not nx^2 + ny^2.
     """
-    nx, ny = op.grid.nx, op.grid.ny
-    a, _, corner, x, off_x = _square_factors(op)
-    path = np.r_[np.arange(2 * ny - 2, ny - 1, -1), np.arange(ny)]
-    y, off_y = _band(a[path][:, path], 1)
-    for name, width, off in (("y", 1, off_y), ("x", 2, off_x)):
-        if off:
-            raise ValueError(f"the square form's {name} factor stores an entry off its band "
-                             f"of width {width}")
-    ky, kx = min(count, 2 * ny - 1), min(count, nx)
-    gamma, psi_path = eigh_tridiagonal(y[0], y[1][:-1], select="i", select_range=(0, ky - 1))
-    psi = psi_path[np.argsort(path)]
-    s2, phi = eig_banded(x, lower=True, select="i", select_range=(0, kx - 1))
+    sectors, x_band, corner = op.identity.factors
+    solves = [eigh_tridiagonal(d, e, select="i", select_range=(0, min(count, d.size) - 1))
+              for d, e, _ in sectors]
+    gamma = np.concatenate([g for g, _ in solves])
+    psi = np.hstack([fold @ z for (_, z), (_, _, fold) in zip(solves, sectors)])
+    kx = min(count, x_band.shape[1])
+    s2, phi = eig_banded(x_band, lower=True, select="i", select_range=(0, kx - 1))
     sums = np.add.outer(gamma, s2 - corner).ravel()
     pick = np.argsort(sums, kind="stable")[:count]
     j, i = np.divmod(pick, kx)
     return sums[pick], (psi[:, None, j] * phi[None, :, i]).reshape(-1, count)
 
-
-def _band(a: sp.csr_matrix, width: int) -> tuple[np.ndarray, float]:
-    """Lower band storage of the symmetric a, of the given width, and
-    ||a - that band||_inf, what a banded solve drops of a."""
-    band = np.array([np.pad(a.diagonal(-d), (0, d)) for d in range(width + 1)])
-    return band, _inf_norm(a - sp.tril(sp.triu(a, -width), width))

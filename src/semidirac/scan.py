@@ -29,11 +29,13 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
-from .assembly import YGrid, assemble_H, assemble_H_eps, assemble_square_form, assemble_T
+from .assembly import (YGrid, assemble_H, assemble_H_eps, assemble_square_form, assemble_T,
+                       stiffness_x)
 from .eigensolve import (ConvergenceError, SpectrumReport, _inf_norm, count_within, gap_eigs,
                          lowest_of_square, nearest_eigenvalues)
-from .fiber import FiberFamily, fiber_edge, separable_spectrum, union_edge
+from .fiber import FiberFamily, fiber_edge, union_edge
 from .lattice import BoxPotential, Grid2D, Params, PotentialSpec
 from .quasimode import PerturbationModel, a_eps_derived, boundstate_window, eps_threshold, fit_slope
 
@@ -406,10 +408,11 @@ def _smallest_abs_pair(op, params: Params, solver: SolverConfig) -> SpectrumRepo
 
 def free_edge(grid: Grid2D, params: Params) -> float:
     """The free operator's discrete band edge on grid: its smallest |lambda|,
-    delta + lambda_min(Kx), read off the exact separable spectrum of T
-    (fiber.separable_spectrum): nothing is assembled in 2D and no
-    eigensolver runs."""
-    return float(np.min(np.abs(separable_spectrum(grid, params))))
+    delta + lambda_min(Kx), the unpaired coupling of T's exact separable
+    spectrum (fiber module docstring), read off one tridiagonal solve of
+    Kx: nothing is assembled in 2D and no 2D eigensolver runs."""
+    kx = stiffness_x(grid.nx, grid.hx)
+    return float(params.delta + eigvalsh_tridiagonal(kx.diagonal(), kx.diagonal(1))[0])
 
 
 def fiber_cross_check(grid: Grid2D, params: Params) -> dict:

@@ -458,7 +458,7 @@ def square_form_config(tmp_path, height):
 @pytest.mark.parametrize("height,bottom,above", [(1.0, 1.0520331811061, True), (-1.0, 0.41869621675788, False)])
 def test_square_form_bottom_check_reads_the_bottom(tmp_path, capsys, height, bottom, above):
     """At height -1, delta + v(0) = 0 and the bottom falls to 0.4187, below
-    delta^2 - 0.05, so bottom_above_gap_square must read false there; the
+    delta^2, so bottom_above_gap_square must read false there; the
     benchmark's certify op (height 1) reads true."""
     out = tmp_path / "out"
     assert main(["spectrum", "--config", square_form_config(tmp_path, height), "--out", str(out)]) == 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -231,12 +233,33 @@ def test_lowest_of_square_refuses_a_rolled_band_vector(monkeypatch):
     exact = semidirac.fiber.eig_banded
 
     def rolled(*args, **kwargs):
+        if kwargs.get("eigvals_only"):  # the identity's count takes no vectors
+            return exact(*args, **kwargs)
         vals, vecs = exact(*args, **kwargs)
         return vals, np.roll(vecs, 1, axis=0)
 
     monkeypatch.setattr(semidirac.fiber, "eig_banded", rolled)
     with pytest.raises(ConvergenceError, match="identity pair residual"):
         lowest_of_square(gaussian_square_form(41, 21), k=1)
+
+
+def test_lowest_of_square_builds_its_identity_once(monkeypatch):
+    """One lowest_of_square call reads the square form's factors and builds
+    its identity once; the pairs are solved from the factors it keeps, and
+    later counts on the same operator reuse it."""
+    import semidirac.fiber
+
+    builds = []
+    build = semidirac.fiber._square_form_identity
+    monkeypatch.setattr(semidirac.fiber, "_square_form_identity",
+                        lambda op: builds.append(op) or build(op))
+    S = gaussian_square_form(41, 21)
+    rep = lowest_of_square(S, k=2)
+    assert rep.certificate["below"]["route"] == "identity"
+    assert len(builds) == 1
+    assert count_below(S, rep.certificate["below"]["threshold"])["count"] == 2
+    assert count_within(S, 0.5)["route"] == "identity"
+    assert len(builds) == 1
 
 
 def test_lowest_of_square_runs_no_dense_eigensolver(monkeypatch):
@@ -506,7 +529,13 @@ def _spectrum(vals):
     return SpectrumReport(vals, np.eye(n), np.zeros(n), np.ones(n), np.zeros(n), "dense")
 
 
-@pytest.mark.parametrize("bottom,above", [(3.95, True), (3.9499, False), (4.2, True)])
-def test_bottom_above_gap_square_keeps_its_slack(bottom, above):
-    assert bottom_above_gap_square(_spectrum([bottom, 5.0]), 2.0) is above
+@pytest.mark.parametrize("bottom,residual,above", [
+    (4.0, 0.0, True), (3.99, 0.0, False), (4.25, 0.25, True), (4.25, 0.26, False),
+])
+def test_bottom_above_gap_square_reads_the_residual_enclosure(bottom, residual, above):
+    """The bottom counts as at or above delta^2 only when its residual
+    enclosure [lambda_0 - rho_0, lambda_0 + rho_0] does; a bottom 0.01
+    below delta^2 reads false."""
+    rep = replace(_spectrum([bottom, 5.0]), residuals=np.array([residual, 0.0]))
+    assert bottom_above_gap_square(rep, 2.0) is above
 

@@ -24,6 +24,7 @@ from semidirac import (
     fiber_operator,
     fiber_spectra,
     gap_eigs,
+    lowest_of_square,
     nearest_eigenvalues,
     separable_spectrum,
     union_edge,
@@ -35,7 +36,7 @@ from semidirac.assembly import (
     _reduce,
     first_derivative_y,
 )
-from semidirac.eigensolve import _sparse_within
+from semidirac.eigensolve import ConvergenceError, _sparse_within
 from semidirac.fiber import square_form_pairs
 from semidirac.cli import parse_config
 from semidirac.scan import GAP_WINDOW_FRACTION, convergence_study, fiber_cross_check, free_edge
@@ -217,20 +218,27 @@ def planted(op, row, col):
 
 
 def test_square_form_pairs_refuse_an_entry_off_the_y_path():
-    """Unknowns 0 and 2 nx are the edge and u1 row 2 at x node 0, two
-    steps apart on the unfolded y path; the tridiagonal solve would drop
-    their coupling."""
+    """Unknowns 0 and 2 nx are the edge and u1 row 2 at x node 0.  Their
+    coupling links the edge to both conjugation sectors, the odd one
+    through an imaginary entry, so the rotated y factor is not real, the
+    square form has no separable identity and is refused by name."""
     op = assemble_square_form(Grid2D(-3.0, 3.0, 3.0, 13, 9), P1, None)
-    square_form_pairs(planted(op, 0, 1), 1)  # x neighbours: inside the x band
-    with pytest.raises(ValueError, match="y factor stores an entry off its band of width 1"):
-        square_form_pairs(planted(op, 0, 2 * 13), 1)
+    assert planted(op, 0, 1).identity is not None  # x neighbours: the y factor is untouched
+    bad = planted(op, 0, 2 * 13)
+    assert bad.identity is None
+    with pytest.raises(ConvergenceError, match="no separable identity"):
+        lowest_of_square(bad, 1)
 
 
 def test_square_form_pairs_refuse_an_entry_past_the_x_band():
+    """The band solve of X drops an entry three steps off its diagonal; the
+    identity's margin counts it, and the pairs fail the re-check on the
+    assembled form."""
     op = assemble_square_form(Grid2D(-3.0, 3.0, 3.0, 13, 9), P1, None)
-    square_form_pairs(planted(op, 0, 2), 1)
-    with pytest.raises(ValueError, match="x factor stores an entry off its band of width 2"):
-        square_form_pairs(planted(op, 0, 3), 1)
+    bad = planted(op, 0, 3)
+    assert bad.identity.margin >= 1e-3
+    with pytest.raises(ConvergenceError, match="identity pair residual"):
+        lowest_of_square(bad, 1)
 
 
 def test_fiber_spectra_rows_follow_their_couplings():
@@ -248,7 +256,8 @@ def test_fiber_spectra_refuses_an_unrotated_fiber(monkeypatch):
     """B is read off the real form; a fiber that stays complex has none."""
     import semidirac.fiber
 
-    monkeypatch.setattr(semidirac.fiber, "conjugation_basis", lambda op: sp.identity(op.dim))
+    monkeypatch.setattr(semidirac.fiber, "conjugation_basis",
+                        lambda layout: sp.identity(layout.nx * (2 * layout.ny - 1)))
     with pytest.raises(ValueError, match="did not rotate"):
         fiber_spectra([1.0], YGrid(20.0, 8))
 
@@ -334,3 +343,29 @@ def test_free_edge_storage_grows_linearly_in_ny():
             tracemalloc.stop()
     assert peaks[1] <= 2.2 * peaks[0]
     assert peaks[1] <= 2048 * 2000
+
+
+def test_square_form_storage_grows_linearly_in_ny():
+    """The identity keeps the factors' eigenvalues, tridiagonals and band,
+    and the pairs solve only the count lowest of each, so a skinny square
+    form's lowest_of_square holds O(ny) storage.  Doubling ny to 2000 at
+    most doubles the traced peak (with 10% slack), and the peak stays under
+    4 KiB per y node, a quarter of the 8 ny^2 bytes that all of one y
+    sector's eigenvectors would hold."""
+    import tracemalloc
+
+    peaks = []
+    for ny in (1000, 2000):
+        op = assemble_square_form(Grid2D(-1.0, 1.0, 1.0, 4, ny), P1, None)
+        lowest_of_square(replace(op), 1)
+        op = replace(op)  # a fresh copy: no identity cached
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            lowest_of_square(op, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2.2 * peaks[0]
+    assert peaks[1] <= 4096 * 2000

@@ -166,7 +166,10 @@ def test_a_planted_shift_past_the_margin_is_counted_by_inertia():
     """M + eps I moves every eigenvalue by eps, which the identity does not
     see; the defect eps widens the margin past the window edge placed
     between the free edge and its shifted copy, so the count is the
-    sparse one, which agrees with dense."""
+    sparse one, which agrees with dense.  A square form's factors are read
+    off its first y row and first x node, so there eps goes on every other
+    diagonal entry: the bottom moves by about 0.9 eps, and a threshold
+    halfway is counted by inertia."""
     T = assemble_T(GRID, P1)
     eps = 1e-6
     shifted = replace(T, matrix=(T.matrix + eps * sp.identity(T.dim)).tocsr())
@@ -175,6 +178,15 @@ def test_a_planted_shift_past_the_margin_is_counted_by_inertia():
     cert = count_within(shifted, r)
     assert cert["route"] == "inertia"
     assert cert["count"] == dense_within(shifted, r) == 0
+    S = assemble_square_form(GRID, P1, None)
+    threshold = min(float(np.min(lam)) for lam in separable_identity(S).blocks) + 0.5 * eps
+    assert count_below(S, threshold)["count"] == 1
+    unread = (np.arange(S.dim) >= GRID.nx) & (np.arange(S.dim) % GRID.nx != 0)
+    shifted = replace(S, matrix=(S.matrix + eps * sp.diags(unread * 1.0)).tocsr())
+    cert = count_below(shifted, threshold)
+    assert cert["route"] == "inertia"
+    assert cert["count"] == np.count_nonzero(np.linalg.eigvalsh(shifted.matrix.toarray()) < threshold)
+    assert cert["count"] == 0
 
 
 def test_a_coupling_off_its_structure_is_counted_by_inertia(monkeypatch):

@@ -217,7 +217,7 @@ def test_antiunitary_invariant_is_exact(case):
 @given(case=conjugation_cases())
 def test_conjugation_basis_makes_symmetric_operators_real(case):
     op, symmetric = case
-    basis = conjugation_basis(op)
+    basis = conjugation_basis(op.grid if op.grid is not None else op.ygrid)
     assert abs(basis.conj().T @ basis - np.eye(op.dim)).max() < 1e-15
     rotated = (basis.conj().T @ op.matrix @ basis).toarray()
     assert np.any(rotated.imag) != symmetric
