@@ -187,10 +187,12 @@ class HermitianOperator:
     matrix acts on the reduced unknown vector in weighted coordinates
     z = W^(1/2) v; eigenvalues are those of the physical operator.
     sym_defect records the relative size of the discarded anti-Hermitian
-    part (roundoff scale by construction).  x_diag is delta + vx for a
-    first-order operator whose potential samples do not vary in y (T, and
-    H with such a potential): it separates as kron(M_B, I) + kron(M_J, S)
-    with S = Kx + diag(x_diag) (fiber.separable_identity).  None otherwise.
+    part (roundoff scale by construction).  separable is set by assembly
+    for T, an H whose potential samples do not vary in y and the square
+    forms, which have the form kron(P, I) + kron(Q, X) in the reduced
+    layout (fiber.separable_identity reads P, Q and X off the matrix); it
+    is False for everything else (box wells, H_eps, the fibers, a bare
+    matrix), whose identity is not read.
     """
 
     matrix: sp.csr_matrix
@@ -199,7 +201,7 @@ class HermitianOperator:
     sym_defect: float
     grid: Grid2D | None = None
     ygrid: YGrid | None = None
-    x_diag: np.ndarray | None = None
+    separable: bool = False
 
     @property
     def dim(self) -> int:
@@ -287,9 +289,9 @@ def _symmetrize(m: sp.spmatrix) -> tuple[sp.csr_matrix, float]:
     return out, rel
 
 
-def _finish(matrix, kind, w_red, grid=None, ygrid=None, x_diag=None) -> HermitianOperator:
+def _finish(matrix, kind, w_red, grid=None, ygrid=None, separable=False) -> HermitianOperator:
     sym, defect = _symmetrize(matrix)
-    return HermitianOperator(sym, kind, w_red, float(defect), grid, ygrid, x_diag)
+    return HermitianOperator(sym, kind, w_red, float(defect), grid, ygrid, separable)
 
 
 def _first_order_blocks(grid: Grid2D, params: Params):
@@ -319,7 +321,7 @@ def assemble_T(grid: Grid2D, params: Params) -> HermitianOperator:
     """Free half-plane operator with the u1 = u2 edge condition."""
     A11, S, A22, _ = _first_order_blocks(grid, params)
     M, w_red = _reduce(grid, A11, S, S, A22)
-    return _finish(M, FIRST_ORDER, w_red, grid=grid, x_diag=np.full(grid.nx, params.delta))
+    return _finish(M, FIRST_ORDER, w_red, grid=grid, separable=True)
 
 
 def _potential_samples(grid: Grid2D, potential: PotentialSpec) -> np.ndarray:
@@ -338,8 +340,7 @@ def assemble_H(grid: Grid2D, params: Params, potential: PotentialSpec) -> Hermit
     V = _potential_samples(grid, potential)
     SV = S + W2 @ sp.diags(V.ravel())
     M, w_red = _reduce(grid, A11, SV, SV, A22)
-    x_diag = params.delta + V[0] if np.all(V == V[0]) else None
-    return _finish(M, FIRST_ORDER, w_red, grid=grid, x_diag=x_diag)
+    return _finish(M, FIRST_ORDER, w_red, grid=grid, separable=bool(np.all(V == V[0])))
 
 
 def assemble_H_eps(
@@ -394,7 +395,7 @@ def assemble_square_form(
     )
     zero = sp.csr_matrix(G.shape)
     M, w_red = _reduce(grid, G, zero, zero, G)
-    return _finish(M, SQUARE_FORM, w_red, grid=grid)
+    return _finish(M, SQUARE_FORM, w_red, grid=grid, separable=True)
 
 
 def apply(op: HermitianOperator, u: SpinorField) -> SpinorField:

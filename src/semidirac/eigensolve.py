@@ -15,13 +15,14 @@ always in the symmetric minimum-degree order (MMD on A + A^T):
   named in the certificate ("route"):
   - "identity", for the operators that separate (T, an H whose potential
     does not vary in y, the square forms): the count is read off the
-    exact spectrum of the Kronecker-sum identity, rebuilt from the fiber
-    family and checked on the assembled matrix (fiber.separable_identity,
-    cached as HermitianOperator.identity); by Weyl's inequality it is
-    certified when no identity eigenvalue lies within the margin, the
-    defect plus the structural and rounding terms, of a window edge.  The
-    certificate carries the defect and the margin.  Nothing is factored,
-    and the operator's real form and blocks are not built;
+    exact spectrum of the identity M = kron(P, I) + kron(Q, X), whose
+    factors are read off the assembled matrix and checked on it
+    (fiber.separable_identity, cached as HermitianOperator.identity);
+    by Weyl's inequality it is certified when no identity eigenvalue lies
+    within the margin, the defect plus the structural and rounding terms,
+    of a window edge.  The certificate carries the defect and the margin.
+    Nothing is factored, and the operator's real form and blocks are not
+    built;
   - "inertia", for everything else (a box well, H_eps, the fibers, bare
     matrices) and for a separable operator whose identity eigenvalue
     lies within the margin of an edge: the pivot signs of a

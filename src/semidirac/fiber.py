@@ -29,8 +29,9 @@ off-diagonal block of R_B), depends on neither xi nor delta.  So R^2 =
 Kahan, SIAM J. Numer. Anal. B 2, 205, 1965).  R splits into two
 decoupled blocks, each a path, and on each path the
 coupling-free part is a tridiagonal with zero diagonal, the Golub-Kahan
-form, whose eigenvalues are +-s_i: FiberFamily.golub_kahan reads the s_i
-off the two tridiagonals with O(ny) storage, once per y grid, and
+form, whose eigenvalues are +-s_i: _golub_kahan reads the s_i off the
+two tridiagonals with O(ny) storage, once per y grid for the fibers
+(FiberFamily.golub_kahan) and once per first-order 2D identity, and
 block_spectra serves every coupling, block by block, from that solve.
 Because the x weights are uniform, the x factor of T and of an x-only H
 is the one symmetric matrix Kx + diag(vx); each of its eigenvalues mu
@@ -41,9 +42,15 @@ fiber table reads each fiber's min |lambda| as xi^2 + delta, and
 scan.free_edge the free 2D edge as delta + lambda_min(Kx), with no solve.
 
 The identity is also a certificate for the 2D assemblies
-(separable_identity): N = kron(M_B, I) + kron(M_J, S), S = Kx +
-diag(delta + vx), is rebuilt from the family and compared with the
-assembled M, and the defect ||M - N||_inf, what the closed form drops of
+(separable_identity).  T, an H whose potential does not vary in y and the
+square forms each have the form M = kron(P, I) + kron(Q, X) in the reduced
+layout (y outer, x inner), a Kronecker structure (Horn and Johnson, Topics
+in Matrix Analysis, 4.4): for the first-order operators P = M_B, Q = M_J
+and X = S = Kx + diag(delta + vx), for the square form P = Y - Y[0, 0] I,
+Q = I and X = Y[0, 0] I + S^2, with Y the weight-scaled forward-difference
+y stiffness folded onto the 2 ny - 1 edge-identified unknowns.
+separable_identity reads the three off M once and checks them on it: the
+defect ||M - kron(P, I) - kron(Q, X)||_inf, what the closed form drops of
 the rotated parts and the rounding of each step give a margin; by
 Weyl's inequality (Horn and Johnson, Matrix Analysis, 4.3) no eigenvalue
 of M lies farther than that margin from its identity counterpart, so
@@ -57,19 +64,15 @@ eigvalsh on grids of up to 15 x 9 nodes, against the sparse inertia
 counts of the 2D assemblies up to 60 x 30 and on a Gaussian well at
 161 x 81 and 321 x 161, and its free edge against shift-invert there.
 
-The square form separates the same way: in the reduced layout (y outer,
-x inner) it is exactly Y (x) I + I (x) S^2, with S = Kx + diag(delta + vx)
-and Y the weight-scaled forward-difference y stiffness folded onto the
-2 ny - 1 edge-identified unknowns.  Its eigenpairs are gamma_j + s_i^2 and
-psi_j (x) phi_i (Horn and Johnson, Topics in Matrix Analysis, 4.4; Lynch,
-Rice and Thomas, Numer. Math. 6, 185, 1964).  Both factors are banded,
-and separable_identity reads them off M once: in the conjugation basis Y
-splits into two sectors, the edge with the (e1 + e2)/sqrt(2) columns and
-the i (e1 - e2)/sqrt(2) columns, each tridiagonal along y, and S^2 has
-bandwidth 2.  The identity's count takes only their eigenvalues;
-square_form_pairs solves the same sectors and band for the count lowest
-pairs of each, the sectors' vectors mapped back through the basis (the
-odd sector's columns times -i, a real fold), and
+The square form's eigenpairs are gamma_j + s_i^2 and psi_j (x) phi_i
+over the pairs of Y and of S^2 (Lynch, Rice and Thomas, Numer. Math. 6,
+185, 1964), the eigenvalues of P and X summed.  Both factors are banded:
+in the conjugation basis P splits into two sectors, the edge with the
+(e1 + e2)/sqrt(2) columns and the i (e1 - e2)/sqrt(2) columns, each
+tridiagonal along y, and X has bandwidth 2.  The identity's count takes
+only their eigenvalues; square_form_pairs solves the same sectors and
+band for the count lowest pairs of each, the sectors' vectors mapped back
+through the basis (the odd sector's columns times -i, a real fold), and
 eigensolve.lowest_of_square certifies them on the assembled form.  No
 dense eigh runs: even a 101-node factor enters OpenBLAS's threaded
 kernels, whose idle worker then spins for about 20 ms.
@@ -130,7 +133,6 @@ class FiberFamily:
     basis U; each member carries (R_B + c R_J, U) as its real_form.
     """
 
-    params: Params
     ygrid: YGrid
 
     def _assemble(self, a11, a12) -> HermitianOperator:
@@ -153,39 +155,17 @@ class FiberFamily:
         return op, _rotated(op, self.base[2])
 
     @cached_property
-    def golub_kahan(self) -> tuple[tuple[tuple[np.ndarray, bool], ...], float]:
-        """(per decoupled block: its singular values s and whether it holds
-        an odd number of nodes; ||R_B - its path tridiagonals||_inf).
+    def golub_kahan(self) -> tuple[tuple[np.ndarray, bool], ...]:
+        """Per decoupled block of R_B, its singular values and whether it
+        holds an odd number of nodes (_golub_kahan), once per y grid."""
+        return _golub_kahan(self.base[1], self.ygrid.ny)[0]
 
-        Every member's real form splits into two blocks, each a path: block
-        b runs through the rows j = b, ..., ny - 1, starting in the u1 + u2
-        sector (real-basis index j) and alternating with the i (u1 - u2)
-        sector (index ny + j - 1), since R_B links a row only to its
-        neighbours in the other sector and R_J = J0 = diag(I, -I) links
-        nothing; block 0 holds the edge.  On its path R_B is a tridiagonal K with zero
-        diagonal (the Golub-Kahan form of its part of B) whose eigenvalues
-        are +-s, and a 0 if the path is odd; eigvalsh_tridiagonal returns
-        them with O(ny) storage.  J0 alternates in sign along the path, so
-        it anticommutes with K and (c J0 + K)^2 = c^2 + K^2: the block of
-        the fiber with coupling c has the eigenvalues +-sqrt(c^2 + s^2),
-        and on an odd path also c J0 = c at its first node, where K's null
-        vector lives.  The norm is what the path tridiagonals drop of R_B
-        (separable_identity).
-        """
-        ny = self.ygrid.ny
-        j = np.arange(ny)
-        paths = [np.where((j[b:] - b) % 2 == 0, j[b:], ny + j[b:] - 1) for b in (0, 1)]
-        parts, off_path = _tridiagonals(self.base[1], paths, diagonal=False)
-        singular = tuple((eigvalsh_tridiagonal(d, e)[d.size - d.size // 2:], d.size % 2 == 1)
-                         for d, e in parts)
-        return singular, off_path
-
-    def __call__(self, xi: float) -> HermitianOperator:
-        """The fiber at momentum xi; its coupling is fiber_edge(xi, params)."""
-        if not np.isfinite(xi):
-            raise ValueError(f"xi must be finite, got {xi}")
+    def __call__(self, c: float) -> HermitianOperator:
+        """The member with coupling c; the momentum fiber at xi has
+        c = fiber_edge(xi, params)."""
+        if not np.isfinite(c):
+            raise ValueError(f"the coupling must be finite, got {c}")
         (b, real_b, basis), (j, real_j) = self.base, self.unit
-        c = fiber_edge(xi, self.params)
         # a real multiple of one exactly Hermitian matrix added to another
         # is exactly Hermitian; the discarded defects are those of the parts
         op = HermitianOperator(b.matrix + c * j.matrix, FIRST_ORDER, b.weights,
@@ -203,25 +183,52 @@ def _rotated(op: HermitianOperator, basis: sp.csr_matrix) -> sp.csr_matrix:
     return real
 
 
+def _golub_kahan(real_b: sp.csr_matrix, ny: int):
+    """(per decoupled block: its singular values s and whether it holds
+    an odd number of nodes; ||real_b - its path tridiagonals||_inf), for
+    the real form real_b of a coupling-free part on ny rows.
+
+    Every member's real form splits into two blocks, each a path: block
+    b runs through the rows j = b, ..., ny - 1, starting in the u1 + u2
+    sector (real-basis index j) and alternating with the i (u1 - u2)
+    sector (index ny + j - 1), since R_B links a row only to its
+    neighbours in the other sector and R_J = J0 = diag(I, -I) links
+    nothing; block 0 holds the edge.  On its path R_B is a tridiagonal K
+    with zero diagonal (the Golub-Kahan form of its part of B) whose
+    eigenvalues are +-s, and a 0 if the path is odd; eigvalsh_tridiagonal
+    returns them with O(ny) storage.  J0 alternates in sign along the
+    path, so it anticommutes with K and (c J0 + K)^2 = c^2 + K^2: the
+    block of the fiber with coupling c has the eigenvalues
+    +-sqrt(c^2 + s^2), and on an odd path also c J0 = c at its first
+    node, where K's null vector lives.  The norm is what the path
+    tridiagonals drop of real_b (separable_identity).
+    """
+    j = np.arange(ny)
+    paths = [np.where((j[b:] - b) % 2 == 0, j[b:], ny + j[b:] - 1) for b in (0, 1)]
+    parts, off_path = _tridiagonals(real_b, paths, diagonal=False)
+    singular = tuple((eigvalsh_tridiagonal(d, e)[d.size - d.size // 2:], d.size % 2 == 1)
+                     for d, e in parts)
+    return singular, off_path
+
+
 def fiber_operator(xi: float, params: Params, ny: int, y_max: float) -> HermitianOperator:
     """Exactly Hermitian discretization of one momentum fiber: the member
-    of FiberFamily(params, YGrid(y_max, ny)) at xi."""
-    return FiberFamily(params, YGrid(float(y_max), int(ny)))(xi)
+    of FiberFamily(YGrid(y_max, ny)) with coupling fiber_edge(xi, params)."""
+    return FiberFamily(YGrid(float(y_max), int(ny)))(fiber_edge(xi, params))
 
 
-def block_spectra(couplings, family: FiberFamily) -> list[np.ndarray]:
-    """Exact spectra of the family's fibers with the given couplings, per
-    decoupled block (FiberFamily.golub_kahan).
+def block_spectra(couplings, singular) -> list[np.ndarray]:
+    """Exact spectra of the fibers with the given couplings, per decoupled
+    block, from the blocks' Golub-Kahan singular values (_golub_kahan).
 
     Entry b is an array whose row i holds, unsorted, the eigenvalues in
     block b of the fiber with coupling couplings[i]: +-sqrt(c^2 + s^2)
-    over the block's Golub-Kahan singular values s, and c itself in the
-    block with an odd number of nodes (FiberFamily.golub_kahan).  No
-    coupling is assembled.
+    over the block's singular values s, and c itself in the block with an
+    odd number of nodes.  No coupling is assembled.
     """
     c = np.asarray(couplings, dtype=np.float64).reshape(-1, 1)
     out = []
-    for sigma, odd in family.golub_kahan[0]:
+    for sigma, odd in singular:
         root = np.hypot(c, sigma)
         out.append(np.hstack([-root, c, root] if odd else [-root, root]))
     return out
@@ -236,7 +243,7 @@ def fiber_spectra(couplings, ygrid: YGrid) -> np.ndarray:
     derivative block B (module docstring), the blocks of block_spectra
     joined.
     """
-    spectra = block_spectra(couplings, FiberFamily(Params(1.0), ygrid))
+    spectra = block_spectra(couplings, FiberFamily(ygrid).golub_kahan)
     return np.sort(np.hstack(spectra), axis=1)
 
 
@@ -259,14 +266,14 @@ class SeparableIdentity:
     decoupled block, and how far the operator may lie from it
     (separable_identity).
 
-    blocks[b] holds, unsorted, the eigenvalues of block b of the identity
-    matrix N*, in the order of HermitianOperator.blocks; defect is
-    ||M - N||_inf for the rebuilt N; by Weyl's inequality each eigenvalue
-    of M, and of each block of its real form, lies within margin of its
-    counterpart in blocks.  factors (square forms only) keeps what the
-    pairs are solved from, each O(nx + ny): per sector of Y its tridiagonal
-    and the fold of its columns onto A's unknowns, X's lower band of width
-    2 and M[0, 0].
+    blocks[b] holds, unsorted, the eigenvalues of block b of the closed
+    form N*, in the order of HermitianOperator.blocks; defect is
+    ||M - kron(P, I) - kron(Q, X)||_inf; by Weyl's inequality each
+    eigenvalue of M, and of each block of its real form, lies within
+    margin of its counterpart in blocks.  factors (square forms only)
+    keeps what the pairs are solved from, each O(nx + ny): per sector of
+    P its tridiagonal and the fold of its columns onto P's unknowns, and
+    X's lower band of width 2.
     """
 
     blocks: tuple[np.ndarray, ...]
@@ -277,78 +284,67 @@ class SeparableIdentity:
 
 def separable_identity(op: HermitianOperator) -> SeparableIdentity | None:
     """The identity spectrum of op checked on its assembled matrix M, or
-    None when op does not separate: no 2-d grid (the fibers), or a
-    first-order operator without x_diag (a potential that varies in y,
-    H_eps).
+    None when op does not separate (HermitianOperator.separable is False:
+    the fibers, a potential that varies in y, H_eps) or when P or Q does
+    not rotate to a real matrix.
 
-    First order: N = kron(M_B, I) + kron(M_J, S), with M_B and M_J from
-    the FiberFamily of op's y grid and S = Kx + diag(op.x_diag).  N* takes
-    the fibers' real forms as the closed form has them, R_B as its path
-    tridiagonals and R_J as J0 = diag(I, -I), so block b of N* is the
-    union of block b of the fibers whose couplings are the eigenvalues of
-    S (block_spectra).  Square form: N = kron(A, I) + kron(I, X) - M[0, 0] I
-    with A = M[::nx, ::nx] and X = M[:nx, :nx], read off M once.  N* takes
-    the real form of A as the tridiagonals of its two sectors, which are
-    the blocks, and X as its band of width 2; block b holds
-    alpha + x - M[0, 0] over the eigenvalues alpha of sector b and x of X;
-    None if A does not rotate to a real matrix.
+    M = kron(P, I) + kron(Q, X) is read off M once: X = M[:nx, :nx], Q =
+    M[i::nx, j::nx] / X[i, j] at the off-diagonal entry of X largest in
+    size, and P = M[::nx, ::nx] - X[0, 0] Q; P and Q are rotated by the
+    y grid's conjugation basis U.  The closed form N* keeps X as its band
+    of width 2 and, by the operator's kind:
+    - first order: R_P as its Golub-Kahan paths and R_Q as J0 =
+      diag(I, -I), so block b of N* is the union of block b of the
+      fibers whose couplings are the eigenvalues of X (block_spectra);
+    - square form: R_P as the tridiagonals of its two sectors, which are
+      the blocks, and R_Q as I; block b holds alpha + x over the
+      eigenvalues alpha of sector b and x of X.
 
-    margin = defect + what N* drops from N's parts (||R_J - J0||_inf
-    scaled by ||S||_inf) + the rounding of the steps that lead from M to
-    the spectrum: forming N, rotating the parts and the LAPACK eigenvalue
-    solves, each a backward stable step of order n on an input A that
-    errs by at most n eps ||A||_inf (Parlett, The Symmetric Eigenvalue
-    Problem, chs. 7-8).  Each term bounds a Hermitian difference, whose
-    infinity norm bounds its 2-norm, so margin bounds ||M - U N* U^H||_2
-    (U the conjugation basis) and that of every block of the difference.
+    margin = defect + what N* drops (R_P off its paths or sectors, R_Q off
+    J0 or I times ||X||_inf, X off its band) + the rounding of the steps
+    that lead from M to the spectrum: forming N, rotating P and Q and the
+    LAPACK eigenvalue solves, each a backward stable step of order n on an
+    input A that errs by at most n eps ||A||_inf (Parlett, The Symmetric
+    Eigenvalue Problem, chs. 7-8).  Each term bounds a Hermitian
+    difference, whose infinity norm bounds its 2-norm, so margin bounds
+    ||M - (U (x) I) N* (U (x) I)^H||_2 and that of every block of the
+    difference.
     """
-    if op.grid is None:
+    if not op.separable:
         return None
-    if op.kind == FIRST_ORDER:
-        return None if op.x_diag is None else _first_order_identity(op)
-    return _square_form_identity(op)
-
-
-def _first_order_identity(op: HermitianOperator) -> SeparableIdentity:
-    grid, ny = op.grid, op.grid.ny
-    family = FiberFamily(Params(1.0), YGrid(grid.y_max, ny))
-    m_b, m_j, real_j = family.base[0].matrix, family.unit[0].matrix, family.unit[1]
-    off_j0 = _inf_norm(real_j - sp.diags(np.r_[np.ones(ny), -np.ones(ny - 1)]))
-    s = (stiffness_x(grid.nx, grid.hx) + sp.diags(op.x_diag)).tocsr()
-    rebuilt = sp.kron(m_b, sp.identity(grid.nx), format="csr") + sp.kron(m_j, s, format="csr")
-    defect = _inf_norm(op.matrix - rebuilt)
-    norm_b, norm_j, norm_s = _inf_norm(m_b), _inf_norm(m_j), _inf_norm(s)
-    rounding = np.finfo(float).eps * (op.dim * (norm_b + norm_j * norm_s)
-                                      + grid.nx * norm_s + (2 * ny - 1) * norm_b)
-    couplings = eigvalsh_tridiagonal(s.diagonal(), s.diagonal(1))
-    return SeparableIdentity(tuple(np.ravel(lam) for lam in block_spectra(couplings, family)),
-                             defect, defect + family.golub_kahan[1] + off_j0 * norm_s + rounding)
-
-
-def _square_form_identity(op: HermitianOperator) -> SeparableIdentity | None:
     m, nx, ny = op.matrix, op.grid.nx, op.grid.ny
-    a, x, corner = m[::nx, ::nx], m[:nx, :nx], float(m[0, 0])
-    rebuilt = (sp.kron(a, sp.identity(nx), format="csr")
-               + sp.kron(sp.identity(2 * ny - 1), x) - corner * sp.identity(op.dim))
-    defect = _inf_norm(m - rebuilt)
+    x = m[:nx, :nx]
+    # X is Hermitian, so its upper triangle holds every off-diagonal size
+    upper = sp.triu(x, 1).tocoo()
+    k = np.argmax(np.abs(upper.data))
+    q = m[upper.row[k]::nx, upper.col[k]::nx] / upper.data[k]
+    p = m[::nx, ::nx] - x[0, 0] * q
+    defect = _inf_norm(m - sp.kron(p, sp.identity(nx), format="csr") - sp.kron(q, x, format="csr"))
     basis = conjugation_basis(YGrid(op.grid.y_max, ny))
-    real_a = _real_rotation(a, basis)
-    if real_a is None:
+    real_p, real_q = _real_rotation(p, basis), _real_rotation(q, basis)
+    if real_p is None or real_q is None:
         return None
-    sectors = (np.arange(ny), np.arange(ny, 2 * ny - 1))
-    parts, off_sectors = _tridiagonals(real_a, sectors)
-    x_band = np.array([np.pad(x.diagonal(-d), (0, d)) for d in range(3)])
-    off_band = _inf_norm(x - sp.tril(sp.triu(x, -2), 2))
+    x_band = np.array([np.pad(x.diagonal(-d).real, (0, d)) for d in range(3)])
     x_vals = eig_banded(x_band, lower=True, eigvals_only=True)
-    norm_a, norm_x = _inf_norm(a), _inf_norm(x)
-    rounding = np.finfo(float).eps * (op.dim * (norm_a + norm_x + abs(corner))
-                                      + (2 * ny - 1) * norm_a + nx * norm_x)
-    blocks = tuple(np.add.outer(eigvalsh_tridiagonal(d, e), x_vals - corner).ravel()
-                   for d, e in parts)
-    # the odd sector's columns i (e1 - e2)/sqrt(2), times -i, are real
-    fold = (basis @ sp.diags(np.r_[np.ones(ny), np.full(ny - 1, -1j)])).real.tocsc()
-    factors = (tuple((d, e, fold[:, idx]) for (d, e), idx in zip(parts, sectors)), x_band, corner)
-    return SeparableIdentity(blocks, defect, defect + off_sectors + off_band + rounding, factors)
+    if op.kind == FIRST_ORDER:
+        sign = np.r_[np.ones(ny), -np.ones(ny - 1)]
+        singular, off_p = _golub_kahan(real_p, ny)
+        blocks = tuple(np.ravel(lam) for lam in block_spectra(x_vals, singular))
+        factors = None
+    else:
+        sign = np.ones(2 * ny - 1)
+        sectors = (np.arange(ny), np.arange(ny, 2 * ny - 1))
+        parts, off_p = _tridiagonals(real_p, sectors)
+        blocks = tuple(np.add.outer(eigvalsh_tridiagonal(d, e), x_vals).ravel() for d, e in parts)
+        # the odd sector's columns i (e1 - e2)/sqrt(2), times -i, are real
+        fold = (basis @ sp.diags(np.r_[np.ones(ny), np.full(ny - 1, -1j)])).real.tocsc()
+        factors = (tuple((d, e, fold[:, idx]) for (d, e), idx in zip(parts, sectors)), x_band)
+    norm_x = _inf_norm(x)
+    off_q = _inf_norm(real_q - sp.diags(sign)) * norm_x
+    off_band = _inf_norm(x - sp.tril(sp.triu(x, -2), 2).real)
+    scale = _inf_norm(p) + _inf_norm(q) * norm_x
+    rounding = np.finfo(float).eps * ((op.dim + 2 * ny - 1) * scale + nx * norm_x)
+    return SeparableIdentity(blocks, defect, defect + off_p + off_q + off_band + rounding, factors)
 
 
 def _tridiagonals(a: sp.csr_matrix, paths, diagonal: bool = True):
@@ -372,22 +368,21 @@ def square_form_pairs(op: HermitianOperator, count: int):
     """The count lowest eigenpairs of an assembled square form, ascending,
     solved from the factors its identity kept (op.identity; module docstring).
 
-    M[::nx, ::nx] = Y + S^2[0, 0] I and M[:nx, :nx] = Y[0, 0] I + S^2, so
-    gamma_j + s_i^2 is the sum of Y's eigenvalue and X's less M[0, 0], with
-    the vector psi_j (x) phi_i.  The count lowest sums take j among the
-    count lowest of each sector of Y and i among the count lowest of X,
-    which LAPACK's tridiagonal (stebz/stein) and banded (sbevx) drivers
-    select by index: storage grows as count (nx + ny), not nx^2 + ny^2.
+    P = Y - Y[0, 0] I and X = Y[0, 0] I + S^2, so gamma_j + s_i^2 is the
+    sum of P's eigenvalue and X's, with the vector psi_j (x) phi_i.  The
+    count lowest sums take j among the count lowest of each sector of P
+    and i among the count lowest of X, which LAPACK's tridiagonal
+    (stebz/stein) and banded (sbevx) drivers select by index: storage
+    grows as count (nx + ny), not nx^2 + ny^2.
     """
-    sectors, x_band, corner = op.identity.factors
+    sectors, x_band = op.identity.factors
     solves = [eigh_tridiagonal(d, e, select="i", select_range=(0, min(count, d.size) - 1))
               for d, e, _ in sectors]
     gamma = np.concatenate([g for g, _ in solves])
     psi = np.hstack([fold @ z for (_, z), (_, _, fold) in zip(solves, sectors)])
     kx = min(count, x_band.shape[1])
     s2, phi = eig_banded(x_band, lower=True, select="i", select_range=(0, kx - 1))
-    sums = np.add.outer(gamma, s2 - corner).ravel()
+    sums = np.add.outer(gamma, s2).ravel()
     pick = np.argsort(sums, kind="stable")[:count]
     j, i = np.divmod(pick, kx)
     return sums[pick], (psi[:, None, j] * phi[None, :, i]).reshape(-1, count)
-

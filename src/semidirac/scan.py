@@ -442,13 +442,14 @@ def _inertia_bracket(op, xi: float, m: float) -> dict:
     dense_eigs' residual gate, read off the matrix without a solve
     (||M||_inf >= max |lambda|).  The single count at m + w also certifies
     that the next level sqrt(c^2 + s_1^2) lies outside the bracket.  The
-    counts come from an assembled matrix, the FiberFamily member at xi,
-    whose coupling the family computes from (xi, params) itself and never
-    takes from m: so a wrong identity fails here rather than landing in
-    the table.  count_within factors M^2 - r^2 I, whose roundoff is about
-    eps ||M||^2 against a margin of 2 m w, so m below about 1e-6 ||M||
-    cannot be certified and raises.  A radius at or below zero holds no
-    eigenvalue and is not factored.
+    counts come from an assembled matrix, the FiberFamily member with
+    coupling fiber_edge(xi, params): where its eigenvalues lie is the
+    assembly's answer, not the closed form's, so a wrong identity (an
+    unpaired eigenvalue off the coupling, or a paired level below it)
+    fails here rather than landing in the table.  count_within factors
+    M^2 - r^2 I, whose roundoff is about eps ||M||^2 against a margin of
+    2 m w, so m below about 1e-6 ||M|| cannot be certified and raises.  A
+    radius at or below zero holds no eigenvalue and is not factored.
     """
     w = 1e-10 * _inf_norm(op.matrix)
     radii = [m - w, m + w]
@@ -471,11 +472,11 @@ def fiber_table(params: Params, xi_values, ny: int, y_max: float) -> tuple[list,
     _inertia_bracket.  Returns (rows, checks, detail): the detail names
     that route and holds the brackets, and union_edge where xi_values
     hold 0."""
-    family = FiberFamily(params, YGrid(float(y_max), int(ny)))
+    family = FiberFamily(YGrid(float(y_max), int(ny)))
     rows, brackets = [], []
     for xi in xi_values:
         edge = fiber_edge(xi, params)
-        brackets.append(_inertia_bracket(family(xi), float(xi), edge))
+        brackets.append(_inertia_bracket(family(edge), float(xi), edge))
         rows.append({"xi": float(xi), "edge_analytic": edge, "min_abs_lambda": edge,
                      "rel_err": 0.0})
     checks = {"edges_within_5pct": all(r["rel_err"] <= 0.05 for r in rows)}

@@ -607,8 +607,11 @@ def test_fiber_table_is_certified_by_inertia(tmp_path, capsys, monkeypatch, doc,
 
 
 def test_fiber_table_refuses_a_spectrum_the_inertia_contradicts(tmp_path, capsys, monkeypatch):
-    exact = semidirac.scan.fiber_edge
-    monkeypatch.setattr(semidirac.scan, "fiber_edge", lambda xi, p: exact(xi, p) + 1e-6)
+    # every assembled member's unpaired eigenvalue sits 1e-6 below the
+    # coupling the table reads as its min |lambda|
+    member = semidirac.fiber.FiberFamily.__call__
+    monkeypatch.setattr(semidirac.fiber.FiberFamily, "__call__",
+                        lambda self, c: member(self, c - 1e-6))
     cfg = write_config(tmp_path, {"params": {"delta": 1.0}, "fiber": {"ny": 80}})
     out = tmp_path / "out"
     assert main(["fiber", "--config", cfg, "--out", str(out)]) == 3

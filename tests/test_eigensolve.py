@@ -250,8 +250,8 @@ def test_lowest_of_square_builds_its_identity_once(monkeypatch):
     import semidirac.fiber
 
     builds = []
-    build = semidirac.fiber._square_form_identity
-    monkeypatch.setattr(semidirac.fiber, "_square_form_identity",
+    build = semidirac.fiber.separable_identity
+    monkeypatch.setattr(semidirac.fiber, "separable_identity",
                         lambda op: builds.append(op) or build(op))
     S = gaussian_square_form(41, 21)
     rep = lowest_of_square(S, k=2)

@@ -125,9 +125,9 @@ def per_fiber_operator(xi, params, ny, y_max):
 )
 def test_family_members_equal_the_per_fiber_assembly(xis, delta, ny, y_max):
     params = Params(delta)
-    family = FiberFamily(params, YGrid(y_max, ny))
+    family = FiberFamily(YGrid(y_max, ny))
     for xi in xis:
-        want, got = per_fiber_operator(xi, params, ny, y_max), family(xi)
+        want, got = per_fiber_operator(xi, params, ny, y_max), family(fiber_edge(xi, params))
         a, b = want.matrix, got.matrix
         norm = abs(a).sum(axis=1).max()
         ulp = np.finfo(np.float64).eps * norm
@@ -211,7 +211,7 @@ def test_square_form_pairs_are_its_lowest_pairs(x_min, width, y_max, nx, ny, del
 
 def planted(op, row, col):
     """A copy of the square form whose entries (row, col) and (col, row)
-    are set to 1e-3."""
+    are set to 1e-3 (row and col may be index arrays, set pairwise)."""
     m = op.matrix.tolil(copy=True)
     m[row, col] = m[col, row] = 1e-3
     return replace(op, matrix=m.tocsr())
@@ -233,12 +233,18 @@ def test_square_form_pairs_refuse_an_entry_off_the_y_path():
 def test_square_form_pairs_refuse_an_entry_past_the_x_band():
     """The band solve of X drops an entry three steps off its diagonal; the
     identity's margin counts it, and the pairs fail the re-check on the
-    assembled form."""
+    assembled form.  Planted on every y row, the entry keeps M an exact
+    Kronecker sum, so the band's drop alone holds the margin."""
     op = assemble_square_form(Grid2D(-3.0, 3.0, 3.0, 13, 9), P1, None)
     bad = planted(op, 0, 3)
     assert bad.identity.margin >= 1e-3
     with pytest.raises(ConvergenceError, match="identity pair residual"):
         lowest_of_square(bad, 1)
+    rows = np.arange(0, op.dim, 13)
+    every = planted(op, rows, rows + 3)
+    assert every.identity.defect == 0.0 and every.identity.margin >= 1e-3
+    with pytest.raises(ConvergenceError, match="identity pair residual"):
+        lowest_of_square(every, 1)
 
 
 def test_fiber_spectra_rows_follow_their_couplings():

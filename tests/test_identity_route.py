@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from semidirac import (
     count_within,
     fiber_operator,
     gap_eigs,
+    lowest_of_square,
 )
 from semidirac.assembly import YGrid, stiffness_x
 from semidirac.eigensolve import _sparse_below, _sparse_within
@@ -37,6 +39,7 @@ from test_inertia_properties import count_margin
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
 P1 = Params(1.0)
 GRID = Grid2D(-3.0, 3.0, 3.0, 13, 9)
+FAMILY = FiberFamily(YGrid(GRID.y_max, GRID.ny))
 
 
 @st.composite
@@ -133,7 +136,7 @@ def test_an_empty_window_forces_no_rotation():
 
 def test_a_box_well_is_counted_by_inertia():
     H = assemble_H(GRID, P1, BoxPotential(0.5, 2.5, -2.0))
-    assert H.x_diag is None and separable_identity(H) is None
+    assert not H.separable and separable_identity(H) is None
     cert = count_within(H, 0.9)
     assert cert["route"] == "inertia" and cert["count"] == dense_within(H, 0.9)
 
@@ -189,23 +192,58 @@ def test_a_planted_shift_past_the_margin_is_counted_by_inertia():
     assert cert["count"] == 0
 
 
-def test_a_coupling_off_its_structure_is_counted_by_inertia(monkeypatch):
-    """A unit coupling M_J scaled by 1 + eps rotates to (1 + eps) J0, not
-    J0.  The matrix rebuilt from it has no defect, but the closed form's
-    unpaired eigenvalue c moves to c (1 + eps); the structural defect eps
-    ||S|| keeps a window edge at c (1 + eps / 2) inside the margin."""
+def with_coupling(coupling):
+    """T on GRID with its unit coupling M_J replaced by coupling:
+    kron(M_B, I) + kron(coupling, S), S = Kx + delta I."""
+    s = stiffness_x(GRID.nx, GRID.hx) + P1.delta * sp.identity(GRID.nx)
+    matrix = sp.kron(FAMILY.base[0].matrix, sp.identity(GRID.nx)) + sp.kron(coupling, s)
+    return replace(assemble_T(GRID, P1), matrix=matrix.tocsr())
+
+
+def test_a_scaled_coupling_is_certified_off_the_identity():
+    """kron(M_B, I) + kron((1 + eps) M_J, S) still has the form
+    kron(P, I) + kron(Q, X): the reader takes X = (1 + eps) S and Q = M_J,
+    so the closed form's unpaired eigenvalue c (1 + eps) is M's, and a
+    window edge at c (1 + eps / 2) is certified off the identity with
+    dense's count."""
     eps = 1e-6
-    family = FiberFamily(P1, YGrid(GRID.y_max, GRID.ny))
-    (m_b, _, _), (m_j, real_j) = family.base, family.unit
-    scaled = (replace(m_j, matrix=(1.0 + eps) * m_j.matrix), (1.0 + eps) * real_j)
-    monkeypatch.setattr(FiberFamily, "unit", property(lambda self: scaled))
-    T = assemble_T(GRID, P1)
-    s = stiffness_x(GRID.nx, GRID.hx) + sp.diags(T.x_diag)
-    op = replace(T, matrix=(sp.kron(m_b.matrix, sp.identity(GRID.nx))
-                            + sp.kron(scaled[0].matrix, s)).tocsr())
+    op = with_coupling((1.0 + eps) * FAMILY.unit[0].matrix)
     r = free_edge(GRID, P1) * (1.0 + 0.5 * eps)
-    identity = separable_identity(op)
-    assert identity.defect == 0.0 and identity.margin >= eps * free_edge(GRID, P1)
+    assert separable_identity(op).margin < 1e-10
+    cert = count_within(op, r)
+    assert cert["route"] == "identity"
+    assert cert["count"] == dense_within(op, r) == 0
+
+
+def test_a_coupling_off_its_structure_is_counted_by_inertia():
+    """A unit coupling with a symmetric eps entry from u1 row j to u2 row
+    j + 1, and its image under the conjugation C (u2 row j to u1 row
+    j + 1), still rotates to a real Q, and M is still kron(P, I) +
+    kron(Q, X).  But R_Q is not J0, which the closed form takes: the
+    structural term eps ||X||_inf widens the margin, and a window edge
+    next to the free edge is counted by inertia, which agrees with dense."""
+    eps, ny, j = 1e-6, GRID.ny, 2
+    # u1 row k is unknown k, u2 row k >= 1 is unknown ny + k - 1
+    rows, cols = [j, ny + j - 1], [ny + j, j + 1]
+    off = sp.csr_matrix((np.full(4, eps), (rows + cols, cols + rows)), shape=(2 * ny - 1,) * 2)
+    op = with_coupling(FAMILY.unit[0].matrix + off)
+    x_norm = abs(op.matrix[:GRID.nx, :GRID.nx]).sum(axis=1).max()
+    assert separable_identity(op).margin >= eps * x_norm
+    r = free_edge(GRID, P1) * (1.0 + 0.5 * eps)
     cert = count_within(op, r)
     assert cert["route"] == "inertia"
-    assert cert["count"] == dense_within(op, r) == 0
+    assert cert["count"] == dense_within(op, r)
+
+
+def test_a_zero_entry_of_x_is_not_read():
+    """A well v0 = v1 = -(2/hx^2 + delta) zeroes S's first two diagonal
+    entries, so the square form's X[0, 1] = S01 (S00 + S11) is exactly 0.
+    The reader takes Q at X's largest off-diagonal entry instead, and the
+    bottom is certified off the identity."""
+    v = np.zeros(GRID.nx)
+    v[:2] = -(2.0 / GRID.hx**2 + P1.delta)
+    S = assemble_square_form(GRID, P1, XOnlyPotential(v))
+    assert S.matrix[0, 1] == 0.0
+    rep = lowest_of_square(S, 1)
+    assert rep.certificate["below"]["route"] == "identity"
+    assert rep.eigenvalues[0] == pytest.approx(1.780564137425852, rel=1e-12)

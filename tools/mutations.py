@@ -51,25 +51,29 @@ MUTATIONS = (
              "tests/test_eigensolve.py::test_lowest_of_square_refuses_a_skipped_pair"),
     Mutation("eigensolve.py", "    if op.identity is None:\n", "    if False:\n",
              "tests/test_fiber.py::test_square_form_pairs_refuse_an_entry_off_the_y_path"),
-    # the square form's identity margin without its defect on M
-    Mutation("fiber.py", "defect, defect + off_sectors + off_band + rounding,",
-             "defect, off_sectors + off_band + rounding,",
+    # the identity's one margin without each of its terms: the defect on M
+    # (a planted shift off the square form's read entries), the structural
+    # term of R_Q (a coupling off J0), the drop of R_P off its paths (T
+    # plus a shift, read into P's diagonal) and the drop of X off its band
+    Mutation("fiber.py", "defect + off_p + off_q + off_band + rounding",
+             "off_p + off_q + off_band + rounding",
              "tests/test_identity_route.py::"
              "test_a_planted_shift_past_the_margin_is_counted_by_inertia"),
-    # the first-order identity: no defect in the margin, margin 0, and no
-    # structural terms
-    Mutation("fiber.py", "defect, defect + family.golub_kahan[1] + off_j0 * norm_s + rounding)",
-             "defect, family.golub_kahan[1] + off_j0 * norm_s + rounding)",
+    Mutation("fiber.py", "defect + off_p + off_q + off_band + rounding",
+             "defect + off_p + off_band + rounding",
+             "tests/test_identity_route.py::"
+             "test_a_coupling_off_its_structure_is_counted_by_inertia"),
+    Mutation("fiber.py", "defect + off_p + off_q + off_band + rounding",
+             "defect + off_q + off_band + rounding",
              "tests/test_identity_route.py::"
              "test_a_planted_shift_past_the_margin_is_counted_by_inertia"),
+    Mutation("fiber.py", "defect + off_p + off_q + off_band + rounding",
+             "defect + off_p + off_q + rounding",
+             "tests/test_fiber.py::test_square_form_pairs_refuse_an_entry_past_the_x_band"),
     Mutation("eigensolve.py", "np.all(np.abs(lam - edge) > identity.margin)",
              "np.all(np.abs(lam - edge) > 0.0)",
              "tests/test_identity_route.py::"
              "test_an_edge_on_an_identity_eigenvalue_is_counted_by_inertia"),
-    Mutation("fiber.py", "defect, defect + family.golub_kahan[1] + off_j0 * norm_s + rounding)",
-             "defect, defect + rounding)",
-             "tests/test_identity_route.py::"
-             "test_a_coupling_off_its_structure_is_counted_by_inertia"),
     # both quadrature orders lowered by 20
     Mutation("quasimode.py", "gauss_2d(BUMP_SUPPORT, 80)", "gauss_2d(BUMP_SUPPORT, 60)",
              "tests/test_quasimode.py::test_quadrature_orders_are_frozen"),
