@@ -53,14 +53,26 @@ always in the symmetric minimum-degree order (MMD on A + A^T):
 
 Determinism: all randomized starts come from a caller-seeded generator,
 matrix-vector products are sequential, and eigenvector phases are fixed so
-the first significant component is real positive.
+the first significant component is real positive.  numpy and scipy each
+bundle their own OpenBLAS with its own thread pool.  SuperLU, ARPACK and
+scipy's banded LAPACK calls run on scipy's, which this module sets to one
+thread at import (_pin_scipy_blas): a second thread there gains no wall
+time and spins a second core, and its threaded sums make the shift-invert
+eigenvalues depend on the thread count in their last bits.  numpy's pool,
+which ``dense_eigs`` runs on, keeps its threads, so the dense oracle's
+last bits still depend on them.  A scipy that does not bundle
+``scipy.libs/libscipy_openblas*.so`` (one not installed from the wheel)
+is left as it is.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
@@ -68,6 +80,19 @@ from .assembly import SQUARE_FORM, HermitianOperator, _inf_norm, edge_embedding
 from .fiber import square_form_pairs
 
 DENSE_CAP_DEFAULT = 4000
+
+
+def _pin_scipy_blas() -> None:
+    """Set scipy's bundled OpenBLAS, already loaded by scipy.sparse.linalg,
+    to one thread; do nothing where scipy bundles none."""
+    libs = Path(scipy.__file__).parent.parent / "scipy.libs"
+    for lib in libs.glob("libscipy_openblas*.so"):
+        set_threads = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_set_num_threads", None)
+        if set_threads is not None:
+            set_threads(1)
+
+
+_pin_scipy_blas()
 
 
 class ConvergenceError(RuntimeError):

@@ -74,8 +74,9 @@ only their eigenvalues; square_form_pairs solves the same sectors and
 band for the count lowest pairs of each, the sectors' vectors mapped back
 through the basis (the odd sector's columns times -i, a real fold), and
 eigensolve.lowest_of_square certifies them on the assembled form.  No
-dense eigh runs: even a 101-node factor enters OpenBLAS's threaded
-kernels, whose idle worker then spins for about 20 ms.
+dense eigh runs: a dense factor stores n^2 floats where its band stores a
+few n, and numpy's divide-and-conquer eigh runs on numpy's threaded
+OpenBLAS, whose sums make the vectors depend on the thread count.
 """
 
 from __future__ import annotations

@@ -676,12 +676,17 @@ def test_fiber_cross_check_fails_on_a_narrow_domain(tmp_path, capsys):
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     """The same fiber table, spectrum (gap and square-form mode) and
     exported matrix bytes under 1 and 2 OpenBLAS threads; the thread count
-    is set in each child's environment only."""
+    is set in each child's environment only.  The 161x81 box well's
+    shift-invert eigenvalues move in their last bits unless scipy's pool
+    runs on one thread."""
     configs = {
         "fiber": {"params": {"delta": 1.0}, "fiber": {"ny": 120}},
         "spectrum": {"params": {"delta": 1.0}, "grid": {**BASE_GRID, "nx": 31, "ny": 17},
                      "potential": {"type": "box", "a": 1.0, "b": 4.0, "value": -3.0},
                      "solver": {"mode": "gap"}},
+        "spectrum-boxwell": {"params": {"delta": 1.0}, "grid": {**BASE_GRID, "nx": 161, "ny": 81},
+                             "potential": {"type": "box", "a": 1.0, "b": 4.0, "value": -2.0},
+                             "solver": {"mode": "gap"}},
         "spectrum-square": {"params": {"delta": 1.0}, "grid": {**BASE_GRID, "nx": 101, "ny": 51},
                             "potential": {"type": "xonly_gaussian", "height": 1.0},
                             "solver": {"mode": "square-form", "k": 3}},
@@ -693,7 +698,7 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
         for name, doc in configs.items():
-            command = name.removesuffix("-square")
+            command = name.removesuffix("-square").removesuffix("-boxwell")
             cfg = write_config(tmp_path, doc, f"{name}.json")
             out = tmp_path / f"{name}-{threads}"
             subprocess.run(
@@ -705,8 +710,28 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     for name in configs:
         assert outputs[name, "1"] == outputs[name, "2"]
     assert outputs["spectrum", "1"].count(b"\n") > 1
+    assert outputs["spectrum-boxwell", "1"].count(b"\n") > 1
     assert outputs["spectrum-square", "1"].count(b"\n") == 4
     assert outputs["export-matrix", "1"].startswith(b"%%MatrixMarket matrix coordinate complex general\n")
+
+
+def test_scipy_blas_runs_on_one_thread_and_numpy_blas_keeps_its_own():
+    """numpy and scipy each bundle an OpenBLAS with its own pool.  Importing
+    semidirac sets scipy's (SuperLU, ARPACK, banded LAPACK) to one thread
+    and leaves numpy's, which dense_eigs runs on, at the environment's 2."""
+    src = str(Path(semidirac.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import ctypes, pathlib, numpy, scipy, semidirac\n"
+            "def pool(pkg, getter):\n"
+            "    libs = pathlib.Path(pkg.__file__).parent.parent / (pkg.__name__ + '.libs')\n"
+            "    lib, = libs.glob('libscipy_openblas*.so')\n"
+            "    return getattr(ctypes.CDLL(str(lib)), getter)()\n"
+            "print(pool(scipy, 'scipy_openblas_get_num_threads'),"
+            " pool(numpy, 'scipy_openblas_get_num_threads64_'))")
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2"}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          check=True, capture_output=True, text=True)
+    assert done.stdout == "1 2\n"
 
 
 def test_importing_the_cli_loads_neither_scipy_io_nor_csgraph():

@@ -79,6 +79,10 @@ MUTATIONS = (
              "tests/test_quasimode.py::test_quadrature_orders_are_frozen"),
     Mutation("quasimode.py", "gauss_2d(model.support, 120)", "gauss_2d(model.support, 100)",
              "tests/test_quasimode.py::test_quadrature_orders_are_frozen"),
+    # scipy's OpenBLAS pool left on 2 threads
+    Mutation("eigensolve.py", "            set_threads(1)\n", "            set_threads(2)\n",
+             "tests/test_cli.py::"
+             "test_scipy_blas_runs_on_one_thread_and_numpy_blas_keeps_its_own"),
 )
 
 TIER1 = ("--continue-on-collection-errors",)
