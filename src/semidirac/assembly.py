@@ -18,7 +18,20 @@ and eigenvectors are plain-l2 orthogonal.
 
 Unknown layout after the edge identification: all u1 nodes (j outer, i
 inner), then u2 nodes for j >= 1; the merged edge values live in the u1
-block.  Dimension 2*nx*ny - nx.
+block.  Dimension 2*nx*ny - nx: the 2 ny - 1 unknowns of the edge fold on
+one column (YGrid) times nx, y outer.  So every operator is a Kronecker
+sum (Lynch, Rice and Thomas, Numer. Math. 6, 185, 1964): the first-order
+ones kron(M_B, I) + kron(M_J, Kx) + N over the y parts (y_parts) M_B, the
+fold of the derivative blocks -+i Omega D, and M_J, that of the unit
+coupling, with N the node fold of [[w11, delta + V + w12], [delta + V +
+w21, w22]]; the square form kron(Y, I) + kron(I, S^T S), Y the fold of
+the forward-difference y stiffness and S = Kx + diag(delta + vx).  The x
+weights are uniform, so in each term the weighted form's hx cancels
+against the two hx^(-1/2) of the rescaling.  The sum is exactly
+Hermitian: an entry of a Kronecker product is one product of a Hermitian
+y entry with a real symmetric x entry, N couples the two components of
+one node, whose weights are equal, and a sum of exactly Hermitian
+matrices is exactly Hermitian; _finish still checks it (sym_defect).
 
 The central first difference carries the usual lattice doubler branch; its
 dispersion stays outside the spectral gap.  It also splits T, H and the
@@ -294,17 +307,17 @@ def _finish(matrix, kind, w_red, grid=None, ygrid=None, separable=False) -> Herm
     return HermitianOperator(sym, kind, w_red, float(defect), grid, ygrid, separable)
 
 
-def _first_order_blocks(grid: Grid2D, params: Params):
-    """Weighted form blocks (A11, S, A22) of the free operator."""
-    D, omega = first_derivative_y(grid.ny, grid.hy)
-    Om = sp.diags(omega)
-    Q = Om @ D
-    Wx = sp.diags(grid.weights_x())
-    Kx = stiffness_x(grid.nx, grid.hx)
-    W2 = sp.kron(Om, Wx, format="csr")
-    A11 = -1j * sp.kron(Q, Wx, format="csr")
-    S = sp.kron(Om, Wx @ Kx, format="csr") + params.delta * W2
-    return A11, S, A11.conj().tocsr(), W2
+def y_parts(ygrid: YGrid) -> tuple[HermitianOperator, HermitianOperator]:
+    """(M_B, M_J): the coupling-free y operator and the unit coupling,
+    each folded onto the 2 ny - 1 edge-identified unknowns (_reduce) and
+    checked by _finish.  Every first-order operator is assembled from them
+    (module docstring), the fibers as M_B + c M_J."""
+    dmat, omega = first_derivative_y(ygrid.ny, ygrid.hy)
+    weights, zero = sp.diags(omega), sp.csr_matrix(dmat.shape)
+    a11 = (-1j * (weights @ dmat)).tocsr()
+    base = _reduce(ygrid, a11, zero, zero, a11.conj().tocsr())
+    unit = _reduce(ygrid, zero, weights, weights, zero)
+    return tuple(_finish(m, FIRST_ORDER, w_red, ygrid=ygrid) for m, w_red in (base, unit))
 
 
 def _reduce(grid, A11, A12, A21, A22):
@@ -317,30 +330,34 @@ def _reduce(grid, A11, A12, A21, A22):
     return dinv @ Ahat @ dinv, w_red
 
 
+def _first_order(grid: Grid2D, params: Params, v, w11=0.0, w12=0.0, w21=0.0, w22=0.0,
+                 separable: bool = False) -> HermitianOperator:
+    """kron(M_B, I) + kron(M_J, Kx) + the node fold of the multiplication
+    field [[w11, delta + v + w12], [delta + v + w21, w22]] (module docstring).
+    v and the w are node samples of shape (ny, nx), or scalars."""
+    m_b, m_j = y_parts(YGrid(grid.y_max, grid.ny))
+    w, mass = grid.node_weights(), params.delta + v
+    fields = (w11, mass + w12, mass + w21, w22)
+    nodes, w_red = _reduce(grid, *(sp.diags((w * f).ravel()) for f in fields))
+    m = (sp.kron(m_b.matrix, sp.identity(grid.nx), format="csr")
+         + sp.kron(m_j.matrix, stiffness_x(grid.nx, grid.hx), format="csr") + nodes)
+    return _finish(m, FIRST_ORDER, w_red, grid=grid, separable=separable)
+
+
 def assemble_T(grid: Grid2D, params: Params) -> HermitianOperator:
     """Free half-plane operator with the u1 = u2 edge condition."""
-    A11, S, A22, _ = _first_order_blocks(grid, params)
-    M, w_red = _reduce(grid, A11, S, S, A22)
-    return _finish(M, FIRST_ORDER, w_red, grid=grid, separable=True)
-
-
-def _potential_samples(grid: Grid2D, potential: PotentialSpec) -> np.ndarray:
-    if isinstance(potential, NoPotential):
-        return np.zeros((grid.ny, grid.nx))
-    if isinstance(potential, (BoxPotential, XOnlyPotential)):
-        return potential.sample_on(grid)
-    raise ValueError(
-        f"unsupported potential variant {type(potential).__name__} here"
-    )
+    return _first_order(grid, params, 0.0, separable=True)
 
 
 def assemble_H(grid: Grid2D, params: Params, potential: PotentialSpec) -> HermitianOperator:
     """Potential-coupled operator: V enters both off-diagonal blocks."""
-    A11, S, A22, W2 = _first_order_blocks(grid, params)
-    V = _potential_samples(grid, potential)
-    SV = S + W2 @ sp.diags(V.ravel())
-    M, w_red = _reduce(grid, A11, SV, SV, A22)
-    return _finish(M, FIRST_ORDER, w_red, grid=grid, separable=bool(np.all(V == V[0])))
+    if isinstance(potential, NoPotential):
+        V = np.zeros((grid.ny, grid.nx))
+    elif isinstance(potential, (BoxPotential, XOnlyPotential)):
+        V = potential.sample_on(grid)
+    else:
+        raise ValueError(f"unsupported potential variant {type(potential).__name__} here")
+    return _first_order(grid, params, V, separable=bool(np.all(V == V[0])))
 
 
 def assemble_H_eps(
@@ -351,26 +368,20 @@ def assemble_H_eps(
         raise GridMismatchError(f"grids differ: {w.grid} vs {grid}")
     if not np.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps!r}")
-    A11, S, A22, W2 = _first_order_blocks(grid, params)
-    A11 = A11 + eps * (W2 @ sp.diags(w.w11.ravel()))
-    A22 = A22 + eps * (W2 @ sp.diags(w.w22.ravel()))
-    A12 = S + eps * (W2 @ sp.diags(w.w12.ravel()))
-    A21 = S + eps * (W2 @ sp.diags(w.w21.ravel()))
-    M, w_red = _reduce(grid, A11, A12, A21, A22)
-    return _finish(M, FIRST_ORDER, w_red, grid=grid)
+    return _first_order(grid, params, 0.0, eps * w.w11, eps * w.w12, eps * w.w21, eps * w.w22)
 
 
 def assemble_square_form(
     grid: Grid2D, params: Params, potential: PotentialSpec | None
 ) -> HermitianOperator:
-    """Positive form Q(u, u) = |dy u|^2 + |(-dxx + delta + V) u|^2.
+    """Positive form Q(u, u) = |dy u|^2 + |(-dxx + delta + V) u|^2 as
+    kron(Y, I) + kron(I, S^T S) (module docstring).
 
     Only y-constant potentials keep the closed square structure, so box
-    fields are rejected.  The y part is the cell forward-difference
-    stiffness (natural on the edge, ghost-zero wall at the top); the x part
-    is the exact square of the one-dimensional operator, which is what
-    makes the lower bound delta^2 hold at the matrix level and not just in
-    the limit.
+    fields are rejected.  Y folds the cell forward-difference stiffness
+    (natural on the edge, ghost-zero wall at the top); the x part is the
+    exact square of S = Kx + diag(delta + vx), which is what makes the
+    lower bound delta^2 hold at the matrix level and not just in the limit.
     """
     if potential is None or isinstance(potential, NoPotential):
         vx = np.zeros(grid.nx)
@@ -381,21 +392,16 @@ def assemble_square_form(
             f"square form needs a y-constant potential, got "
             f"{type(potential).__name__}"
         )
-    omega = grid.weights_y()
-    Df = forward_difference_y(grid.ny, grid.hy)
-    Gy = (Df.T @ sp.diags(np.full(grid.ny, grid.hy)) @ Df).tocsr()
-    Wx = sp.diags(grid.weights_x())
-    # Sx Wx Sx as Bx^T Bx: each entry is then a sum of commuting products,
-    # so the x block is symmetric bit for bit
-    Bx = sp.diags(np.sqrt(grid.weights_x())) @ (
-        stiffness_x(grid.nx, grid.hx) + sp.diags(params.delta + vx)
-    )
-    G = sp.kron(Gy, Wx, format="csr") + sp.kron(
-        sp.diags(omega), (Bx.T @ Bx), format="csr"
-    )
-    zero = sp.csr_matrix(G.shape)
-    M, w_red = _reduce(grid, G, zero, zero, G)
-    return _finish(M, SQUARE_FORM, w_red, grid=grid, separable=True)
+    ygrid = YGrid(grid.y_max, grid.ny)
+    df = forward_difference_y(grid.ny, grid.hy)
+    gy = (df.T @ sp.diags(np.full(grid.ny, grid.hy)) @ df).tocsr()
+    zero = sp.csr_matrix(gy.shape)
+    y, w_y = _reduce(ygrid, gy, zero, zero, gy)
+    s = stiffness_x(grid.nx, grid.hx) + sp.diags(params.delta + vx)
+    # each entry of S^T S sums commuting products, so it is symmetric bit for bit
+    m = (sp.kron(y, sp.identity(grid.nx), format="csr")
+         + sp.kron(sp.identity(y.shape[0]), s.T @ s, format="csr"))
+    return _finish(m, SQUARE_FORM, np.kron(w_y, grid.weights_x()), grid=grid, separable=True)
 
 
 def apply(op: HermitianOperator, u: SpinorField) -> SpinorField:

@@ -7,7 +7,7 @@ real (certificate["arithmetic"]), and every sparse route factors a
 shifted matrix with SuperLU (scipy.sparse.linalg.splu) and nothing else,
 always in the symmetric minimum-degree order (MMD on A + A^T):
 
-* ``dense_eigs``: full spectrum through LAPACK, the oracle route for
+* ``dense_eigs``: full spectrum through scipy's LAPACK, the oracle route for
   cross-checking the sparse routes on small problems; every reported pair
   is re-verified by an explicit matrix-vector product.
 * ``count_within`` / ``count_below``: certified counts of a window
@@ -55,14 +55,12 @@ Determinism: all randomized starts come from a caller-seeded generator,
 matrix-vector products are sequential, and eigenvector phases are fixed so
 the first significant component is real positive.  numpy and scipy each
 bundle their own OpenBLAS with its own thread pool.  SuperLU, ARPACK and
-scipy's banded LAPACK calls run on scipy's, which this module sets to one
-thread at import (_pin_scipy_blas): a second thread there gains no wall
-time and spins a second core, and its threaded sums make the shift-invert
-eigenvalues depend on the thread count in their last bits.  numpy's pool,
-which ``dense_eigs`` runs on, keeps its threads, so the dense oracle's
-last bits still depend on them.  A scipy that does not bundle
-``scipy.libs/libscipy_openblas*.so`` (one not installed from the wheel)
-is left as it is.
+every LAPACK call here, dense_eigs' divide-and-conquer eigh included, run
+on scipy's, which this module sets to one thread at import
+(_pin_scipy_blas): threaded sums make eigenvalues depend on the thread
+count in their last bits.  numpy's pool is left as it is, and so is a
+scipy that does not bundle ``scipy.libs/libscipy_openblas*.so`` (one not
+installed from the wheel).
 """
 
 from __future__ import annotations
@@ -74,6 +72,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 import scipy.sparse as sp
+from scipy.linalg import eigh
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .assembly import SQUARE_FORM, HermitianOperator, _inf_norm, edge_embedding
@@ -221,9 +220,10 @@ def _build_report(op, vals, vecs, method, certificate=None):
 def dense_eigs(op) -> SpectrumReport:
     """Full spectrum by dense Hermitian eigendecomposition (oracle route).
 
-    Refuses dimensions above DENSE_CAP_DEFAULT.  LAPACK runs on the real
-    form R, in real arithmetic except for H_eps with w11 != w22 and plain
-    complex input; certificate["arithmetic"] says which.  Residuals are recomputed from the
+    Refuses dimensions above DENSE_CAP_DEFAULT.  scipy.linalg.eigh (driver
+    "evd", module docstring) runs on the real form R, in real arithmetic
+    except for H_eps with w11 != w22 and plain complex input;
+    certificate["arithmetic"] says which.  Residuals are recomputed from the
     input matrix and must sit at roundoff level, else this raises.
     """
     op = _operator(op)
@@ -231,7 +231,7 @@ def dense_eigs(op) -> SpectrumReport:
     if n > DENSE_CAP_DEFAULT:
         raise ValueError(f"dimension {n} exceeds dense solver cap {DENSE_CAP_DEFAULT}")
     work, basis = op.real_form
-    vals, vecs = np.linalg.eigh(work.toarray())
+    vals, vecs = eigh(work.toarray(), driver="evd")
     vecs = vecs if basis is None else basis @ vecs
     certificate = {"arithmetic": "complex" if work.dtype.kind == "c" else "real"}
     report = _build_report(op, vals, vecs, "dense", certificate)

@@ -12,9 +12,9 @@ edge = xi^2 + delta, and the union over xi touches the gap exactly at
 +-delta.  The discretized fibers below provide an independent prediction
 of the 2D spectrum edge at a tiny fraction of the 2D cost.  Every fiber
 is the same y operator with only the coupling c = xi^2 + delta changed,
-so the assembled fiber is affine in c, M(c) = M_B + c M_J: FiberFamily
-assembles and rotates the two parts once per y grid and serves every
-member from them.
+so the assembled fiber is affine in c, M(c) = M_B + c M_J, over the y
+parts of every 2D first-order assembly (assembly.y_parts): FiberFamily
+reads and rotates them once per y grid and serves every member.
 
 The discrete fibers have a closed-form spectrum.  In the real basis of
 the antiunitary symmetry (HermitianOperator.real_form) a fiber with
@@ -44,12 +44,12 @@ scan.free_edge the free 2D edge as delta + lambda_min(Kx), with no solve.
 The identity is also a certificate for the 2D assemblies
 (separable_identity).  T, an H whose potential does not vary in y and the
 square forms each have the form M = kron(P, I) + kron(Q, X) in the reduced
-layout (y outer, x inner), a Kronecker structure (Horn and Johnson, Topics
-in Matrix Analysis, 4.4): for the first-order operators P = M_B, Q = M_J
-and X = S = Kx + diag(delta + vx), for the square form P = Y - Y[0, 0] I,
-Q = I and X = Y[0, 0] I + S^2, with Y the weight-scaled forward-difference
-y stiffness folded onto the 2 ny - 1 edge-identified unknowns.
-separable_identity reads the three off M once and checks them on it: the
+layout (y outer, x inner), the Kronecker sums they are assembled as
+(assembly; Horn and Johnson, Topics in Matrix Analysis, 4.4): for the
+first-order operators P = M_B, Q = M_J and X = S = Kx + diag(delta +
+vx), for the square form P = Y - Y[0, 0] I, Q = I and X = Y[0, 0] I +
+S^2, with Y the folded y stiffness.  separable_identity is never handed
+those parts: it reads the three off M once and checks them on it: the
 defect ||M - kron(P, I) - kron(Q, X)||_inf, what the closed form drops of
 the rotated parts and the rounding of each step give a margin; by
 Weyl's inequality (Horn and Johnson, Matrix Analysis, 4.3) no eigenvalue
@@ -75,8 +75,7 @@ band for the count lowest pairs of each, the sectors' vectors mapped back
 through the basis (the odd sector's columns times -i, a real fold), and
 eigensolve.lowest_of_square certifies them on the assembled form.  No
 dense eigh runs: a dense factor stores n^2 floats where its band stores a
-few n, and numpy's divide-and-conquer eigh runs on numpy's threaded
-OpenBLAS, whose sums make the vectors depend on the thread count.
+few n.
 """
 
 from __future__ import annotations
@@ -92,13 +91,11 @@ from .assembly import (
     FIRST_ORDER,
     HermitianOperator,
     YGrid,
-    _finish,
     _inf_norm,
     _real_rotation,
-    _reduce,
     conjugation_basis,
-    first_derivative_y,
     stiffness_x,
+    y_parts,
 )
 from .lattice import Grid2D, Params
 
@@ -126,34 +123,29 @@ def union_edge(xi_grid, params: Params) -> float:
 class FiberFamily:
     """The momentum fibers on one y grid, M(c) = M_B + c M_J (module docstring).
 
-    Same ingredients as the 2D assembly: summation-by-parts first
-    derivative in y, edge identification u1(0) = u2(0) folding the
-    spinor into 2*ny - 1 unknowns, Dirichlet wall at y_max, and the
-    symmetric weight rescaling.  The coupling-free part M_B and the unit
-    coupling M_J are each assembled once and rotated by one conjugation
-    basis U; each member carries (R_B + c R_J, U) as its real_form.
+    M_B and M_J are the y parts of every 2D first-order assembly
+    (assembly.y_parts), read once per family and rotated by one
+    conjugation basis U; each member carries (R_B + c R_J, U) as its
+    real_form.
     """
 
     ygrid: YGrid
 
-    def _assemble(self, a11, a12) -> HermitianOperator:
-        m, w_red = _reduce(self.ygrid, a11, a12, a12, a11.conj().tocsr())
-        return _finish(m, FIRST_ORDER, w_red, ygrid=self.ygrid)
+    @cached_property
+    def _parts(self) -> tuple[HermitianOperator, HermitianOperator]:
+        """(M_B, M_J), assembled once per family (assembly.y_parts)."""
+        return y_parts(self.ygrid)
 
     @cached_property
     def base(self) -> tuple[HermitianOperator, sp.csr_matrix, sp.csr_matrix]:
         """(M_B, R_B, U): the coupling-free part, its real form and the basis."""
-        dmat, omega = first_derivative_y(self.ygrid.ny, self.ygrid.hy)
-        op = self._assemble((-1j * (sp.diags(omega) @ dmat)).tocsr(), sp.csr_matrix(dmat.shape))
-        basis = conjugation_basis(self.ygrid)
+        op, basis = self._parts[0], conjugation_basis(self.ygrid)
         return op, _rotated(op, basis), basis
 
     @cached_property
     def unit(self) -> tuple[HermitianOperator, sp.csr_matrix]:
         """(M_J, R_J): the unit coupling and its real form in the basis of base."""
-        ny = self.ygrid.ny
-        op = self._assemble(sp.csr_matrix((ny, ny)), sp.diags(self.ygrid.node_weights().ravel()))
-        return op, _rotated(op, self.base[2])
+        return self._parts[1], _rotated(self._parts[1], self.base[2])
 
     @cached_property
     def golub_kahan(self) -> tuple[tuple[np.ndarray, bool], ...]:

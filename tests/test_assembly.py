@@ -71,16 +71,17 @@ def test_hermiticity_is_exact_not_approximate():
 
 
 def test_planted_anti_hermitian_entry_is_refused(monkeypatch):
-    """A defect of relative size 1e-6 is a bug, not roundoff."""
-    original = assembly._first_order_blocks
+    """A defect of relative size 1e-6 in the node fold is a bug, not roundoff."""
+    original = assembly._reduce
 
-    def planted(grid, params):
-        A11, S, A22, W2 = original(grid, params)
-        A11 = A11.tolil()
-        A11[5, 5] = 1e-6j * abs(A11).max()
-        return A11.tocsr(), S, A22, W2
+    def planted(grid, *blocks):
+        m, w_red = original(grid, *blocks)
+        if isinstance(grid, Grid2D):
+            m = m.astype(np.complex128).tolil()
+            m[5, 5] += 1e-6j * abs(m).max()
+        return m.tocsr(), w_red
 
-    monkeypatch.setattr(assembly, "_first_order_blocks", planted)
+    monkeypatch.setattr(assembly, "_reduce", planted)
     with pytest.raises(AssertionError, match="not Hermitian"):
         assemble_T(small_grid(), P1)
 
@@ -328,3 +329,91 @@ def test_grouped_export_keeps_signed_zeros_and_repeats(nnz):
     assert " -0 0\n" in text and " 0 -0\n" in text and " -0 -0\n" in text
     empty = sp.csr_matrix((3, 3), dtype=np.complex128)
     assert_reads_back(export_coordinate_text(SimpleNamespace(matrix=empty)), empty)
+
+
+# ---------------------------------------------------------------------------
+# the two-component fold: the reference for the Kronecker-sum assembly
+
+
+def fold_two_components(grid, A11, A12, A21, A22):
+    """W^(-1/2) E^T A E W^(-1/2) of the weighted 2x2 block form A on the
+    whole 2-d layout, symmetrized as the assembly does, and W."""
+    A = sp.bmat([[A11, A12], [A21, A22]], format="csr")
+    E, w_red = assembly.edge_embedding(grid)
+    dinv = sp.diags(1.0 / np.sqrt(w_red))
+    return assembly._symmetrize(dinv @ (E.T @ A @ E).tocsr() @ dinv)[0], w_red
+
+
+def reference_first_order(grid, params, v=0.0, w11=0.0, w12=0.0, w21=0.0, w22=0.0):
+    """T, H or H_eps folded whole from its weighted block form: the
+    derivative blocks -+i kron(Omega D, Wx), the mass blocks
+    kron(Omega, Wx Kx) + W (delta + v) and the field's W w."""
+    D, omega = first_derivative_y(grid.ny, grid.hy)
+    Om, Wx = sp.diags(omega), sp.diags(grid.weights_x())
+    W2 = sp.kron(Om, Wx, format="csr")
+    A11 = -1j * sp.kron(Om @ D, Wx, format="csr")
+    S = sp.kron(Om, Wx @ stiffness_x(grid.nx, grid.hx), format="csr") + params.delta * W2
+
+    def node(f):
+        return W2 @ sp.diags(np.broadcast_to(f, (grid.ny, grid.nx)).ravel())
+
+    mass = S + node(v)
+    return fold_two_components(grid, A11 + node(w11), mass + node(w12), mass + node(w21),
+                               A11.conj() + node(w22))
+
+
+def reference_square_form(grid, params, vx):
+    """The square form folded whole: kron(Gy, Wx) + kron(Omega, Bx^T Bx) on
+    both diagonal blocks, Bx = Wx^(1/2) (Kx + diag(delta + vx))."""
+    Df = assembly.forward_difference_y(grid.ny, grid.hy)
+    Gy = Df.T @ sp.diags(np.full(grid.ny, grid.hy)) @ Df
+    Bx = sp.diags(np.sqrt(grid.weights_x())) @ (
+        stiffness_x(grid.nx, grid.hx) + sp.diags(params.delta + vx))
+    G = (sp.kron(Gy, sp.diags(grid.weights_x()), format="csr")
+         + sp.kron(sp.diags(grid.weights_y()), Bx.T @ Bx, format="csr"))
+    zero = sp.csr_matrix(G.shape)
+    return fold_two_components(grid, G, zero, zero, G)
+
+
+@pytest.mark.parametrize("kind", ["T", "H-box", "H-xonly", "H_eps", "square", "square-xonly"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data(), delta=st.floats(0.1, 3.0), half=st.floats(2.0, 8.0),
+       y_max=st.floats(2.0, 8.0), nx=st.integers(5, 31), ny=st.integers(4, 17))
+def test_kronecker_assembly_matches_the_two_component_fold(kind, data, delta, half, y_max,
+                                                            nx, ny):
+    params, grid = Params(delta), Grid2D(-half, half, y_max, nx, ny)
+    height = data.draw(st.floats(-3.0, 3.0))
+    gaussian = XOnlyPotential.from_callable(grid, lambda x: height * np.exp(-x * x))
+    if kind == "T":
+        op, ref = assemble_T(grid, params), reference_first_order(grid, params)
+    elif kind == "H-box":
+        a = data.draw(st.floats(0.1, 1.0))
+        b = data.draw(st.floats(a + 0.5, min(half, y_max)))
+        box = BoxPotential(a, b, data.draw(st.floats(-4.0, 0.0)))
+        op = assemble_H(grid, params, box)
+        ref = reference_first_order(grid, params, box.sample_on(grid))
+    elif kind == "H-xonly":
+        op = assemble_H(grid, params, gaussian)
+        ref = reference_first_order(grid, params, gaussian.sample_on(grid))
+    elif kind == "H_eps":
+        # complex w12 and w11 != w22: no real form, the hardest fold
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shape = (grid.ny, grid.nx)
+        w12 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        field = PerturbationField(grid, rng.standard_normal(shape), w12,
+                                  rng.standard_normal(shape))
+        eps = data.draw(st.floats(0.05, 2.0))
+        op = assemble_H_eps(grid, params, field, eps)
+        ref = reference_first_order(grid, params, 0.0, eps * field.w11, eps * field.w12,
+                                    eps * field.w21, eps * field.w22)
+    elif kind == "square":
+        op = assemble_square_form(grid, params, None)
+        ref = reference_square_form(grid, params, np.zeros(nx))
+    else:
+        op = assemble_square_form(grid, params, gaussian)
+        ref = reference_square_form(grid, params, gaussian.sample_on(grid)[0])
+    (ref, weights), m = ref, op.matrix
+    assert op.sym_defect == 0.0 and np.array_equal(op.weights, weights)
+    assert np.array_equal(m.indptr, ref.indptr) and np.array_equal(m.indices, ref.indices)
+    scale = abs(ref).max()
+    assert abs(m - ref).max() <= 8 * np.finfo(np.float64).eps * scale

@@ -674,11 +674,12 @@ def test_fiber_cross_check_fails_on_a_narrow_domain(tmp_path, capsys):
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """The same fiber table, spectrum (gap and square-form mode) and
+    """The same fiber table, spectrum (gap, square-form and dense mode) and
     exported matrix bytes under 1 and 2 OpenBLAS threads; the thread count
     is set in each child's environment only.  The 161x81 box well's
-    shift-invert eigenvalues move in their last bits unless scipy's pool
-    runs on one thread."""
+    shift-invert eigenvalues, and the 41x21 box well's dense eigenvalues
+    (a 1681^2 real form), move in their last bits unless their LAPACK runs
+    on scipy's one-thread pool."""
     configs = {
         "fiber": {"params": {"delta": 1.0}, "fiber": {"ny": 120}},
         "spectrum": {"params": {"delta": 1.0}, "grid": {**BASE_GRID, "nx": 31, "ny": 17},
@@ -690,6 +691,9 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         "spectrum-square": {"params": {"delta": 1.0}, "grid": {**BASE_GRID, "nx": 101, "ny": 51},
                             "potential": {"type": "xonly_gaussian", "height": 1.0},
                             "solver": {"mode": "square-form", "k": 3}},
+        "spectrum-dense": {"params": {"delta": 1.0}, "grid": {**BASE_GRID, "nx": 41, "ny": 21},
+                           "potential": {"type": "box", "a": 1.0, "b": 4.0, "value": -2.0},
+                           "solver": {"mode": "dense"}},
         "export-matrix": {"params": {"delta": 1.0}, "grid": {**BASE_GRID, "nx": 31, "ny": 17}},
     }
     src = str(Path(semidirac.cli.__file__).resolve().parents[1])
@@ -698,7 +702,7 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
         for name, doc in configs.items():
-            command = name.removesuffix("-square").removesuffix("-boxwell")
+            command = name.split("-")[0] if name.startswith("spectrum-") else name
             cfg = write_config(tmp_path, doc, f"{name}.json")
             out = tmp_path / f"{name}-{threads}"
             subprocess.run(
@@ -712,13 +716,14 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert outputs["spectrum", "1"].count(b"\n") > 1
     assert outputs["spectrum-boxwell", "1"].count(b"\n") > 1
     assert outputs["spectrum-square", "1"].count(b"\n") == 4
+    assert outputs["spectrum-dense", "1"].count(b"\n") == 1681 + 1
     assert outputs["export-matrix", "1"].startswith(b"%%MatrixMarket matrix coordinate complex general\n")
 
 
 def test_scipy_blas_runs_on_one_thread_and_numpy_blas_keeps_its_own():
     """numpy and scipy each bundle an OpenBLAS with its own pool.  Importing
-    semidirac sets scipy's (SuperLU, ARPACK, banded LAPACK) to one thread
-    and leaves numpy's, which dense_eigs runs on, at the environment's 2."""
+    semidirac sets scipy's (SuperLU, ARPACK, banded and dense LAPACK) to
+    one thread and leaves numpy's at the environment's 2."""
     src = str(Path(semidirac.cli.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     code = ("import ctypes, pathlib, numpy, scipy, semidirac\n"
