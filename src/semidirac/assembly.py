@@ -11,10 +11,13 @@ weighted derivative matrix Q = Omega D is antisymmetric except for a single
 defects of the two components cancel exactly, which is the discrete version
 of the vanishing boundary term in the continuum integration by parts.
 
-The assembled matrix is W^(-1/2) A W^(-1/2) where A is the (exactly
-Hermitian) weighted form and W the diagonal of reduced node weights, so its
-eigenvalues coincide with those of the physical finite-difference operator
-and eigenvectors are plain-l2 orthogonal.
+The assembled matrix is W^(-1/2) E^T A E W^(-1/2): A the (exactly
+Hermitian) weighted form, E the embedding of the edge-identified unknowns
+and W = E^T diag(w) E their weights, so its eigenvalues are those of the
+physical finite-difference operator and eigenvectors are plain-l2
+orthogonal.  E has one entry per row, so the fold (_reduce) is a
+relabelling: it maps the 2n slots onto the 2n - nx unknowns, sums each
+u1/u2 edge pair and scales data by W^(-1/2) on both sides.
 
 Unknown layout after the edge identification: all u1 nodes (j outer, i
 inner), then u2 nodes for j >= 1; the merged edge values live in the u1
@@ -29,9 +32,9 @@ the forward-difference y stiffness and S = Kx + diag(delta + vx).  The x
 weights are uniform, so in each term the weighted form's hx cancels
 against the two hx^(-1/2) of the rescaling.  The sum is exactly
 Hermitian: an entry of a Kronecker product is one product of a Hermitian
-y entry with a real symmetric x entry, N couples the two components of
-one node, whose weights are equal, and a sum of exactly Hermitian
-matrices is exactly Hermitian; _finish still checks it (sym_defect).
+y entry with a real symmetric x entry, and N couples the two components
+of one node, whose weights are equal; _finish still checks it, comparing
+the data of M and M^H in place (_symmetrize, sym_defect).
 
 The central first difference carries the usual lattice doubler branch; its
 dispersion stays outside the spectral gap.  It also splits T, H and the
@@ -121,12 +124,10 @@ def first_derivative_y(ny: int, hy: float) -> tuple[sp.csr_matrix, np.ndarray]:
     antisymmetric matrix plus a -1/2 entry in the (0, 0) corner.
     """
     half = 0.5 / hy
-    D = sp.diags([np.full(ny - 1, -half), np.full(ny - 1, half)], [-1, 1], format="lil")
-    D[0, 0], D[0, 1] = -1.0 / hy, 1.0 / hy
-    D = D.tocsr()
-    omega = np.full(ny, hy)
-    omega[0] = 0.5 * hy
-    return D, omega
+    main, upper = np.zeros(ny), np.full(ny - 1, half)
+    main[0], upper[0] = -1.0 / hy, 1.0 / hy
+    D = sp.diags([np.full(ny - 1, -half), main, upper], [-1, 0, 1], format="csr")
+    return D, np.r_[0.5 * hy, np.full(ny - 1, hy)]
 
 
 def stiffness_x(nx: int, hx: float) -> sp.csr_matrix:
@@ -152,17 +153,9 @@ def edge_embedding(grid: Grid2D | YGrid) -> tuple[sp.csr_matrix, np.ndarray]:
     nx = grid.nx
     w_node = grid.node_weights().ravel()
     n = w_node.size
-    full = np.arange(2 * n)
-    red = np.empty(2 * n, dtype=np.int64)
-    red[:n] = np.arange(n)
-    # u2 block: edge row folds onto the u1 edge unknowns
-    red[n : n + nx] = np.arange(nx)
-    red[n + nx :] = n + np.arange(n - nx)
-    E = sp.csr_matrix(
-        (np.ones(2 * n), (full, red)), shape=(2 * n, 2 * n - nx)
-    )
-    w_red = E.T @ np.concatenate([w_node, w_node])
-    return E, w_red
+    red = np.concatenate([np.arange(n), np.arange(nx), np.arange(n, 2 * n - nx)])
+    E = sp.csr_matrix((np.ones(2 * n), red, np.arange(2 * n + 1)), shape=(2 * n, 2 * n - nx))
+    return E, E.T @ np.concatenate([w_node, w_node])
 
 
 def conjugation_basis(layout: Grid2D | YGrid) -> sp.csr_matrix:
@@ -263,12 +256,7 @@ class HermitianOperator:
         if self.grid is None:
             raise ValueError("operator carries no 2-d grid layout")
         v = np.asarray(z, dtype=np.complex128) / np.sqrt(self.weights)
-        n, nx = self.grid.n_nodes, self.grid.nx
-        full = np.empty(2 * n, dtype=np.complex128)
-        full[:n] = v[:n]
-        full[n : n + nx] = v[:nx]
-        full[n + nx :] = v[n:]
-        return SpinorField.unflatten(self.grid, full)
+        return SpinorField.unflatten(self.grid, v[edge_embedding(self.grid)[0].indices])
 
     def field_to_vector(self, u: SpinorField) -> np.ndarray:
         if self.grid is None:
@@ -277,10 +265,7 @@ class HermitianOperator:
             raise GridMismatchError(f"grids differ: {u.grid} vs {self.grid}")
         if not u.bc_admissible():
             raise ValueError("field is not admissible: u1 != u2 on the edge")
-        n = self.grid.n_nodes
-        flat = u.flatten()
-        v = np.concatenate([flat[:n], flat[n + self.grid.nx :]])
-        return v * np.sqrt(self.weights)
+        return np.concatenate([u.u1.ravel(), u.u2[1:].ravel()]) * np.sqrt(self.weights)
 
 
 def _inf_norm(m: sp.spmatrix) -> float:
@@ -288,18 +273,22 @@ def _inf_norm(m: sp.spmatrix) -> float:
 
 
 def _symmetrize(m: sp.spmatrix) -> tuple[sp.csr_matrix, float]:
-    m = m.tocsr()
-    skew = m - m.getH()
-    defect = np.abs(skew.data).max() if skew.nnz else 0.0
+    """(m + h) / 2, h = m^H, and the relative size of m - h for a CSR m,
+    refused past SYM_DEFECT_LIMIT.  Equal patterns compare data in place; at
+    defect 0 m's data returns in h's exact-size arrays, as (a + a) / 2 == a
+    while m stores no 0 or -0 part, which every fold and sum here drops."""
+    h = m.conj().T.tocsr()
+    same = np.array_equal(m.indptr, h.indptr) and np.array_equal(m.indices, h.indices)
+    skew = m.data - h.data if same else (m - h).data
+    defect = np.abs(skew).max() if skew.size else 0.0
     scale = np.abs(m.data).max() if m.nnz else 0.0
     rel = defect / scale if scale > 0 else 0.0
     if rel > SYM_DEFECT_LIMIT:
-        raise AssertionError(
-            f"assembled matrix is not Hermitian: relative defect {rel:.3e}"
-        )
-    out = ((m + m.getH()) * 0.5).tocsr()
-    out.sort_indices()
-    return out, rel
+        raise AssertionError(f"assembled matrix is not Hermitian: relative defect {rel:.3e}")
+    if same and defect == 0.0:
+        h.data[:] = m.data
+        return h, rel
+    return ((m + h) * 0.5).sorted_indices(), rel
 
 
 def _finish(matrix, kind, w_red, grid=None, ygrid=None, separable=False) -> HermitianOperator:
@@ -321,13 +310,24 @@ def y_parts(ygrid: YGrid) -> tuple[HermitianOperator, HermitianOperator]:
 
 
 def _reduce(grid, A11, A12, A21, A22):
-    """Fold the weighted 2x2 block form onto the edge-identified unknowns
-    and rescale symmetrically: W^(-1/2) E^T A E W^(-1/2)."""
-    A = sp.bmat([[A11, A12], [A21, A22]], format="csr")
+    """W^(-1/2) E^T A E W^(-1/2) of the weighted 2x2 block form A, and W,
+    by relabelling through E.indices (module docstring): rows, then
+    columns, so a merged corner sums as (A11 + A21) + (A12 + A22), as in
+    E^T A E, and data is scaled by d[row], then d[col], d = W^(-1/2)."""
     E, w_red = edge_embedding(grid)
-    Ahat = (E.T @ A @ E).tocsr()
-    dinv = sp.diags(1.0 / np.sqrt(w_red))
-    return dinv @ Ahat @ dinv, w_red
+    slot, n, dim = E.indices, A11.shape[0], w_red.size
+    parts = [(b.tocoo(), r, c) for b, r, c in ((A11, 0, 0), (A12, 0, n), (A21, n, 0), (A22, n, n))]
+    m = sp.csr_matrix((np.concatenate([b.data for b, _, _ in parts]),
+                       (slot[np.concatenate([r + b.row for b, r, _ in parts])],
+                        np.concatenate([c + b.col for b, _, c in parts]))), shape=(dim, 2 * n))
+    m = sp.csr_matrix((m.data, slot[m.indices], m.indptr), shape=(dim, dim))
+    m.sum_duplicates()
+    d = 1.0 / np.sqrt(w_red)
+    m.data *= np.repeat(d, np.diff(m.indptr))
+    m.data *= d[m.indices]
+    m.data += 0.0  # a -0 part reads +0, as in a sparse product
+    m.eliminate_zeros()
+    return m, w_red
 
 
 def _first_order(grid: Grid2D, params: Params, v, w11=0.0, w12=0.0, w21=0.0, w22=0.0,

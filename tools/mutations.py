@@ -90,6 +90,10 @@ MUTATIONS = (
              "(w11, mass + w21, mass + w12, w22)",
              "tests/test_assembly.py::"
              "test_kronecker_assembly_matches_the_two_component_fold[H_eps]"),
+    # the Hermitian check reading only the patterns: an entry planted off
+    # Hermitian in place, with the pattern kept, must still be refused
+    Mutation("assembly.py", "skew = m.data - h.data if same", "skew = 0.0 * m.data if same",
+             "tests/test_assembly.py::test_planted_anti_hermitian_entry_is_refused"),
     # the sparse inertia guards: the symmetric pivot order and the refusal
     # of a singular factor
     Mutation("eigensolve.py", "    if not np.array_equal(lu.perm_r, lu.perm_c):\n",
